@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .estimators import (
@@ -18,7 +19,7 @@ from .estimators import (
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
     analytic_second_moment,
-    _mixed_qubit_from_value,
+    estimate_from_sums,
 )
 from .harness import (
     ConfigError,
@@ -159,17 +160,17 @@ def _cmd_analytic(args) -> int:
         "second_moment": analytic_second_moment(obs),
         # optimal estimate when all N outcomes hit eigenvalue i; for N = 1
         # this is the per-outcome estimate
-        "omega_opt_by_outcome": [
-            (obs.trace + n * float(v)) / (n + d) for v in obs.eigenvalues
-        ],
+        "omega_opt_by_outcome": estimate_from_sums(
+            EstimatorKind.OPTIMAL_PURE, n * obs.eigenvalues, n, obs
+        ).tolist(),
     }
     n2 = config.n2 if config.is_bloch else None
     if n2 is not None:
         report["n2"] = n2
         report["delta_mixed"] = analytic_delta_mixed_qubit(obs, n2)
-        report["omega_mixed_by_outcome"] = [
-            _mixed_qubit_from_value(obs.trace, float(v), n2) for v in obs.eigenvalues
-        ]
+        report["omega_mixed_by_outcome"] = estimate_from_sums(
+            EstimatorKind.OPTIMAL_MIXED_QUBIT, obs.eigenvalues, 1, obs, n2
+        ).tolist()
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, BrokenProcessPool) as exc:
         sys.stderr.write(f"optev: error: {exc}\n")
         return EXIT_CONFIG
 

@@ -45,10 +45,15 @@ class OutcomeSequence:
         return self.indices.size
 
 
-def _draw_indices(probabilities: np.ndarray, count: int, generator: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of eigenbasis indices; renormalizes away float drift."""
+def outcome_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative outcome distribution, renormalized to end at exactly 1."""
     cdf = np.cumsum(probabilities)
     cdf /= cdf[-1]
+    return cdf
+
+
+def draw_indices(cdf: np.ndarray, count: int, generator: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw of ``count`` eigenbasis indices."""
     return np.searchsorted(cdf, generator.random(count), side="right")
 
 
@@ -57,21 +62,28 @@ def simulate_measurements(state: PureState, obs: Observable, copies: int, stream
     if copies < 1:
         raise ValueError(f"need at least one measurement, got copies={copies}")
     p = outcome_distribution(state, obs)
-    indices = _draw_indices(p, copies, stream.generator)
+    indices = draw_indices(outcome_cdf(p), copies, stream.generator)
     return OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
 
 
-def _sample_average_from_sum(value_sum: float, count: int) -> float:
-    return value_sum / count
+def estimate_from_sums(
+    kind: EstimatorKind | str, value_sums, copies: int, obs: Observable | None, n2: float | None = None
+) -> np.ndarray:
+    """Estimates from sums of observed eigenvalues, one per entry of ``value_sums``.
 
-
-def _optimal_from_sum(trace: float, value_sum: float, count: int, dim: int) -> float:
-    return (trace + value_sum) / (count + dim)
-
-
-def _mixed_qubit_from_value(trace: float, value: float, n2: float) -> float:
+    Every estimator here sees the outcomes only through sum_n Omega_{i_n}:
+    the sample average is sum / N, the optimal estimate
+    (tr Omega + sum) / (N + d), and the mixed-qubit estimate (N = 1)
+    ((3 - n2)/2 tr Omega + n2 sum) / 3.  The sample average ignores ``obs``.
+    """
+    kind = EstimatorKind(kind)
+    sums = np.asarray(value_sums, dtype=float)
+    if kind is EstimatorKind.SAMPLE_AVERAGE:
+        return sums / copies
+    if kind is EstimatorKind.OPTIMAL_PURE:
+        return (obs.trace + sums) / (copies + obs.dim)
     # (3 - n2)/6 keeps the n2 = 0 case exactly equal to trace/2
-    return (3.0 - n2) / 6.0 * trace + n2 / 3.0 * value
+    return (3.0 - n2) / 6.0 * obs.trace + n2 / 3.0 * sums
 
 
 def _check_nonempty(outcomes: OutcomeSequence) -> None:
@@ -92,7 +104,7 @@ def _check_n2(n2: float) -> None:
 def estimate_sample_average(outcomes: OutcomeSequence) -> float:
     """Arithmetic mean of the observed eigenvalues; unbiased for every state."""
     _check_nonempty(outcomes)
-    return float(_sample_average_from_sum(float(outcomes.values.sum()), len(outcomes)))
+    return float(estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, outcomes.values.sum(), len(outcomes), None))
 
 
 def estimate_optimal(outcomes: OutcomeSequence, obs: Observable) -> float:
@@ -104,7 +116,7 @@ def estimate_optimal(outcomes: OutcomeSequence, obs: Observable) -> float:
     finite N.
     """
     _check_nonempty(outcomes)
-    return float(_optimal_from_sum(obs.trace, float(outcomes.values.sum()), len(outcomes), obs.dim))
+    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, outcomes.values.sum(), len(outcomes), obs))
 
 
 def estimate_optimal_mixed_qubit(outcomes: OutcomeSequence, obs: Observable, n2: float) -> float:
@@ -120,7 +132,7 @@ def estimate_optimal_mixed_qubit(outcomes: OutcomeSequence, obs: Observable, n2:
     if len(outcomes) != 1:
         raise ValueError(f"mixed-qubit estimator requires exactly one outcome, got {len(outcomes)}")
     _check_n2(n2)
-    return float(_mixed_qubit_from_value(obs.trace, float(outcomes.values[0]), n2))
+    return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, outcomes.values[0], 1, obs, n2))
 
 
 def analytic_delta_opt(obs: Observable, copies: int) -> float:
@@ -162,7 +174,8 @@ def analytic_bias_mean(state: PureState, obs: Observable, copies: int) -> float:
     N grows.
     """
     _check_copies(copies)
-    return (obs.trace + copies * expectation(state, obs)) / (copies + obs.dim)
+    expected_sum = copies * expectation(state, obs)
+    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, expected_sum, copies, obs))
 
 
 def analytic_second_moment(obs: Observable) -> float:

@@ -70,6 +70,9 @@ def make_observable(entries) -> Observable:
     d = m.shape[0]
     if d < 2:
         raise ValueError(f"observable dimension must be at least 2, got {d}")
+    # a NaN deviation would pass the Hermiticity test below
+    if not np.isfinite(m).all():
+        raise ValueError("observable entries must be finite")
     deviation = np.abs(m - m.conj().T).max()
     if deviation > HERMITICITY_TOL:
         raise ValueError(

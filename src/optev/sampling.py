@@ -169,7 +169,8 @@ class RadialLaw:
         )
 
 
-def _haar_rows(d: int, count: int, generator: np.random.Generator) -> np.ndarray:
+def draw_haar_rows(d: int, count: int, generator: np.random.Generator) -> np.ndarray:
+    """Haar-uniform amplitude rows, shape (count, d), drawn from ``generator``."""
     # 2d standard normals per row, viewed as d complex amplitudes, normalized
     z = generator.standard_normal((count, 2 * d))
     amp = z.view(np.complex128)
@@ -181,7 +182,7 @@ def sample_haar_pure(d: int, stream: RngStream) -> PureState:
     """One pure state whose amplitudes are uniform on the unit hypersphere."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    return PureState(_haar_rows(d, 1, stream.generator)[0])
+    return PureState(draw_haar_rows(d, 1, stream.generator)[0])
 
 
 def sample_haar_amplitudes(d: int, count: int, stream: RngStream) -> np.ndarray:
@@ -195,10 +196,11 @@ def sample_haar_amplitudes(d: int, count: int, stream: RngStream) -> np.ndarray:
         raise ValueError(f"need d >= 2, got {d}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    return _haar_rows(d, count, stream.generator)
+    return draw_haar_rows(d, count, stream.generator)
 
 
-def _bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndarray:
+def draw_bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndarray:
+    """Isotropic Bloch vector drawn from ``generator``: uniform direction, radius from the law."""
     u = generator.standard_normal(3)
     u /= np.linalg.norm(u)
     return law.sample_radius(generator) * u
@@ -206,4 +208,4 @@ def _bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndarray:
 
 def sample_bloch_mixed(law: RadialLaw, stream: RngStream) -> MixedQubitState:
     """Isotropic Bloch vector: uniform direction, radius from the law."""
-    return MixedQubitState(_bloch_vector(law, stream.generator))
+    return MixedQubitState(draw_bloch_vector(law, stream.generator))

@@ -2,24 +2,34 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optev
 from optev import (
     ConfigError,
     EstimatorKind,
     ExperimentConfig,
+    OutcomeSequence,
     RadialLaw,
     analytic_delta_av,
     analytic_delta_opt,
     derive_stream,
     estimate_optimal,
+    estimate_optimal_mixed_qubit,
     expectation,
     load_config,
     load_observable,
     make_observable,
     mixed_qubit_expectation,
+    mixed_qubit_outcome_distribution,
     observable_to_json,
     rows_to_csv,
     run_experiment,
@@ -29,7 +39,8 @@ from optev import (
     simulate_measurements,
 )
 from optev.cli import main
-from optev.harness import CSV_COLUMNS, _collect, _ensemble_chunk, _payload
+from optev.estimators import draw_indices, outcome_cdf
+from optev.harness import CSV_COLUMNS
 
 
 # --- load_observable ---
@@ -175,18 +186,26 @@ def test_no_closed_form_leaves_analytic_empty():
     assert line.split(",")[CSV_COLUMNS.index("analytic_mse")] == ""
 
 
+def _mean_and_se(values):
+    mean = math.fsum(values) / len(values)
+    spread = math.fsum([(v - mean) * (v - mean) for v in values]) / (len(values) - 1)
+    return mean, math.sqrt(spread / len(values))
+
+
 def test_hot_loop_matches_public_operations_bitwise():
     config = ExperimentConfig(dim=3, copies=4, trials=64, master_seed=9, observable_source="diag(3,0,-3)")
     obs = load_observable("diag(3,0,-3)")
-    fast = _ensemble_chunk(_payload(config, obs), 0, config.trials)
-    slow = np.empty(config.trials)
+    row = run_experiment(config)
+    slow = []
     for k in range(config.trials):
         stream = derive_stream(config.master_seed, k)
         state = sample_haar_pure(config.dim, stream)
         truth = expectation(state, obs)
         outcomes = simulate_measurements(state, obs, config.copies, stream)
-        slow[k] = (estimate_optimal(outcomes, obs) - truth) ** 2
-    assert np.array_equal(fast, slow)
+        slow.append((estimate_optimal(outcomes, obs) - truth) ** 2)
+    mean, se = _mean_and_se(slow)
+    assert row.empirical_mse == mean == math.fsum(slow) / config.trials
+    assert row.standard_error == se
 
 
 def test_hot_loop_matches_public_operations_bloch():
@@ -195,23 +214,19 @@ def test_hot_loop_matches_public_operations_bloch():
         dim=2, copies=1, trials=256, master_seed=10, estimator="optimal-mixed-qubit", ensemble=law
     )
     obs = load_observable("pauli-z")
-    fast = _ensemble_chunk(_payload(config, obs), 0, config.trials)
-    from optev import estimate_optimal_mixed_qubit
-    from optev.estimators import _draw_indices
-    from optev.hermitian import mixed_qubit_outcome_distribution
-
-    slow = np.empty(config.trials)
+    row = run_experiment(config)
+    slow = []
     for k in range(config.trials):
         stream = derive_stream(config.master_seed, k)
         state = sample_bloch_mixed(law, stream)
         truth = mixed_qubit_expectation(state, obs)
         p = mixed_qubit_outcome_distribution(state, obs)
-        indices = _draw_indices(p, 1, stream.generator)
-        from optev.estimators import OutcomeSequence
-
+        indices = draw_indices(outcome_cdf(p), 1, stream.generator)
         outcomes = OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
-        slow[k] = (estimate_optimal_mixed_qubit(outcomes, obs, law.second_moment()) - truth) ** 2
-    assert np.abs(fast - slow).max() < 1e-12
+        slow.append((estimate_optimal_mixed_qubit(outcomes, obs, law.second_moment()) - truth) ** 2)
+    mean, se = _mean_and_se(slow)
+    assert abs(row.empirical_mse - mean) < 1e-12
+    assert abs(row.standard_error - se) < 1e-12
 
 
 def test_probe_bias_is_deterministic_at_top_eigenvector():
@@ -251,21 +266,16 @@ def test_runs_are_reproducible():
 def test_worker_count_does_not_change_results():
     base = ExperimentConfig(dim=2, copies=2, trials=4000, master_seed=14)
     serial = run_experiment(base)
-    from dataclasses import replace
-
     parallel = run_experiment(replace(base, workers=2))
     assert serial.empirical_mse == parallel.empirical_mse
     assert serial.standard_error == parallel.standard_error
     assert serial.empirical_bias_at_probe == parallel.empirical_bias_at_probe
 
 
-def test_collect_chunking_matches_serial():
+def test_worker_chunking_matches_serial():
     config = ExperimentConfig(dim=2, copies=1, trials=101, master_seed=15)
-    payload = _payload(config, load_observable("pauli-z"))
-    serial = _ensemble_chunk(payload, 0, 101)
-    parts = [_ensemble_chunk(payload, a, b) for a, b in ((0, 34), (34, 68), (68, 101))]
-    assert np.array_equal(serial, np.concatenate(parts))
-    assert np.array_equal(serial, _collect(_ensemble_chunk, payload, 101, 1))
+    serial = rows_to_csv([run_experiment(config)])
+    assert rows_to_csv([run_experiment(replace(config, workers=3))]) == serial
 
 
 def test_observable_dimension_mismatch_rejected():
@@ -409,6 +419,50 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["simulate", "--config", str(missing)]) == 1
     assert main(["analytic", "--observable", "pauli-q"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--observable", "diag(nan,1)"], None),
+        (["--observable", "diag(inf,1)"], None),
+        (["--observable", "diag(1)"], None),
+        (["--seed", "-1"], None),
+        (["--seed", str(2**64)], None),
+        ([], {"master_seed": 1.5}),
+        ([], {"master_seed": True}),
+    ],
+)
+def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(["simulate", "--trials", "10"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("optev: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unguarded_worker_script_fails_instead_of_hanging():
+    # spawned workers cannot re-import a __main__ read from stdin, just as
+    # they fail on a script that lacks an if __name__ == "__main__" guard
+    script = textwrap.dedent(
+        """
+        import sys
+        from optev.cli import main
+        sys.exit(main(["simulate", "--trials", "10", "--workers", "2"]))
+        """
+    )
+    src = str(Path(optev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-"], input=script, capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1].startswith("optev: error: ")
 
 
 def test_cli_usage_error_exit_code():
