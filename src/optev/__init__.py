@@ -29,7 +29,6 @@ from .harness import (
     rows_to_csv,
     run_experiment,
     run_sweep,
-    write_csv,
 )
 from .hermitian import (
     MixedQubitState,
@@ -45,8 +44,6 @@ from .hermitian import (
 )
 from .sampling import (
     RadialLaw,
-    RngStream,
-    StreamPool,
     derive_stream,
     sample_bloch_mixed,
     sample_haar_amplitudes,
@@ -83,8 +80,6 @@ __all__ = [
     "PureState",
     "RadialLaw",
     "ResultRow",
-    "RngStream",
-    "StreamPool",
     "SymmetricProjector",
     "analytic_bias_mean",
     "analytic_delta_av",
@@ -124,6 +119,5 @@ __all__ = [
     "sample_haar_pure",
     "simulate_measurements",
     "symmetric_dimension",
-    "write_csv",
     "__version__",
 ]

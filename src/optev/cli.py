@@ -24,6 +24,7 @@ from .estimators import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_seed,
     load_config,
     load_observable,
     rows_to_csv,
@@ -194,9 +195,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     # only the seed matters here; --config is honored for its master_seed
     seed = args.seed
-    if seed is None and args.config:
-        seed = load_config(args.config).master_seed
-    reports = run_verify(level=args.level, seed=0 if seed is None else seed)
+    if seed is None:
+        seed = load_config(args.config).master_seed if args.config else 0
+    check_seed(seed)
+    reports = run_verify(level=args.level, seed=seed)
     lines = "".join(json.dumps(report.to_dict()) + "\n" for report in reports)
     _emit(lines, args.out)
     failed = [report for report in reports if not report.passed]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import Observable, PureState, _frozen, expectation, outcome_distribution
-from .sampling import RngStream
+from .hermitian import Observable, PureState, expectation, frozen, outcome_distribution
 
 
 class EstimatorKind(str, enum.Enum):
@@ -38,8 +37,8 @@ class OutcomeSequence:
             raise ValueError(
                 f"indices and values must be equal-length vectors, got {idx.shape} and {val.shape}"
             )
-        object.__setattr__(self, "indices", _frozen(idx))
-        object.__setattr__(self, "values", _frozen(val))
+        object.__setattr__(self, "indices", frozen(idx))
+        object.__setattr__(self, "values", frozen(val))
 
     def __len__(self) -> int:
         return self.indices.size
@@ -57,12 +56,14 @@ def draw_indices(cdf: np.ndarray, count: int, generator: np.random.Generator) ->
     return np.searchsorted(cdf, generator.random(count), side="right")
 
 
-def simulate_measurements(state: PureState, obs: Observable, copies: int, stream: RngStream) -> OutcomeSequence:
+def simulate_measurements(
+    state: PureState, obs: Observable, copies: int, stream: np.random.Generator
+) -> OutcomeSequence:
     """N independent projective measurements of the observable's eigenbasis."""
     if copies < 1:
         raise ValueError(f"need at least one measurement, got copies={copies}")
     p = outcome_distribution(state, obs)
-    indices = draw_indices(outcome_cdf(p), copies, stream.generator)
+    indices = draw_indices(outcome_cdf(p), copies, stream)
     return OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
 
 

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from multiprocessing import get_context
 from pathlib import Path
@@ -39,7 +39,7 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, StreamPool, draw_bloch_vector, draw_haar_rows
+from .sampling import RadialLaw, derive_stream, draw_bloch_vector, rekey, sample_haar_amplitudes
 
 HAAR_ENSEMBLE = "haar-pure"
 
@@ -95,6 +95,12 @@ def load_observable(source, dim: int | None = None) -> Observable:
         raise ConfigError(f"{text}: {exc}") from exc
 
 
+def check_seed(seed) -> None:
+    """Reject a master seed that is not an integer in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one Monte Carlo experiment."""
@@ -118,9 +124,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+        check_seed(self.master_seed)
         if self.is_bloch:
             if not isinstance(self.ensemble, RadialLaw):
                 raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a RadialLaw, got {self.ensemble!r}")
@@ -164,16 +168,7 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigError(f"config must be a JSON object, got {type(payload).__name__}")
-        unknown = payload.keys() - {
-            "dim",
-            "copies",
-            "trials",
-            "master_seed",
-            "estimator",
-            "ensemble",
-            "observable_source",
-            "workers",
-        }
+        unknown = payload.keys() - {field.name for field in fields(cls)}
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
         kwargs = dict(payload)
@@ -240,14 +235,15 @@ def _run_trials(
         m_top = probe.bloch_vector()
         a = obs.matrix
         tau = np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
-    pool = StreamPool(config.master_seed)
+    seed = config.master_seed
+    generator = derive_stream(seed, start)
     truths, sums = np.empty(stop - start), np.empty(stop - start)
     for i, k in enumerate(range(start, stop)):
-        generator = pool.generator(k)
+        rekey(generator, seed, k)
         if k >= m:
             truth, cdf = probe_truth, probe_cdf
         elif law is None:
-            overlaps = vh @ draw_haar_rows(d, 1, generator)[0]
+            overlaps = vh @ sample_haar_amplitudes(d, 1, generator)[0]
             p = overlaps.real**2 + overlaps.imag**2
             truth, cdf = float(p @ w), outcome_cdf(p)
         else:
@@ -385,7 +381,3 @@ def rows_to_csv(rows: list[ResultRow], include_timing: bool = False) -> str:
             ]
         )
     return buffer.getvalue()
-
-
-def write_csv(rows: list[ResultRow], path, include_timing: bool = False) -> None:
-    Path(path).write_text(rows_to_csv(rows, include_timing=include_timing))

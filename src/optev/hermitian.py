@@ -20,7 +20,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
+def frozen(array: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``array``."""
     out = np.array(array)
     out.setflags(write=False)
     return out
@@ -84,9 +85,9 @@ def make_observable(entries) -> Observable:
     order = np.argsort(-w, kind="stable")
     return Observable(
         dim=d,
-        matrix=_frozen(m),
-        eigenvalues=_frozen(w[order]),
-        eigenvectors=_frozen(v[:, order]),
+        matrix=frozen(m),
+        eigenvalues=frozen(w[order]),
+        eigenvectors=frozen(v[:, order]),
     )
 
 
@@ -103,7 +104,7 @@ class PureState:
         norm_sq = float(np.vdot(amp, amp).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |c_i|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        object.__setattr__(self, "amplitudes", frozen(amp))
 
     @property
     def dim(self) -> int:
@@ -136,7 +137,7 @@ class MixedQubitState:
         length = float(np.linalg.norm(n))
         if length > 1.0 + NORM_TOL:
             raise ValueError(f"Bloch vector lies outside the unit ball: |n| = {length!r}")
-        object.__setattr__(self, "bloch", _frozen(n))
+        object.__setattr__(self, "bloch", frozen(n))
 
     def density_matrix(self) -> np.ndarray:
         n = self.bloch

@@ -1,8 +1,10 @@
 """Deterministic per-trial random streams and state-ensemble samplers.
 
-Streams are counter-based: a Philox generator keyed by the pair
-(master_seed, trial_index).  Trial k's draws are a pure function of that
-pair, so results never depend on worker count or scheduling order.
+A stream is a plain ``numpy.random.Generator`` over a counter-based Philox
+bit generator keyed by the pair (master_seed, trial_index).  Trial k's draws
+are a pure function of that pair, so results never depend on worker count or
+scheduling order.  ``derive_stream`` builds a new stream; ``rekey`` points an
+existing one at another key, which is what hot loops use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ _ZERO_COUNTER.setflags(write=False)
 
 
 def _philox_state(master_seed: int, trial_index: int) -> dict:
-    key = np.array([master_seed, trial_index], dtype=np.uint64)
+    key = np.array([int(master_seed) & _MASK64, int(trial_index) & _MASK64], dtype=np.uint64)
     return {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_COUNTER.copy(), "key": key},
@@ -30,50 +32,24 @@ def _philox_state(master_seed: int, trial_index: int) -> dict:
     }
 
 
-class RngStream:
-    """Reproducible random stream, a pure function of (master_seed, trial_index).
+def rekey(generator: np.random.Generator, master_seed: int, trial_index: int) -> np.random.Generator:
+    """Reset a Philox ``generator`` to the stream of (master_seed, trial_index) and return it.
 
-    Two streams constructed from equal pairs produce identical sequences;
+    Its draws are then bit-identical to ``derive_stream(master_seed,
+    trial_index)``'s; re-keying costs about a fifth of building a new
+    generator, so per-trial loops re-key one generator.
+    """
+    generator.bit_generator.state = _philox_state(master_seed, trial_index)
+    return generator
+
+
+def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
+    """Independent, reproducible stream for one trial of one experiment.
+
+    Two streams derived from equal pairs produce identical sequences;
     distinct trial indices select statistically independent Philox keys.
     """
-
-    __slots__ = ("master_seed", "trial_index", "generator")
-
-    def __init__(self, master_seed: int, trial_index: int):
-        self.master_seed = int(master_seed) & _MASK64
-        self.trial_index = int(trial_index) & _MASK64
-        bitgen = np.random.Philox(key=0)
-        bitgen.state = _philox_state(self.master_seed, self.trial_index)
-        self.generator = np.random.Generator(bitgen)
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, trial_index={self.trial_index})"
-
-
-def derive_stream(master_seed: int, trial_index: int) -> RngStream:
-    """Independent, reproducible stream for one trial of one experiment."""
-    return RngStream(master_seed, trial_index)
-
-
-class StreamPool:
-    """Re-keys a single Philox generator to serve many trials cheaply.
-
-    ``pool.generator(k)`` yields draws bit-identical to
-    ``derive_stream(master_seed, k).generator`` without paying the
-    per-trial generator construction cost.  Not thread-safe: one pool
-    per worker.
-    """
-
-    __slots__ = ("master_seed", "_bitgen", "_generator")
-
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed) & _MASK64
-        self._bitgen = np.random.Philox(key=0)
-        self._generator = np.random.Generator(self._bitgen)
-
-    def generator(self, trial_index: int) -> np.random.Generator:
-        self._bitgen.state = _philox_state(self.master_seed, int(trial_index) & _MASK64)
-        return self._generator
+    return rekey(np.random.Generator(np.random.Philox(key=0)), master_seed, trial_index)
 
 
 @dataclass(frozen=True)
@@ -169,23 +145,12 @@ class RadialLaw:
         )
 
 
-def draw_haar_rows(d: int, count: int, generator: np.random.Generator) -> np.ndarray:
-    """Haar-uniform amplitude rows, shape (count, d), drawn from ``generator``."""
-    # 2d standard normals per row, viewed as d complex amplitudes, normalized
-    z = generator.standard_normal((count, 2 * d))
-    amp = z.view(np.complex128)
-    amp /= np.linalg.norm(amp, axis=1, keepdims=True)
-    return amp
-
-
-def sample_haar_pure(d: int, stream: RngStream) -> PureState:
+def sample_haar_pure(d: int, stream: np.random.Generator) -> PureState:
     """One pure state whose amplitudes are uniform on the unit hypersphere."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    return PureState(draw_haar_rows(d, 1, stream.generator)[0])
+    return PureState(sample_haar_amplitudes(d, 1, stream)[0])
 
 
-def sample_haar_amplitudes(d: int, count: int, stream: RngStream) -> np.ndarray:
+def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> np.ndarray:
     """Batch of Haar-uniform amplitude rows, shape (count, d).
 
     Drawing a batch consumes the stream exactly like ``count`` successive
@@ -196,7 +161,10 @@ def sample_haar_amplitudes(d: int, count: int, stream: RngStream) -> np.ndarray:
         raise ValueError(f"need d >= 2, got {d}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    return draw_haar_rows(d, count, stream.generator)
+    # 2d standard normals per row, viewed as d complex amplitudes, normalized
+    amp = stream.standard_normal((count, 2 * d)).view(np.complex128)
+    amp /= np.linalg.norm(amp, axis=1, keepdims=True)
+    return amp
 
 
 def draw_bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndarray:
@@ -206,6 +174,6 @@ def draw_bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndar
     return law.sample_radius(generator) * u
 
 
-def sample_bloch_mixed(law: RadialLaw, stream: RngStream) -> MixedQubitState:
+def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:
     """Isotropic Bloch vector: uniform direction, radius from the law."""
-    return MixedQubitState(draw_bloch_vector(law, stream.generator))
+    return MixedQubitState(draw_bloch_vector(law, stream))

@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .hermitian import Observable, _frozen, make_observable
-from .sampling import RngStream, sample_haar_amplitudes
+from .hermitian import Observable, frozen, make_observable
+from .sampling import sample_haar_amplitudes
 
 DIMENSION_GUARD = 4096
 _INT64_MAX = 2**63 - 1
@@ -44,13 +44,13 @@ def _check_copies(d: int, n: int) -> None:
     _check_guard(d, n)
 
 
-def _swap_indices(d: int, n: int, a: int, b: int) -> np.ndarray:
+def swap_indices(d: int, n: int, a: int, b: int) -> np.ndarray:
     """Basis-index permutation that swaps tensor slots a and b (0-based)."""
     idx = np.arange(d**n).reshape([d] * n)
     return np.swapaxes(idx, a, b).ravel()
 
 
-def _digit_table(d: int, n: int) -> np.ndarray:
+def digit_table(d: int, n: int) -> np.ndarray:
     """Row x holds the base-d digits (i_1, ..., i_n) of basis index x."""
     idx = np.arange(d**n)
     shifts = d ** np.arange(n - 1, -1, -1)
@@ -81,11 +81,11 @@ def build_projector_permutation(d: int, n: int) -> SymmetricProjector:
         grown = np.kron(scaled, np.eye(d, dtype=np.int64))
         acc = grown.copy()  # the j = k (identity) coset
         for j in range(k - 1):
-            acc += grown[_swap_indices(d, k, j, k - 1), :]
+            acc += grown[swap_indices(d, k, j, k - 1), :]
         scaled = acc
     matrix = scaled / math.factorial(n)
     return SymmetricProjector(
-        local_dim=d, copies=n, matrix=_frozen(matrix), dimension=symmetric_dimension(d, n)
+        local_dim=d, copies=n, matrix=frozen(matrix), dimension=symmetric_dimension(d, n)
     )
 
 
@@ -116,7 +116,7 @@ def occupation_basis_vector(d: int, n: int, counts) -> np.ndarray:
     counts = tuple(int(c) for c in counts)
     if len(counts) != d or any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"occupation counts must be {d} nonnegative integers summing to {n}, got {counts}")
-    digits = _digit_table(d, n)
+    digits = digit_table(d, n)
     occ = np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
     ids = np.flatnonzero((occ == np.array(counts)).all(axis=1))
     vec = np.zeros(d**n)
@@ -132,7 +132,7 @@ def build_projector_occupation(d: int, n: int) -> SymmetricProjector:
     distinct classes do not mix.
     """
     _check_copies(d, n)
-    digits = _digit_table(d, n)
+    digits = digit_table(d, n)
     occ = np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
     matrix = np.zeros((d**n, d**n))
     dimension = 0
@@ -140,7 +140,7 @@ def build_projector_occupation(d: int, n: int) -> SymmetricProjector:
         ids = np.flatnonzero((occ == np.array(counts)).all(axis=1))
         matrix[np.ix_(ids, ids)] = 1.0 / ids.size
         dimension += 1
-    return SymmetricProjector(local_dim=d, copies=n, matrix=_frozen(matrix), dimension=dimension)
+    return SymmetricProjector(local_dim=d, copies=n, matrix=frozen(matrix), dimension=dimension)
 
 
 def embed_one_body(obs: Observable, position: int, copies: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def partial_trace_last(matrix: np.ndarray, d: int, copies: int) -> np.ndarray:
     return np.einsum("ikjk->ij", m.reshape(rest, d, rest, d))
 
 
-def _tensor_power_rows(amplitudes: np.ndarray, n: int) -> np.ndarray:
+def tensor_power_rows(amplitudes: np.ndarray, n: int) -> np.ndarray:
     """Row-wise n-fold Kronecker power: (m, d) -> (m, d**n)."""
     rows = amplitudes
     for _ in range(n - 1):
@@ -204,7 +204,7 @@ def _tensor_power_rows(amplitudes: np.ndarray, n: int) -> np.ndarray:
 
 
 def haar_average_tensor_power(
-    d: int, n: int, trials: int, stream: RngStream, chunk: int = 65536
+    d: int, n: int, trials: int, stream: np.random.Generator, chunk: int = 65536
 ) -> np.ndarray:
     """Empirical mean of rho^(x n) over Haar-uniform pure states.
 
@@ -220,7 +220,7 @@ def haar_average_tensor_power(
     while remaining > 0:
         m = min(chunk, remaining)
         amps = sample_haar_amplitudes(d, m, stream)
-        rows = _tensor_power_rows(amps, n)
+        rows = tensor_power_rows(amps, n)
         acc += rows.T @ rows.conj()
         remaining -= m
     return acc / trials
@@ -246,7 +246,7 @@ class LemmaReport:
         )
 
 
-def check_unbiased_lemma(d: int, copies: int, trials: int, stream: RngStream) -> LemmaReport:
+def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Generator) -> LemmaReport:
     """Numerical check of: tr[A rho^(x N)] = 0 for all pure rho iff S A S = 0.
 
     Forward: for a random Hermitian B, A = B - S B S satisfies S A S = 0, so
@@ -257,23 +257,22 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: RngStream) ->
     _check_copies(d, copies)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    g = stream.generator
     size = d**copies
     s = build_projector_permutation(d, copies).matrix
 
-    raw = g.standard_normal((size, size)) + 1j * g.standard_normal((size, size))
+    raw = stream.standard_normal((size, size)) + 1j * stream.standard_normal((size, size))
     b = (raw + raw.conj().T) / 2.0
     a = b - s @ b @ s
     amps = sample_haar_amplitudes(d, trials, stream)
-    rows = _tensor_power_rows(amps, copies)
+    rows = tensor_power_rows(amps, copies)
     values = np.einsum("bi,ij,bj->b", rows.conj(), a, rows)
     forward = float(np.abs(values).max())
 
     # sample-average POVM: sum_a omega_a E_a with E_a the product
     # eigenprojectors of a random observable and omega_a the sample averages
-    raw2 = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    raw2 = stream.standard_normal((d, d)) + 1j * stream.standard_normal((d, d))
     obs = make_observable((raw2 + raw2.conj().T) / 2.0)
-    digits = _digit_table(d, copies)
+    digits = digit_table(d, copies)
     averaged = obs.eigenvalues[digits].mean(axis=1)
     vkron = reduce(np.kron, [obs.eigenvectors] * copies)  # columns are product eigenvectors
     weighted = (vkron * averaged) @ vkron.conj().T

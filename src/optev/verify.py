@@ -17,17 +17,17 @@ from .estimators import analytic_delta_av, analytic_delta_opt, analytic_second_m
 from .hermitian import Observable, make_observable
 from .sampling import derive_stream, sample_haar_amplitudes
 from .symmetric import (
-    _digit_table,
-    _swap_indices,
-    _tensor_power_rows,
     build_projector_occupation,
     build_projector_permutation,
     check_unbiased_lemma,
+    digit_table,
     embed_one_body,
     omega_hat,
     omega_hat_av,
     partial_trace_last,
+    swap_indices,
     symmetric_dimension,
+    tensor_power_rows,
 )
 
 # (d, n) cells for the projector-construction checks
@@ -96,7 +96,7 @@ def _projector_checks(d: int, n: int, tamper_scale: float) -> list[CheckReport]:
     ]
     commute = 0.0
     for slot in range(n - 1):
-        perm = _swap_indices(d, n, slot, slot + 1)
+        perm = swap_indices(d, n, slot, slot + 1)
         commute = max(commute, float(np.abs(s[perm, :] - s[:, perm]).max()))
     reports.append(_report("transposition-commute", params, commute, 1e-12))
     return reports
@@ -113,7 +113,7 @@ def _operator_checks(
     d_n = symmetric_dimension(d, n)
     d_next = symmetric_dimension(d, n + 1)
     d_2 = symmetric_dimension(d, 2)
-    digits = _digit_table(d, n)
+    digits = digit_table(d, n)
 
     dev_pt = dev_tr1 = dev_tr2_eq = dev_tr2_ne = dev_hat2 = 0.0
     dev_square = dev_second = dev_attain = dev_av_term = 0.0
@@ -226,9 +226,9 @@ def _operator_checks(
 
 def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
     params = {"d": d, "N": copies}
-    generator = derive_stream(seed, 902_000 + 17 * d + copies).generator
+    generator = derive_stream(seed, 902_000 + 17 * d + copies)
     obs = _random_observable(d, generator)
-    digits = _digit_table(d, copies)
+    digits = digit_table(d, copies)
     vkron = reduce(np.kron, [obs.eigenvectors] * copies)
 
     hat = omega_hat(obs, copies)
@@ -245,7 +245,7 @@ def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
 
     stream = derive_stream(seed, 903_000 + 17 * d + copies)
     amps = sample_haar_amplitudes(d, 100, stream)
-    rows = _tensor_power_rows(amps, copies)
+    rows = tensor_power_rows(amps, copies)
     lhs = np.einsum("bi,ij,bj->b", rows.conj(), hat_av, rows).real
     rhs = np.einsum("bi,ij,bj->b", amps.conj(), obs.matrix, amps).real
     dev_unbiased = float(np.abs(lhs - rhs).max())
@@ -277,7 +277,7 @@ def run_verify(level: str = "fast", seed: int = 0, _tamper_scale: float = 1.0) -
         reports.extend(_projector_checks(d, n, _tamper_scale))
 
     for index, (d, copies) in enumerate(operator_pairs):
-        generator = derive_stream(seed, 901_000 + index).generator
+        generator = derive_stream(seed, 901_000 + index)
         observables = [_random_observable(d, generator) for _ in range(observables_per_cell)]
         reports.extend(_operator_checks(d, copies, observables))
         reports.extend(_consistency_checks(d, copies, seed))

@@ -71,7 +71,7 @@ def test_zero_measurements_rejected():
 
 def test_draw_indices_never_picks_zero_probability():
     p = np.array([0.5, 0.0, 0.5])
-    idx = draw_indices(outcome_cdf(p), 10_000, derive_stream(5, 0).generator)
+    idx = draw_indices(outcome_cdf(p), 10_000, derive_stream(5, 0))
     assert not (idx == 1).any()
     assert idx.max() <= 2
 
@@ -240,7 +240,7 @@ def test_sample_average_unbiased_at_fixed_state():
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 3, 200_000
     p = outcome_distribution(state, obs)
-    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(44, 0).generator)
+    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(44, 0))
     averages = obs.eigenvalues[draws].reshape(trials, copies).mean(axis=1)
     sigma = float(averages.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(averages.mean()) - expectation(state, obs)) < 3 * sigma
@@ -253,7 +253,7 @@ def test_bias_mean_matches_monte_carlo():
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 5, 1_000_000
     p = outcome_distribution(state, obs)
-    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(42, 0).generator)
+    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(42, 0))
     estimates = (obs.trace + obs.eigenvalues[draws].reshape(trials, copies).sum(axis=1)) / (
         copies + 3
     )

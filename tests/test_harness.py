@@ -221,7 +221,7 @@ def test_hot_loop_matches_public_operations_bloch():
         state = sample_bloch_mixed(law, stream)
         truth = mixed_qubit_expectation(state, obs)
         p = mixed_qubit_outcome_distribution(state, obs)
-        indices = draw_indices(outcome_cdf(p), 1, stream.generator)
+        indices = draw_indices(outcome_cdf(p), 1, stream)
         outcomes = OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
         slow.append((estimate_optimal_mixed_qubit(outcomes, obs, law.second_moment()) - truth) ** 2)
     mean, se = _mean_and_se(slow)
@@ -421,16 +421,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["analytic", "--observable", "pauli-q"]) == 1
 
 
+# argv starts with the subcommand
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["--observable", "diag(nan,1)"], None),
-        (["--observable", "diag(inf,1)"], None),
-        (["--observable", "diag(1)"], None),
-        (["--seed", "-1"], None),
-        (["--seed", str(2**64)], None),
-        ([], {"master_seed": 1.5}),
-        ([], {"master_seed": True}),
+        (["simulate", "--observable", "diag(nan,1)"], None),
+        (["simulate", "--observable", "diag(inf,1)"], None),
+        (["simulate", "--observable", "diag(1)"], None),
+        (["simulate", "--seed", "-1"], None),
+        (["simulate", "--seed", str(2**64)], None),
+        (["simulate"], {"master_seed": 1.5}),
+        (["simulate"], {"master_seed": True}),
+        (["verify", "--seed", "-1"], None),
+        (["verify", "--seed", str(2**64)], None),
     ],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
@@ -438,7 +441,7 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    assert main(["simulate", "--trials", "10"] + argv) == 1
+    assert main(argv + ["--trials", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("optev: error: ")

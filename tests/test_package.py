@@ -1,0 +1,33 @@
+"""Tests of the package as a whole: module boundaries and the README's API."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "optev"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in private]
+    assert offenders == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", blocks[0]], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr

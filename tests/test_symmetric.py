@@ -24,7 +24,7 @@ from optev import (
     symmetric_dimension,
 )
 from optev.estimators import OutcomeSequence
-from optev.symmetric import _tensor_power_rows
+from optev.symmetric import tensor_power_rows
 
 
 def random_observable(d, rng):
@@ -190,7 +190,7 @@ def test_omega_hat_av_reproduces_expectation():
     obs = random_observable(2, rng)
     av = omega_hat_av(obs, 3)
     amps = sample_haar_amplitudes(2, 100, derive_stream(60, 0))
-    rows = _tensor_power_rows(amps, 3)
+    rows = tensor_power_rows(amps, 3)
     lhs = np.einsum("bi,ij,bj->b", rows.conj(), av, rows).real
     rhs = np.einsum("bi,ij,bj->b", amps.conj(), obs.matrix, amps).real
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -236,7 +236,7 @@ def test_haar_average_matches_batched_states():
     # consuming the stream in chunks must equal one flat batch
     mean = haar_average_tensor_power(2, 2, 1000, derive_stream(62, 0), chunk=128)
     amps = sample_haar_amplitudes(2, 1000, derive_stream(62, 0))
-    rows = _tensor_power_rows(amps, 2)
+    rows = tensor_power_rows(amps, 2)
     assert np.abs(mean - (rows.T @ rows.conj()) / 1000).max() < 1e-12
 
 
@@ -256,6 +256,6 @@ def test_lemma_negative_control_symmetrizer_itself():
     copies = 2
     s = build_projector_permutation(2, copies).matrix
     amps = sample_haar_amplitudes(2, 500, derive_stream(64, 0))
-    rows = _tensor_power_rows(amps, copies)
+    rows = tensor_power_rows(amps, copies)
     values = np.einsum("bi,ij,bj->b", rows.conj(), s, rows).real
     assert np.abs(values - 1.0).max() < 1e-12
