@@ -47,12 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file mirroring ExperimentConfig fields")
+def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", help="Hilbert space dimension d (sweep: comma list)")
     sub.add_argument("--copies", help="number of copies N (sweep: comma list)")
     sub.add_argument("--trials", type=int, help="Monte Carlo trial count M")
-    sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument(
         "--estimator",
         choices=[kind.value for kind in EstimatorKind],
@@ -65,7 +63,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="Bloch second moment; selects the fixed-radius sqrt(n2) ensemble",
     )
     sub.add_argument("--workers", type=int, help="worker process count")
-    sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument(
         "--timing",
         action="store_true",
@@ -83,9 +80,13 @@ def _build_parser() -> _Parser:
         ("verify", "run the exact identity suite"),
     ):
         sub = commands.add_parser(name, help=helptext)
-        _add_common(sub)
+        sub.add_argument("--config", help="JSON config file mirroring ExperimentConfig fields")
+        sub.add_argument("--seed", type=int, help="master seed")
+        sub.add_argument("--out", help="output file (default: stdout)")
         if name == "verify":
             sub.add_argument("--level", choices=["fast", "full"], default="fast")
+        else:
+            _add_experiment_flags(sub)
     return parser
 
 

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo experiment runner with CSV/JSON emission.
 
 An experiment is one run of 2M trials: trials 0..M-1 sample the ensemble,
-trials M..2M-1 drive the fixed-probe bias measurement.  Trial k draws all of
-its randomness from the stream keyed by (master_seed, k) and records its
-truth and the sum of its observed eigenvalues; results are reduced in trial
-order afterwards, so output is byte-identical for any worker count.
+trials M..2M-1 drive the fixed-probe bias measurement.  Each pass runs in
+blocks of ``BLOCK`` trials; the block starting at trial k draws all of its
+randomness from the stream keyed by (master_seed, k) and records each
+trial's truth and sum of observed eigenvalues.  Blocks never depend on the
+worker count and results are reduced in trial order afterwards, so output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .estimators import (
     analytic_delta_av,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
-    draw_indices,
     estimate_from_sums,
-    outcome_cdf,
 )
 from .hermitian import (
     Observable,
@@ -39,9 +39,12 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, draw_bloch_vector, rekey, sample_haar_amplitudes
+from .sampling import RadialLaw, derive_stream, sample_haar_amplitudes
 
 HAAR_ENSEMBLE = "haar-pure"
+
+# trials per keyed block; a fixed constant, so output never depends on the workers
+BLOCK = 256
 
 CSV_COLUMNS = (
     "d",
@@ -217,17 +220,18 @@ class ResultRow:
 def _run_trials(
     config: ExperimentConfig, obs: Observable, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truths and sums of observed eigenvalues of trials start..stop of the run.
+    """Truths of the ensemble trials and sums of observed eigenvalues of all
+    trials among start..stop of the run.
 
-    Trials below M draw a state from the ensemble; the rest measure the fixed
-    probe, the top eigenvector of the observable.
+    ``start`` is a block edge of one pass and ``stop`` a later block edge or
+    the end of that pass.  Trials below M draw a state from the ensemble; the
+    rest measure the fixed probe, the top eigenvector of the observable, and
+    record no truth.
     """
     d, n, m, law = config.dim, config.copies, config.trials, config.law
     w, trace = obs.eigenvalues, obs.trace
-    vh = obs.eigenvectors.conj().T
     probe = PureState(obs.eigenvectors[:, 0])
-    probe_truth = expectation(probe, obs)
-    probe_cdf = outcome_cdf(outcome_distribution(probe, obs))
+    probe_p = outcome_distribution(probe, obs)
     if law is not None:
         # qubit: p_top = (1 + n.m)/2 with m the Bloch vector of the top
         # eigenvector (m_bottom = -m), and t = (tr + n.tau)/2 with tau the
@@ -235,27 +239,26 @@ def _run_trials(
         m_top = probe.bloch_vector()
         a = obs.matrix
         tau = np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
-    seed = config.master_seed
-    generator = derive_stream(seed, start)
-    truths, sums = np.empty(stop - start), np.empty(stop - start)
-    for i, k in enumerate(range(start, stop)):
-        rekey(generator, seed, k)
+    truths, sums = [], []
+    for k in range(start, stop, BLOCK):
+        generator = derive_stream(config.master_seed, k)
+        size = min(BLOCK, stop - k)
         if k >= m:
-            truth, cdf = probe_truth, probe_cdf
+            truth, p = np.empty(0), np.broadcast_to(probe_p, (size, d))
         elif law is None:
-            overlaps = vh @ sample_haar_amplitudes(d, 1, generator)[0]
+            overlaps = sample_haar_amplitudes(d, size, generator) @ obs.eigenvectors.conj()
             p = overlaps.real**2 + overlaps.imag**2
-            truth, cdf = float(p @ w), outcome_cdf(p)
+            truth = p @ w
         else:
-            bloch = draw_bloch_vector(law, generator)
-            truth = 0.5 * (trace + float(bloch @ tau))
-            p_top = 0.5 * (1.0 + float(bloch @ m_top))
-            cdf = outcome_cdf(np.array([p_top, 1.0 - p_top]))
-        values = w[draw_indices(cdf, n, generator)]
-        truths[i] = truth
-        # a single value is its own sum, and indexing is 1.5 us faster than sum()
-        sums[i] = values[0] if n == 1 else values.sum()
-    return truths, sums
+            u = generator.standard_normal((size, 3))
+            bloch = (law.sample_radius(generator, size) / np.linalg.norm(u, axis=1))[:, None] * u
+            truth = 0.5 * (trace + bloch @ tau)
+            p_top = np.clip(0.5 * (1.0 + bloch @ m_top), 0.0, 1.0)
+            p = np.stack([p_top, 1.0 - p_top], axis=1)
+        truths.append(truth)
+        # renormalized as outcome_cdf does: multinomial rejects rows an ulp above 1
+        sums.append(generator.multinomial(n, p / p.sum(axis=1, keepdims=True)) @ w)
+    return np.concatenate(truths), np.concatenate(sums)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -295,11 +298,13 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
 
-    # each pass split evenly over the workers, so none gets only the cheaper probe trials
+    # each pass's blocks split evenly over the workers, so none gets only the
+    # cheaper probe trials; workers left without a block get no job
     m, workers = config.trials, config.workers
-    edges = [m * i // workers for i in range(workers + 1)]
-    starts = [offset + a for offset in (0, m) for a in edges[:-1]]
-    stops = [offset + b for offset in (0, m) for b in edges[1:]]
+    blocks = -(-m // BLOCK)
+    edges = [min(m, BLOCK * (blocks * i // workers)) for i in range(workers + 1)]
+    ranges = [(offset + a, offset + b) for offset in (0, m) for a, b in zip(edges, edges[1:]) if a < b]
+    starts, stops = zip(*ranges)
     jobs = (repeat(config), repeat(obs), starts, stops)
     if workers == 1:
         truths, sums = map(np.concatenate, zip(*map(_run_trials, *jobs)))
@@ -311,11 +316,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
             truths, sums = map(np.concatenate, zip(*executor.map(_run_trials, *jobs)))
 
     estimates = estimate_from_sums(config.estimator, sums, config.copies, obs, config.n2)
-    # Python's float power, as a per-trial loop over the scalar estimators
-    # would square: C pow and x*x differ in the last bit for about one value
-    # in 1200
-    squared_errors = np.fromiter((float(e) ** 2 for e in estimates[:m] - truths[:m]), float, m)
-    empirical_mse, standard_error = _mean_and_se(squared_errors)
+    empirical_mse, standard_error = _mean_and_se((estimates[:m] - truths) ** 2)
     probe_mean, _ = _mean_and_se(estimates[m:])
 
     probe = PureState(obs.eigenvectors[:, 0])

@@ -1,14 +1,15 @@
-"""Deterministic per-trial random streams and state-ensemble samplers.
+"""Deterministic keyed random streams and state-ensemble samplers.
 
 A stream is a plain ``numpy.random.Generator`` over a counter-based Philox
-bit generator keyed by the pair (master_seed, trial_index).  Trial k's draws
-are a pure function of that pair, so results never depend on worker count or
-scheduling order.  ``derive_stream`` builds a new stream; ``rekey`` points an
-existing one at another key, which is what hot loops use.
+bit generator keyed by the pair (master_seed, trial_index).  Its draws are a
+pure function of that pair, so results never depend on worker count or
+scheduling order.  The harness keys one stream per block of trials, by the
+index of the block's first trial.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,40 +17,17 @@ import numpy as np
 from .hermitian import MixedQubitState, PureState
 
 _MASK64 = (1 << 64) - 1
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.setflags(write=False)
-
-
-def _philox_state(master_seed: int, trial_index: int) -> dict:
-    key = np.array([int(master_seed) & _MASK64, int(trial_index) & _MASK64], dtype=np.uint64)
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_COUNTER.copy(), "key": key},
-        "buffer": _ZERO_COUNTER.copy(),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def rekey(generator: np.random.Generator, master_seed: int, trial_index: int) -> np.random.Generator:
-    """Reset a Philox ``generator`` to the stream of (master_seed, trial_index) and return it.
-
-    Its draws are then bit-identical to ``derive_stream(master_seed,
-    trial_index)``'s; re-keying costs about a fifth of building a new
-    generator, so per-trial loops re-key one generator.
-    """
-    generator.bit_generator.state = _philox_state(master_seed, trial_index)
-    return generator
 
 
 def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one trial of one experiment.
+    """Independent, reproducible stream keyed by (master_seed, trial_index).
 
     Two streams derived from equal pairs produce identical sequences;
-    distinct trial indices select statistically independent Philox keys.
+    distinct indices select statistically independent Philox keys.  Both
+    arguments must be integers; they are reduced modulo 2**64.
     """
-    return rekey(np.random.Generator(np.random.Philox(key=0)), master_seed, trial_index)
+    key = [operator.index(master_seed) & _MASK64, operator.index(trial_index) & _MASK64]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -167,13 +145,8 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
     return amp
 
 
-def draw_bloch_vector(law: RadialLaw, generator: np.random.Generator) -> np.ndarray:
-    """Isotropic Bloch vector drawn from ``generator``: uniform direction, radius from the law."""
-    u = generator.standard_normal(3)
-    u /= np.linalg.norm(u)
-    return law.sample_radius(generator) * u
-
-
 def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:
     """Isotropic Bloch vector: uniform direction, radius from the law."""
-    return MixedQubitState(draw_bloch_vector(law, stream))
+    u = stream.standard_normal(3)
+    u /= np.linalg.norm(u)
+    return MixedQubitState(law.sample_radius(stream) * u)

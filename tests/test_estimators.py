@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from optev import (
+    EstimatorKind,
     OutcomeSequence,
     PureState,
     analytic_bias_mean,
@@ -16,6 +17,7 @@ from optev import (
     analytic_delta_opt,
     analytic_second_moment,
     derive_stream,
+    enumerate_occupations,
     estimate_optimal,
     estimate_optimal_mixed_qubit,
     estimate_sample_average,
@@ -26,7 +28,7 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import draw_indices, outcome_cdf
+from optev.estimators import draw_indices, estimate_from_sums, outcome_cdf
 
 
 def random_observable(d, rng):
@@ -259,6 +261,31 @@ def test_bias_mean_matches_monte_carlo():
     )
     sigma = float(estimates.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(estimates.mean()) - analytic_bias_mean(state, obs, copies)) < 3 * sigma
+
+
+@pytest.mark.parametrize("d, copies", [(2, 1), (2, 3), (3, 2), (4, 4)])
+def test_exact_count_distribution_matches_closed_forms(d, copies):
+    # no sampling: every occupation vector c of the N outcomes, weighted by
+    # its multinomial probability at a fixed non-eigen state
+    rng = np.random.default_rng(100 + d)
+    obs = random_observable(d, rng)
+    amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    state = PureState(amp / np.linalg.norm(amp))
+    p, w = outcome_distribution(state, obs), obs.eigenvalues
+    t = expectation(state, obs)
+    counts = np.array(enumerate_occupations(d, copies))
+    pmf = np.array(
+        [math.factorial(copies) * math.prod(pi**ci / math.factorial(ci) for pi, ci in zip(p, c)) for c in counts]
+    )
+    sums = counts @ w
+    optimal = estimate_from_sums(EstimatorKind.OPTIMAL_PURE, sums, copies, obs)
+    average = estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, sums, copies, obs)
+    variance = float(p @ (w - t) ** 2)
+    assert abs(pmf.sum() - 1.0) < 1e-12
+    assert abs(pmf @ optimal - analytic_bias_mean(state, obs, copies)) < 1e-12
+    assert abs(pmf @ (average - t) ** 2 - analytic_delta_av_conditional(state, obs, copies)) < 1e-12
+    want = (copies * variance + (obs.trace - d * t) ** 2) / (copies + d) ** 2
+    assert abs(pmf @ (optimal - t) ** 2 - want) < 1e-12
 
 
 def test_second_moment_values():

@@ -1,10 +1,11 @@
 """Golden output: CSV rows at fixed seeds, byte for byte.
 
 ``golden.csv`` next to this file holds the text these calls produced with
-the per-pass chunk loops that preceded the single keyed per-trial loop.
-Every estimator x ensemble pair runs at tiny, mostly odd trial counts, at
-one and two workers; any rewrite of the Monte Carlo core must reproduce the
-file exactly.
+the block-keyed kernel, one stream per block of ``BLOCK`` trials.  Every
+estimator x ensemble pair runs at tiny, mostly odd trial counts, and one
+Haar and one Bloch case span three blocks per pass, all at one and two
+workers; any rewrite of the Monte Carlo core must reproduce the file
+exactly.
 """
 
 from dataclasses import replace
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from optev import ExperimentConfig, RadialLaw, make_observable, rows_to_csv, run_experiment, run_sweep
+from optev.harness import BLOCK
 
 GOLDEN = Path(__file__).with_name("golden.csv")
 
@@ -36,8 +38,6 @@ CASES = (
         (ExperimentConfig(dim=3, copies=5, trials=11, master_seed=102, estimator=kind), QUTRIT)
         for kind in ("optimal-pure", "sample-average")
     ]
-    # at this seed, squaring the errors as x*x instead of with Python's float
-    # power moves the last digit of both the MSE and its standard error
     + [(ExperimentConfig(dim=2, copies=3, trials=9, master_seed=873, estimator="sample-average"), QUBIT)]
     + [
         (
@@ -52,6 +52,21 @@ CASES = (
         (ExperimentConfig(dim=2, copies=3, trials=8, master_seed=110, estimator=kind, ensemble=law), QUBIT)
         for kind in ("optimal-pure", "sample-average")
         for law in (RadialLaw.uniform_ball(), RadialLaw.two_point(0.8, 0.5))
+    ]
+    # the worker split of these crosses block edges
+    + [(ExperimentConfig(dim=3, copies=2, trials=2 * BLOCK + 3, master_seed=111), QUTRIT)]
+    + [
+        (
+            ExperimentConfig(
+                dim=2,
+                copies=1,
+                trials=2 * BLOCK + 3,
+                master_seed=112,
+                estimator="optimal-mixed-qubit",
+                ensemble=RadialLaw.uniform_ball(),
+            ),
+            QUBIT,
+        )
     ]
 )
 

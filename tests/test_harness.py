@@ -17,13 +17,12 @@ from optev import (
     ConfigError,
     EstimatorKind,
     ExperimentConfig,
-    OutcomeSequence,
+    MixedQubitState,
+    PureState,
     RadialLaw,
     analytic_delta_av,
     analytic_delta_opt,
     derive_stream,
-    estimate_optimal,
-    estimate_optimal_mixed_qubit,
     expectation,
     load_config,
     load_observable,
@@ -34,13 +33,11 @@ from optev import (
     rows_to_csv,
     run_experiment,
     run_sweep,
-    sample_bloch_mixed,
-    sample_haar_pure,
-    simulate_measurements,
+    sample_haar_amplitudes,
 )
 from optev.cli import main
-from optev.estimators import draw_indices, outcome_cdf
-from optev.harness import CSV_COLUMNS
+from optev.estimators import estimate_from_sums
+from optev.harness import BLOCK, CSV_COLUMNS, _run_trials
 
 
 # --- load_observable ---
@@ -194,15 +191,19 @@ def _mean_and_se(values):
 
 def test_hot_loop_matches_public_operations_bitwise():
     config = ExperimentConfig(dim=3, copies=4, trials=64, master_seed=9, observable_source="diag(3,0,-3)")
+    assert config.trials <= BLOCK  # one block, keyed by its first trial
     obs = load_observable("diag(3,0,-3)")
     row = run_experiment(config)
-    slow = []
-    for k in range(config.trials):
-        stream = derive_stream(config.master_seed, k)
-        state = sample_haar_pure(config.dim, stream)
-        truth = expectation(state, obs)
-        outcomes = simulate_measurements(state, obs, config.copies, stream)
-        slow.append((estimate_optimal(outcomes, obs) - truth) ** 2)
+    stream = derive_stream(config.master_seed, 0)
+    amplitudes = sample_haar_amplitudes(config.dim, config.trials, stream)
+    overlaps = amplitudes @ obs.eigenvectors.conj()
+    p = overlaps.real**2 + overlaps.imag**2
+    truths = p @ obs.eigenvalues
+    for amplitude, truth in zip(amplitudes, truths):
+        assert abs(truth - expectation(PureState(amplitude), obs)) < 1e-14
+    counts = stream.multinomial(config.copies, p / p.sum(axis=1, keepdims=True))
+    estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, config.copies, obs)
+    slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)
     assert row.empirical_mse == mean == math.fsum(slow) / config.trials
     assert row.standard_error == se
@@ -211,20 +212,21 @@ def test_hot_loop_matches_public_operations_bitwise():
 def test_hot_loop_matches_public_operations_bloch():
     law = RadialLaw.uniform_ball()
     config = ExperimentConfig(
-        dim=2, copies=1, trials=256, master_seed=10, estimator="optimal-mixed-qubit", ensemble=law
+        dim=2, copies=1, trials=BLOCK, master_seed=10, estimator="optimal-mixed-qubit", ensemble=law
     )
     obs = load_observable("pauli-z")
     row = run_experiment(config)
-    slow = []
-    for k in range(config.trials):
-        stream = derive_stream(config.master_seed, k)
-        state = sample_bloch_mixed(law, stream)
-        truth = mixed_qubit_expectation(state, obs)
-        p = mixed_qubit_outcome_distribution(state, obs)
-        indices = draw_indices(outcome_cdf(p), 1, stream)
-        outcomes = OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
-        slow.append((estimate_optimal_mixed_qubit(outcomes, obs, law.second_moment()) - truth) ** 2)
-    mean, se = _mean_and_se(slow)
+    stream = derive_stream(config.master_seed, 0)
+    directions = stream.standard_normal((config.trials, 3))
+    radii = law.sample_radius(stream, config.trials)
+    states = [MixedQubitState(r * u / np.linalg.norm(u)) for r, u in zip(radii, directions)]
+    truths = np.array([mixed_qubit_expectation(state, obs) for state in states])
+    kernel_truths, _ = _run_trials(config, obs, 0, config.trials)
+    assert np.abs(kernel_truths - truths).max() < 1e-14
+    p = np.array([mixed_qubit_outcome_distribution(state, obs) for state in states])
+    counts = stream.multinomial(1, p / p.sum(axis=1, keepdims=True))
+    estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, 1, obs, law.second_moment())
+    mean, se = _mean_and_se(list((estimates - truths) ** 2))
     assert abs(row.empirical_mse - mean) < 1e-12
     assert abs(row.standard_error - se) < 1e-12
 
@@ -272,8 +274,9 @@ def test_worker_count_does_not_change_results():
     assert serial.empirical_bias_at_probe == parallel.empirical_bias_at_probe
 
 
-def test_worker_chunking_matches_serial():
-    config = ExperimentConfig(dim=2, copies=1, trials=101, master_seed=15)
+@pytest.mark.parametrize("trials", [101, 3 * BLOCK + 1])
+def test_worker_chunking_matches_serial(trials):
+    config = ExperimentConfig(dim=2, copies=1, trials=trials, master_seed=15)
     serial = rows_to_csv([run_experiment(config)])
     assert rows_to_csv([run_experiment(replace(config, workers=3))]) == serial
 
@@ -441,7 +444,9 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    assert main(argv + ["--trials", "10"]) == 1
+    if argv[0] != "verify":
+        argv = argv + ["--trials", "10"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("optev: error: ")
@@ -469,9 +474,10 @@ def test_unguarded_worker_script_fails_instead_of_hanging():
 
 
 def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as info:
-        main(["simulate", "--estimator", "bogus"])
-    assert info.value.code == 1
+    for argv in (["simulate", "--estimator", "bogus"], ["verify", "--trials", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
