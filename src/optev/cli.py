@@ -62,7 +62,11 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
         type=float,
         help="Bloch second moment; selects the fixed-radius sqrt(n2) ensemble",
     )
-    sub.add_argument("--workers", type=int, help="worker process count")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        help="jobs each pass is split into; above 1 they run in a spawn pool of at most one process per CPU",
+    )
     sub.add_argument(
         "--timing",
         action="store_true",

@@ -7,6 +7,12 @@ randomness from the stream keyed by (master_seed, k) and records each
 trial's truth and sum of observed eigenvalues.  Blocks never depend on the
 worker count and results are reduced in trial order afterwards, so output is
 byte-identical for any worker count.
+
+Runs with ``workers > 1`` share one spawn process pool per process.  The
+first such run starts it with ``min(workers, os.cpu_count())`` processes;
+later runs reuse it, and a run that needs another size replaces it.  A pool
+that breaks is dropped, so the next run starts a fresh one, and
+``concurrent.futures`` joins the pool at interpreter exit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -291,6 +299,32 @@ def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, probe: PureS
     return float(estimate_from_sums(config.estimator, truth, 1, obs, config.n2))
 
 
+_pool_lock = threading.Lock()
+_pool = None  # (size, executor) of this process's spawn pool, once started
+
+
+def _pool_map(size: int, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))`` in this process's spawn pool of ``size``
+    processes, started or resized on demand and dropped if it breaks."""
+    global _pool
+    # imported here: its queues and logging cost serial runs 1.5 MiB
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # held across the map, so no thread replaces the pool another is using
+    with _pool_lock:
+        if _pool is not None and _pool[0] != size:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (size, ProcessPoolExecutor(size, mp_context=get_context("spawn")))
+        try:
+            return list(_pool[1].map(fn, *iterables))
+        except BrokenProcessPool:
+            _pool = None
+            raise
+
+
 def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
     """Run one seeded experiment: ensemble MSE pass plus fixed-probe bias pass."""
     started = time.perf_counter()
@@ -307,13 +341,12 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     starts, stops = zip(*ranges)
     jobs = (repeat(config), repeat(obs), starts, stops)
     if workers == 1:
-        truths, sums = map(np.concatenate, zip(*map(_run_trials, *jobs)))
+        results = map(_run_trials, *jobs)
     else:
-        # imported here: its queues and logging cost serial runs 1.5 MiB
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as executor:
-            truths, sums = map(np.concatenate, zip(*executor.map(_run_trials, *jobs)))
+        # more processes than CPUs would only queue; the jobs stay split by
+        # workers, so the cap cannot change the output
+        results = _pool_map(min(workers, os.cpu_count() or 1), _run_trials, *jobs)
+    truths, sums = map(np.concatenate, zip(*results))
 
     estimates = estimate_from_sums(config.estimator, sums, config.copies, obs, config.n2)
     empirical_mse, standard_error = _mean_and_se((estimates[:m] - truths) ** 2)

@@ -2,11 +2,17 @@
 
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +287,60 @@ def test_worker_chunking_matches_serial(trials):
     assert rows_to_csv([run_experiment(replace(config, workers=3))]) == serial
 
 
+# --- worker pool ---
+
+def test_pool_is_reused_across_runs():
+    config = ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK, master_seed=19, workers=2)
+    run_experiment(config)
+    first = {child.pid for child in multiprocessing.active_children()}
+    run_experiment(config)
+    assert first
+    assert {child.pid for child in multiprocessing.active_children()} == first
+
+
+def test_pool_processes_capped_at_cpu_count():
+    # 64 workers over 3 blocks is 6 jobs; the pool still starts at most one
+    # process per CPU, and the output is that of one worker
+    config = ExperimentConfig(dim=2, copies=1, trials=3 * BLOCK, master_seed=21, workers=64)
+    text = rows_to_csv([run_experiment(config)])
+    assert 0 < len(multiprocessing.active_children()) <= (os.cpu_count() or 1)
+    assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
+
+
+def test_killed_worker_breaks_one_run_then_pool_restarts():
+    config = ExperimentConfig(dim=2, copies=2, trials=2 * BLOCK + 3, master_seed=20, workers=2)
+    serial = rows_to_csv([run_experiment(replace(config, workers=1))])
+    run_experiment(config)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=30)
+    time.sleep(0.5)  # lets the pool's manager thread see the death
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(config)
+    assert rows_to_csv([run_experiment(config)]) == serial
+
+
+def test_threads_sharing_the_pool_get_serial_output(monkeypatch):
+    # a pretend third CPU lets the threads' 2- and 3-worker runs need pools
+    # of two sizes, so each may replace the pool while another uses it
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    configs = [
+        ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK + 1, master_seed=22 + k % 2, workers=2 + k % 2)
+        for k in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(configs)) as threads:
+            futures = [threads.submit(run_experiment, config) for config in configs]
+            rows = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(multiprocessing.active_children()) <= 3  # no pool was left behind
+    for config, row in zip(configs, rows):
+        assert rows_to_csv([row]) == rows_to_csv([run_experiment(replace(config, workers=1))])
+
+
 def test_observable_dimension_mismatch_rejected():
     config = ExperimentConfig(dim=3, copies=1, trials=10, master_seed=0)  # pauli-z is d=2
     with pytest.raises(ConfigError, match="dim"):
@@ -453,6 +513,15 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
     assert captured.err.count("\n") == 1
 
 
+def _run_script(args, script):
+    """Run a Python script in a fresh interpreter that imports this optev."""
+    src = str(Path(optev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], input=script, capture_output=True, text=True, timeout=120, env=env
+    )
+
+
 def test_unguarded_worker_script_fails_instead_of_hanging():
     # spawned workers cannot re-import a __main__ read from stdin, just as
     # they fail on a script that lacks an if __name__ == "__main__" guard
@@ -463,14 +532,29 @@ def test_unguarded_worker_script_fails_instead_of_hanging():
         sys.exit(main(["simulate", "--trials", "10", "--workers", "2"]))
         """
     )
-    src = str(Path(optev.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-"], input=script, capture_output=True, text=True, timeout=120, env=env
-    )
+    done = _run_script(["-"], script)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.splitlines()[-1].startswith("optev: error: ")
+
+
+def test_guarded_script_exits_with_its_pool_alive(tmp_path):
+    # the script never shuts the pool down; interpreter exit must join it
+    path = tmp_path / "guarded.py"
+    path.write_text(
+        textwrap.dedent(
+            """
+            from optev import ExperimentConfig, run_experiment
+
+            if __name__ == "__main__":
+                row = run_experiment(ExperimentConfig(trials=10, workers=2))
+                print(row.empirical_mse)
+            """
+        )
+    )
+    done = _run_script([str(path)], None)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) >= 0.0
 
 
 def test_cli_usage_error_exit_code():
