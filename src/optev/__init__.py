@@ -8,7 +8,6 @@ identities behind the error formulas at machine precision.
 
 from .estimators import (
     EstimatorKind,
-    OutcomeSequence,
     analytic_bias_mean,
     analytic_delta_av,
     analytic_delta_av_conditional,
@@ -76,7 +75,6 @@ __all__ = [
     "LemmaReport",
     "MixedQubitState",
     "Observable",
-    "OutcomeSequence",
     "PureState",
     "RadialLaw",
     "ResultRow",

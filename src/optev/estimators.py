@@ -1,20 +1,21 @@
 """Measurement simulation, the two estimators, and their closed-form errors.
 
 The estimation target is t = tr[rho Omega].  Measuring Omega independently
-on each of N copies yields eigenvalue indices (i_1, ..., i_N); the sample
-average is the mean of the observed eigenvalues, while the optimal estimator
-averages the N observed values together with all d eigenvalues of the
-observable, i.e. (tr Omega + sum_n Omega_{i_n}) / (N + d).
+on each of N copies yields eigenvalue indices (i_1, ..., i_N); every
+estimator here sees them only through their counts c_i, the number of copies
+that gave outcome i.  The sample average is the mean of the observed
+eigenvalues, while the optimal estimator averages the N observed values
+together with all d eigenvalues of the observable, i.e.
+(tr Omega + sum_i c_i Omega_i) / (N + d).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import Observable, PureState, expectation, frozen, outcome_distribution
+from .hermitian import Observable, PureState, expectation, outcome_distribution
 
 
 class EstimatorKind(str, enum.Enum):
@@ -23,48 +24,19 @@ class EstimatorKind(str, enum.Enum):
     OPTIMAL_MIXED_QUBIT = "optimal-mixed-qubit"
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """Eigenvalue indices and values from N successive projective measurements."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
-        val = np.asarray(self.values, dtype=float)
-        if idx.ndim != 1 or val.shape != idx.shape:
-            raise ValueError(
-                f"indices and values must be equal-length vectors, got {idx.shape} and {val.shape}"
-            )
-        object.__setattr__(self, "indices", frozen(idx))
-        object.__setattr__(self, "values", frozen(val))
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
-def outcome_cdf(probabilities: np.ndarray) -> np.ndarray:
-    """Cumulative outcome distribution, renormalized to end at exactly 1."""
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
-    return cdf
-
-
-def draw_indices(cdf: np.ndarray, count: int, generator: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw of ``count`` eigenbasis indices."""
-    return np.searchsorted(cdf, generator.random(count), side="right")
+def draw_counts(p, copies: int, generator: np.random.Generator) -> np.ndarray:
+    """Outcome counts of ``copies`` measurements, one count row per row of ``p``."""
+    p = np.asarray(p)
+    # renormalized: multinomial rejects rows that sum to an ulp above 1
+    return generator.multinomial(copies, p / p.sum(axis=-1, keepdims=True))
 
 
 def simulate_measurements(
     state: PureState, obs: Observable, copies: int, stream: np.random.Generator
-) -> OutcomeSequence:
-    """N independent projective measurements of the observable's eigenbasis."""
-    if copies < 1:
-        raise ValueError(f"need at least one measurement, got copies={copies}")
-    p = outcome_distribution(state, obs)
-    indices = draw_indices(outcome_cdf(p), copies, stream)
-    return OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
+) -> np.ndarray:
+    """Outcome counts of N independent measurements of the observable's eigenbasis."""
+    _check_copies(copies)
+    return draw_counts(outcome_distribution(state, obs), copies, stream)
 
 
 def estimate_from_sums(
@@ -87,11 +59,6 @@ def estimate_from_sums(
     return (3.0 - n2) / 6.0 * obs.trace + n2 / 3.0 * sums
 
 
-def _check_nonempty(outcomes: OutcomeSequence) -> None:
-    if len(outcomes) == 0:
-        raise ValueError("empty outcome sequence")
-
-
 def _check_copies(copies: int) -> None:
     if copies < 1:
         raise ValueError(f"need copies >= 1, got {copies}")
@@ -102,25 +69,35 @@ def _check_n2(n2: float) -> None:
         raise ValueError(f"second moment n2 must lie in [0, 1], got {n2!r}")
 
 
-def estimate_sample_average(outcomes: OutcomeSequence) -> float:
+def _value_sum(counts, obs: Observable) -> tuple[float, int]:
+    """Sum of the observed eigenvalues and the number of outcomes behind ``counts``."""
+    c = np.asarray(counts)
+    if c.shape != (obs.dim,) or not np.issubdtype(c.dtype, np.integer):
+        raise ValueError(f"counts must be {obs.dim} integers, got {c.dtype} of shape {c.shape}")
+    if (c < 0).any() or c.sum() < 1:
+        raise ValueError(f"counts must be non-negative with a total of at least 1, got {c.tolist()}")
+    return c @ obs.eigenvalues, int(c.sum())
+
+
+def estimate_sample_average(counts, obs: Observable) -> float:
     """Arithmetic mean of the observed eigenvalues; unbiased for every state."""
-    _check_nonempty(outcomes)
-    return float(estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, outcomes.values.sum(), len(outcomes), None))
+    value_sum, copies = _value_sum(counts, obs)
+    return float(estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, value_sum, copies, obs))
 
 
-def estimate_optimal(outcomes: OutcomeSequence, obs: Observable) -> float:
+def estimate_optimal(counts, obs: Observable) -> float:
     """Mean of the N observed values and the d eigenvalues of the observable.
 
     The d extra data points add up to tr Omega, so the estimate is
-    (tr Omega + sum_n Omega_{i_n}) / (N + d).  Minimizes the squared error
+    (tr Omega + sum_i c_i Omega_i) / (N + d).  Minimizes the squared error
     averaged over the hypersphere-uniform pure-state ensemble; biased at
     finite N.
     """
-    _check_nonempty(outcomes)
-    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, outcomes.values.sum(), len(outcomes), obs))
+    value_sum, copies = _value_sum(counts, obs)
+    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, value_sum, copies, obs))
 
 
-def estimate_optimal_mixed_qubit(outcomes: OutcomeSequence, obs: Observable, n2: float) -> float:
+def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
     """Optimal single-copy qubit estimate for an isotropic Bloch ensemble.
 
     Returns ((3 - n2)/2 * tr Omega + n2 * Omega_{i_1}) / 3 where n2 is the
@@ -130,10 +107,11 @@ def estimate_optimal_mixed_qubit(outcomes: OutcomeSequence, obs: Observable, n2:
     """
     if obs.dim != 2:
         raise ValueError(f"mixed-qubit estimator requires d=2, got d={obs.dim}")
-    if len(outcomes) != 1:
-        raise ValueError(f"mixed-qubit estimator requires exactly one outcome, got {len(outcomes)}")
+    value_sum, copies = _value_sum(counts, obs)
+    if copies != 1:
+        raise ValueError(f"mixed-qubit estimator requires exactly one outcome, got {copies}")
     _check_n2(n2)
-    return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, outcomes.values[0], 1, obs, n2))
+    return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, value_sum, 1, obs, n2))
 
 
 def analytic_delta_opt(obs: Observable, copies: int) -> float:

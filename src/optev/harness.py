@@ -37,6 +37,7 @@ from .estimators import (
     analytic_delta_av,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
+    draw_counts,
     estimate_from_sums,
 )
 from .hermitian import (
@@ -44,10 +45,12 @@ from .hermitian import (
     PureState,
     expectation,
     make_observable,
+    mixed_qubit_expectation,
+    mixed_qubit_outcome_distribution,
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, sample_haar_amplitudes
+from .sampling import RadialLaw, derive_stream, sample_bloch_vectors, sample_haar_amplitudes
 
 HAAR_ENSEMBLE = "haar-pure"
 
@@ -106,10 +109,15 @@ def load_observable(source, dim: int | None = None) -> Observable:
         raise ConfigError(f"{text}: {exc}") from exc
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Reject a value that is not an ``int`` (``bool`` excluded) in [low, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+
+
 def check_seed(seed) -> None:
     """Reject a master seed that is not an integer in [0, 2**64)."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_int("master_seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -127,15 +135,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.copies < 1:
-            raise ConfigError(f"copies must be >= 1, got {self.copies}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        check_seed(self.master_seed)
+        for name, low in (("dim", 2), ("copies", 1), ("trials", 1), ("workers", 1), ("master_seed", 0)):
+            _check_int(name, getattr(self, name), low)
         if self.is_bloch:
             if not isinstance(self.ensemble, RadialLaw):
                 raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a RadialLaw, got {self.ensemble!r}")
@@ -237,16 +238,8 @@ def _run_trials(
     record no truth.
     """
     d, n, m, law = config.dim, config.copies, config.trials, config.law
-    w, trace = obs.eigenvalues, obs.trace
-    probe = PureState(obs.eigenvectors[:, 0])
-    probe_p = outcome_distribution(probe, obs)
-    if law is not None:
-        # qubit: p_top = (1 + n.m)/2 with m the Bloch vector of the top
-        # eigenvector (m_bottom = -m), and t = (tr + n.tau)/2 with tau the
-        # Pauli coefficients of the matrix
-        m_top = probe.bloch_vector()
-        a = obs.matrix
-        tau = np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
+    w = obs.eigenvalues
+    probe_p = outcome_distribution(PureState(obs.eigenvectors[:, 0]), obs)
     truths, sums = [], []
     for k in range(start, stop, BLOCK):
         generator = derive_stream(config.master_seed, k)
@@ -254,18 +247,14 @@ def _run_trials(
         if k >= m:
             truth, p = np.empty(0), np.broadcast_to(probe_p, (size, d))
         elif law is None:
-            overlaps = sample_haar_amplitudes(d, size, generator) @ obs.eigenvectors.conj()
-            p = overlaps.real**2 + overlaps.imag**2
+            p = outcome_distribution(sample_haar_amplitudes(d, size, generator), obs)
             truth = p @ w
         else:
-            u = generator.standard_normal((size, 3))
-            bloch = (law.sample_radius(generator, size) / np.linalg.norm(u, axis=1))[:, None] * u
-            truth = 0.5 * (trace + bloch @ tau)
-            p_top = np.clip(0.5 * (1.0 + bloch @ m_top), 0.0, 1.0)
-            p = np.stack([p_top, 1.0 - p_top], axis=1)
+            bloch = sample_bloch_vectors(law, size, generator)
+            truth = mixed_qubit_expectation(bloch, obs)
+            p = mixed_qubit_outcome_distribution(bloch, obs)
         truths.append(truth)
-        # renormalized as outcome_cdf does: multinomial rejects rows an ulp above 1
-        sums.append(generator.multinomial(n, p / p.sum(axis=1, keepdims=True)) @ w)
+        sums.append(draw_counts(p, n, generator) @ w)
     return np.concatenate(truths), np.concatenate(sums)
 
 
@@ -332,19 +321,19 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
 
-    # each pass's blocks split evenly over the workers, so none gets only the
-    # cheaper probe trials; workers left without a block get no job
+    # each pass's blocks split evenly into one job per worker, so none gets
+    # only the cheaper probe trials; no more jobs than blocks, so none is empty
     m, workers = config.trials, config.workers
     blocks = -(-m // BLOCK)
-    edges = [min(m, BLOCK * (blocks * i // workers)) for i in range(workers + 1)]
-    ranges = [(offset + a, offset + b) for offset in (0, m) for a, b in zip(edges, edges[1:]) if a < b]
-    starts, stops = zip(*ranges)
+    split = min(workers, blocks)
+    edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
+    starts, stops = zip(*((offset + a, offset + b) for offset in (0, m) for a, b in zip(edges, edges[1:])))
     jobs = (repeat(config), repeat(obs), starts, stops)
     if workers == 1:
         results = map(_run_trials, *jobs)
     else:
-        # more processes than CPUs would only queue; the jobs stay split by
-        # workers, so the cap cannot change the output
+        # more processes than CPUs would only queue; blocks are keyed by their
+        # first trial, so neither the cap nor the split can change the output
         results = _pool_map(min(workers, os.cpu_count() or 1), _run_trials, *jobs)
     truths, sums = map(np.concatenate, zip(*results))
 

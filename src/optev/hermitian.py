@@ -8,11 +8,17 @@ across worker processes without synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
 NORM_TOL = 1e-12
+# largest entry magnitude of an observable: every eigenvalue, trace, truth and
+# estimate is then at most d 1e50, so a squared error is at most 4 d^2 1e100;
+# M squared errors, and their squares in the standard error, sum below the
+# float maximum 1.8e308 whenever M d^4 < 1e107
+MAX_ENTRY = 1e50
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -25,11 +31,6 @@ def frozen(array: np.ndarray) -> np.ndarray:
     out = np.array(array)
     out.setflags(write=False)
     return out
-
-
-def _check_same_dim(state_dim: int, obs_dim: int) -> None:
-    if state_dim != obs_dim:
-        raise ValueError(f"dimension mismatch: state has d={state_dim}, observable has d={obs_dim}")
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,27 @@ class Observable:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(self.matrix.trace().real)
 
-    @property
+    @cached_property
     def trace_square(self) -> float:
         # tr(M @ M) == Frobenius norm squared for Hermitian M
         return float(np.vdot(self.matrix, self.matrix).real)
+
+    @cached_property
+    def pauli_vector(self) -> np.ndarray:
+        """tau with Omega = (tr Omega + tau.sigma) / 2; qubit observables only."""
+        if self.dim != 2:
+            raise ValueError(f"Pauli coefficients require d=2, got d={self.dim}")
+        a = self.matrix
+        return frozen([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
+
+    @cached_property
+    def top_bloch_vector(self) -> np.ndarray:
+        """Bloch vector of the top eigenvector; the bottom one's is its negative."""
+        return frozen(PureState(self.eigenvectors[:, 0]).bloch_vector())
 
 
 def make_observable(entries) -> Observable:
@@ -71,9 +85,12 @@ def make_observable(entries) -> Observable:
     d = m.shape[0]
     if d < 2:
         raise ValueError(f"observable dimension must be at least 2, got {d}")
-    # a NaN deviation would pass the Hermiticity test below
-    if not np.isfinite(m).all():
-        raise ValueError("observable entries must be finite")
+    # also rejects NaN, whose deviation would pass the Hermiticity test below
+    largest = np.abs(m).max()
+    if not largest <= MAX_ENTRY:
+        raise ValueError(
+            f"observable entries must be finite and at most {MAX_ENTRY:g} in magnitude, got {largest:g}"
+        )
     deviation = np.abs(m - m.conj().T).max()
     if deviation > HERMITICITY_TOL:
         raise ValueError(
@@ -147,33 +164,38 @@ class MixedQubitState:
         return rho / 2.0
 
 
-def outcome_distribution(state: PureState, obs: Observable) -> np.ndarray:
-    """Probabilities p_i = |<i|phi>|^2 of the projective eigenbasis outcomes."""
-    _check_same_dim(state.dim, obs.dim)
-    overlaps = obs.eigenvectors.conj().T @ state.amplitudes
+def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np.ndarray:
+    """Probabilities p_i = |<i|phi>|^2 of the projective eigenbasis outcomes.
+
+    Takes a state or amplitude rows of shape (..., d); returns rows (..., d).
+    """
+    amplitudes = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
+    if amplitudes.shape[-1] != obs.dim:
+        raise ValueError(f"dimension mismatch: state has shape {amplitudes.shape}, observable has d={obs.dim}")
+    overlaps = amplitudes @ obs.eigenvectors.conj()
     return overlaps.real**2 + overlaps.imag**2
 
 
-def expectation(state: PureState, obs: Observable) -> float:
-    """<phi|Omega|phi> evaluated as sum_i Omega_i |<i|phi>|^2."""
-    return float(outcome_distribution(state, obs) @ obs.eigenvalues)
+def expectation(state: "PureState | np.ndarray", obs: Observable):
+    """<phi|Omega|phi> evaluated as sum_i Omega_i |<i|phi>|^2, per amplitude row."""
+    return outcome_distribution(state, obs) @ obs.eigenvalues
 
 
-def mixed_qubit_expectation(state: MixedQubitState, obs: Observable) -> float:
-    """tr[rho Omega] for a Bloch-parameterized qubit density matrix."""
-    if obs.dim != 2:
-        raise ValueError(f"mixed qubit expectation requires d=2, got d={obs.dim}")
-    rho = state.density_matrix()
-    return float(np.trace(rho @ obs.matrix).real)
+def mixed_qubit_expectation(state: "MixedQubitState | np.ndarray", obs: Observable):
+    """tr[rho Omega] = (tr Omega + n.tau)/2 for a state or Bloch rows (..., 3)."""
+    bloch = state.bloch if isinstance(state, MixedQubitState) else state
+    return 0.5 * (obs.trace + bloch @ obs.pauli_vector)
 
 
-def mixed_qubit_outcome_distribution(state: MixedQubitState, obs: Observable) -> np.ndarray:
-    """Probabilities p_i = <i|rho|i> of eigenbasis outcomes on a mixed qubit."""
-    if obs.dim != 2:
-        raise ValueError(f"mixed qubit outcomes require d=2, got d={obs.dim}")
-    rho = state.density_matrix()
-    v = obs.eigenvectors
-    return np.einsum("ji,jk,ki->i", v.conj(), rho, v).real
+def mixed_qubit_outcome_distribution(state: "MixedQubitState | np.ndarray", obs: Observable) -> np.ndarray:
+    """Probabilities p_i = <i|rho|i> of eigenbasis outcomes, rows (..., 2).
+
+    The top outcome has (1 + n.m)/2 with m the top eigenvector's Bloch
+    vector, clipped to [0, 1] against rounding at |n| = 1.
+    """
+    bloch = state.bloch if isinstance(state, MixedQubitState) else state
+    p_top = np.clip(0.5 * (1.0 + bloch @ obs.top_bloch_vector), 0.0, 1.0)
+    return np.stack([p_top, 1.0 - p_top], axis=-1)
 
 
 def observable_from_json(payload: dict) -> Observable:

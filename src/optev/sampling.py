@@ -79,16 +79,14 @@ class RadialLaw:
             return self.radius**2
         return self.weight * self.radius**2
 
-    def sample_radius(self, generator: np.random.Generator, size: int | None = None):
-        """Draw radii; deterministic laws consume no randomness."""
+    def sample_radius(self, generator: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` radii; deterministic laws consume no randomness."""
         if self.kind == "pure-surface":
-            return 1.0 if size is None else np.ones(size)
+            return np.ones(size)
         if self.kind == "fixed-radius":
-            return self.radius if size is None else np.full(size, self.radius)
+            return np.full(size, self.radius)
         if self.kind == "uniform-ball":
             return generator.random(size) ** (1.0 / 3.0)
-        if size is None:
-            return self.radius if generator.random() < self.weight else 0.0
         return np.where(generator.random(size) < self.weight, self.radius, 0.0)
 
     def label(self) -> str:
@@ -146,7 +144,15 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
 
 
 def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:
-    """Isotropic Bloch vector: uniform direction, radius from the law."""
-    u = stream.standard_normal(3)
-    u /= np.linalg.norm(u)
-    return MixedQubitState(law.sample_radius(stream) * u)
+    """One isotropic Bloch-ball state: uniform direction, radius from the law."""
+    return MixedQubitState(sample_bloch_vectors(law, 1, stream)[0])
+
+
+def sample_bloch_vectors(law: RadialLaw, count: int, stream: np.random.Generator) -> np.ndarray:
+    """Batch of isotropic Bloch vectors, shape (count, 3).
+
+    All ``count`` directions are drawn first, then all radii, so a batch is
+    not ``count`` successive :func:`sample_bloch_mixed` calls.
+    """
+    u = stream.standard_normal((count, 3))
+    return (law.sample_radius(stream, count) / np.linalg.norm(u, axis=1))[:, None] * u

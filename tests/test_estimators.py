@@ -8,7 +8,6 @@ from numpy.polynomial.legendre import leggauss
 
 from optev import (
     EstimatorKind,
-    OutcomeSequence,
     PureState,
     analytic_bias_mean,
     analytic_delta_av,
@@ -28,7 +27,7 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import draw_indices, estimate_from_sums, outcome_cdf
+from optev.estimators import draw_counts, estimate_from_sums
 
 
 def random_observable(d, rng):
@@ -36,9 +35,9 @@ def random_observable(d, rng):
     return make_observable((raw + raw.conj().T) / 2)
 
 
-def sequence(obs, indices):
-    indices = np.asarray(indices, dtype=np.intp)
-    return OutcomeSequence(indices=indices, values=obs.eigenvalues[indices])
+def occupation(obs, indices):
+    """Counts of the eigenbasis outcomes ``indices``."""
+    return np.bincount(indices, minlength=obs.dim)
 
 
 SIGMA_Z = make_observable([[1, 0], [0, -1]])
@@ -48,14 +47,14 @@ SIGMA_Z = make_observable([[1, 0], [0, -1]])
 
 def test_eigenstate_outcomes_are_deterministic():
     out = simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 5, derive_stream(1, 0))
-    assert np.array_equal(out.indices, np.zeros(5))
-    assert np.array_equal(out.values, np.ones(5))
+    assert np.array_equal(out, [5, 0])  # every outcome is index 0
+    assert out @ SIGMA_Z.eigenvalues == 5.0  # every value is +1
 
 
 def test_equator_outcome_frequency():
     plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     out = simulate_measurements(plus, SIGMA_Z, 1_000_000, derive_stream(2, 0))
-    fraction = float((out.values > 0).mean())
+    fraction = out[0] / 1_000_000
     assert abs(fraction - 0.5) < 0.0015  # 3 sigma binomial
 
 
@@ -63,7 +62,8 @@ def test_degenerate_identity_observable():
     obs = make_observable(np.eye(3))
     state = PureState(np.array([0.6, 0.8, 0.0], dtype=complex))
     out = simulate_measurements(state, obs, 4, derive_stream(3, 0))
-    assert np.array_equal(out.values, np.ones(4))
+    assert out.sum() == 4
+    assert out @ obs.eigenvalues == 4.0  # every value is 1
 
 
 def test_zero_measurements_rejected():
@@ -71,39 +71,41 @@ def test_zero_measurements_rejected():
         simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 0, derive_stream(4, 0))
 
 
-def test_draw_indices_never_picks_zero_probability():
-    p = np.array([0.5, 0.0, 0.5])
-    idx = draw_indices(outcome_cdf(p), 10_000, derive_stream(5, 0))
-    assert not (idx == 1).any()
-    assert idx.max() <= 2
+def test_draw_counts_never_picks_zero_probability():
+    p = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    counts = draw_counts(p, 10_000, derive_stream(5, 0))
+    assert (counts[:, 1] == 0).all()
+    assert np.array_equal(counts[1], [0, 0, 10_000])
+    # one count per outcome and copy: nothing lands outside the d outcomes
+    assert counts.shape == p.shape and (counts.sum(axis=1) == 10_000).all()
 
 
 # --- point estimators ---
 
 def test_sample_average_values():
-    assert estimate_sample_average(sequence(SIGMA_Z, [0])) == 1.0
-    assert estimate_sample_average(sequence(SIGMA_Z, [0, 1, 0, 1])) == 0.0
+    assert estimate_sample_average(occupation(SIGMA_Z, [0]), SIGMA_Z) == 1.0
+    assert estimate_sample_average(occupation(SIGMA_Z, [0, 1, 0, 1]), SIGMA_Z) == 0.0
     obs = make_observable(np.diag([2.0, 5.0, 2.0]))  # eigenvalues sorted: 5, 2, 2
-    assert estimate_sample_average(sequence(obs, [1, 2, 0])) == 3.0
+    assert estimate_sample_average(occupation(obs, [1, 2, 0]), obs) == 3.0
 
 
 def test_sample_average_rejects_empty():
     with pytest.raises(ValueError):
-        estimate_sample_average(OutcomeSequence(indices=np.array([], dtype=int), values=np.array([])))
+        estimate_sample_average(np.zeros(2, dtype=int), SIGMA_Z)
 
 
 def test_optimal_single_qubit_outcome_is_one_third():
-    assert estimate_optimal(sequence(SIGMA_Z, [0]), SIGMA_Z) == 1 / 3
+    assert estimate_optimal(occupation(SIGMA_Z, [0]), SIGMA_Z) == 1 / 3
 
 
 def test_optimal_identity_observable_always_one():
     obs = make_observable(np.eye(4))
-    assert estimate_optimal(sequence(obs, [0, 2, 3]), obs) == 1.0
+    assert estimate_optimal(occupation(obs, [0, 2, 3]), obs) == 1.0
 
 
 def test_optimal_d3_example_matches_shrinkage_operator():
     obs = make_observable(np.diag([3.0, 0.0, -3.0]))
-    est = estimate_optimal(sequence(obs, [0, 0]), obs)
+    est = estimate_optimal(occupation(obs, [0, 0]), obs)
     assert est == pytest.approx(1.2, abs=1e-15)
     # the shrinkage operator's eigenvalue on |00> is the same number
     hat = omega_hat(obs, 2)
@@ -112,7 +114,7 @@ def test_optimal_d3_example_matches_shrinkage_operator():
 
 
 def test_mixed_estimator_reduces_to_pure_at_full_moment():
-    assert estimate_optimal_mixed_qubit(sequence(SIGMA_Z, [0]), SIGMA_Z, 1.0) == pytest.approx(
+    assert estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0]), SIGMA_Z, 1.0) == pytest.approx(
         1 / 3, abs=1e-15
     )
 
@@ -122,12 +124,12 @@ def test_mixed_estimator_ignores_data_at_zero_moment():
     for _ in range(10):
         obs = random_observable(2, rng)
         for index in (0, 1):
-            est = estimate_optimal_mixed_qubit(sequence(obs, [index]), obs, 0.0)
+            est = estimate_optimal_mixed_qubit(occupation(obs, [index]), obs, 0.0)
             assert est == obs.trace / 2  # exactly: data weight is zero
 
 
 def test_mixed_estimator_example_value():
-    est = estimate_optimal_mixed_qubit(sequence(SIGMA_Z, [0]), SIGMA_Z, 0.6)
+    est = estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0]), SIGMA_Z, 0.6)
     assert est == pytest.approx(0.2, abs=1e-15)
 
 
@@ -161,18 +163,18 @@ def test_mixed_estimator_matches_brute_force_minimization():
             obs = random_observable(2, rng)
             best, _ = quadrature_bayes_estimates(obs, n2)
             for index, want in enumerate(best):
-                got = estimate_optimal_mixed_qubit(sequence(obs, [index]), obs, n2)
+                got = estimate_optimal_mixed_qubit(occupation(obs, [index]), obs, n2)
                 assert abs(got - want) < 1e-12
 
 
 def test_mixed_estimator_validation():
     with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(sequence(SIGMA_Z, [0, 1]), SIGMA_Z, 0.5)
+        estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0, 1]), SIGMA_Z, 0.5)
     with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(sequence(SIGMA_Z, [0]), SIGMA_Z, 1.5)
+        estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0]), SIGMA_Z, 1.5)
     obs3 = make_observable(np.diag([1.0, 0.0, -1.0]))
     with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(sequence(obs3, [0]), obs3, 0.5)
+        estimate_optimal_mixed_qubit(occupation(obs3, [0]), obs3, 0.5)
 
 
 # --- closed-form errors ---
@@ -241,9 +243,8 @@ def test_sample_average_unbiased_at_fixed_state():
     amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 3, 200_000
-    p = outcome_distribution(state, obs)
-    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(44, 0))
-    averages = obs.eigenvalues[draws].reshape(trials, copies).mean(axis=1)
+    p = np.broadcast_to(outcome_distribution(state, obs), (trials, 3))
+    averages = draw_counts(p, copies, derive_stream(44, 0)) @ obs.eigenvalues / copies
     sigma = float(averages.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(averages.mean()) - expectation(state, obs)) < 3 * sigma
 
@@ -254,11 +255,8 @@ def test_bias_mean_matches_monte_carlo():
     amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 5, 1_000_000
-    p = outcome_distribution(state, obs)
-    draws = draw_indices(outcome_cdf(p), copies * trials, derive_stream(42, 0))
-    estimates = (obs.trace + obs.eigenvalues[draws].reshape(trials, copies).sum(axis=1)) / (
-        copies + 3
-    )
+    p = np.broadcast_to(outcome_distribution(state, obs), (trials, 3))
+    estimates = (obs.trace + draw_counts(p, copies, derive_stream(42, 0)) @ obs.eigenvalues) / (copies + 3)
     sigma = float(estimates.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(estimates.mean()) - analytic_bias_mean(state, obs, copies)) < 3 * sigma
 
@@ -341,11 +339,10 @@ def test_shift_covariance():
         obs = random_observable(3, rng)
         shift = rng.standard_normal()
         shifted = make_observable(obs.matrix + shift * np.eye(3))
-        out = sequence(obs, [0, 2, 1])
-        out_shifted = OutcomeSequence(indices=out.indices, values=shifted.eigenvalues[out.indices])
-        assert abs(estimate_optimal(out_shifted, shifted) - estimate_optimal(out, obs) - shift) < 1e-12
+        out = occupation(obs, [0, 2, 1])
+        assert abs(estimate_optimal(out, shifted) - estimate_optimal(out, obs) - shift) < 1e-12
         assert (
-            abs(estimate_sample_average(out_shifted) - estimate_sample_average(out) - shift) < 1e-12
+            abs(estimate_sample_average(out, shifted) - estimate_sample_average(out, obs) - shift) < 1e-12
         )
         assert abs(analytic_delta_opt(shifted, 2) - analytic_delta_opt(obs, 2)) < 1e-12
         assert abs(analytic_delta_av(shifted, 2) - analytic_delta_av(obs, 2)) < 1e-12
@@ -356,13 +353,20 @@ def test_scale_covariance():
     obs = random_observable(3, rng)
     scale = 2.5
     scaled = make_observable(scale * obs.matrix)
-    out = sequence(obs, [1, 0])
-    out_scaled = OutcomeSequence(indices=out.indices, values=scaled.eigenvalues[out.indices])
-    assert abs(estimate_optimal(out_scaled, scaled) - scale * estimate_optimal(out, obs)) < 1e-12
+    out = occupation(obs, [1, 0])
+    assert abs(estimate_optimal(out, scaled) - scale * estimate_optimal(out, obs)) < 1e-12
     assert abs(analytic_delta_opt(scaled, 2) - scale**2 * analytic_delta_opt(obs, 2)) < 1e-11
     assert abs(analytic_delta_av(scaled, 2) - scale**2 * analytic_delta_av(obs, 2)) < 1e-11
 
 
-def test_outcome_sequence_validation():
-    with pytest.raises(ValueError):
-        OutcomeSequence(indices=np.array([0, 1]), values=np.array([1.0]))
+def test_count_validation():
+    estimators = (
+        lambda counts: estimate_sample_average(counts, SIGMA_Z),
+        lambda counts: estimate_optimal(counts, SIGMA_Z),
+        lambda counts: estimate_optimal_mixed_qubit(counts, SIGMA_Z, 0.5),
+    )
+    # wrong length, not 1-D, not integers, negative, no outcome at all
+    for bad in ([1], [1, 0, 0], [[1, 0]], [1.0, 0.0], [True, False], [2, -1], [0, 0]):
+        for estimate in estimators:
+            with pytest.raises(ValueError):
+                estimate(np.array(bad))

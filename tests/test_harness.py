@@ -36,14 +36,16 @@ from optev import (
     mixed_qubit_expectation,
     mixed_qubit_outcome_distribution,
     observable_to_json,
+    outcome_distribution,
     rows_to_csv,
     run_experiment,
     run_sweep,
     sample_haar_amplitudes,
 )
 from optev.cli import main
-from optev.estimators import estimate_from_sums
+from optev.estimators import draw_counts, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials
+from optev.sampling import sample_bloch_vectors
 
 
 # --- load_observable ---
@@ -202,12 +204,12 @@ def test_hot_loop_matches_public_operations_bitwise():
     row = run_experiment(config)
     stream = derive_stream(config.master_seed, 0)
     amplitudes = sample_haar_amplitudes(config.dim, config.trials, stream)
-    overlaps = amplitudes @ obs.eigenvectors.conj()
-    p = overlaps.real**2 + overlaps.imag**2
+    p = outcome_distribution(amplitudes, obs)
     truths = p @ obs.eigenvalues
+    assert np.array_equal(truths, expectation(amplitudes, obs))
     for amplitude, truth in zip(amplitudes, truths):
         assert abs(truth - expectation(PureState(amplitude), obs)) < 1e-14
-    counts = stream.multinomial(config.copies, p / p.sum(axis=1, keepdims=True))
+    counts = draw_counts(p, config.copies, stream)
     estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, config.copies, obs)
     slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)
@@ -223,18 +225,19 @@ def test_hot_loop_matches_public_operations_bloch():
     obs = load_observable("pauli-z")
     row = run_experiment(config)
     stream = derive_stream(config.master_seed, 0)
-    directions = stream.standard_normal((config.trials, 3))
-    radii = law.sample_radius(stream, config.trials)
-    states = [MixedQubitState(r * u / np.linalg.norm(u)) for r, u in zip(radii, directions)]
-    truths = np.array([mixed_qubit_expectation(state, obs) for state in states])
+    bloch = sample_bloch_vectors(law, config.trials, stream)
+    truths = mixed_qubit_expectation(bloch, obs)
     kernel_truths, _ = _run_trials(config, obs, 0, config.trials)
-    assert np.abs(kernel_truths - truths).max() < 1e-14
-    p = np.array([mixed_qubit_outcome_distribution(state, obs) for state in states])
-    counts = stream.multinomial(1, p / p.sum(axis=1, keepdims=True))
+    assert np.array_equal(kernel_truths, truths)
+    # against the density-matrix oracle, state by state
+    for n, truth in zip(bloch, truths):
+        assert abs(truth - np.trace(MixedQubitState(n).density_matrix() @ obs.matrix).real) < 1e-14
+    counts = draw_counts(mixed_qubit_outcome_distribution(bloch, obs), 1, stream)
     estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, 1, obs, law.second_moment())
-    mean, se = _mean_and_se(list((estimates - truths) ** 2))
-    assert abs(row.empirical_mse - mean) < 1e-12
-    assert abs(row.standard_error - se) < 1e-12
+    slow = list((estimates - truths) ** 2)
+    mean, se = _mean_and_se(slow)
+    assert row.empirical_mse == mean == math.fsum(slow) / config.trials
+    assert row.standard_error == se
 
 
 def test_probe_bias_is_deterministic_at_top_eigenvector():
@@ -305,6 +308,14 @@ def test_pool_processes_capped_at_cpu_count():
     text = rows_to_csv([run_experiment(config)])
     assert 0 < len(multiprocessing.active_children()) <= (os.cpu_count() or 1)
     assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
+
+
+def test_more_workers_than_blocks_gives_the_serial_row(monkeypatch):
+    # each pass is split into min(workers, blocks) jobs, so a huge worker
+    # count builds one job per pass; the pretend CPU count caps the pool at 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = ExperimentConfig(dim=2, copies=1, trials=10, master_seed=23, workers=10**6)
+    assert rows_to_csv([run_experiment(config)]) == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
 def test_killed_worker_breaks_one_run_then_pool_restarts():
@@ -497,6 +508,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["simulate"], {"master_seed": True}),
         (["verify", "--seed", "-1"], None),
         (["verify", "--seed", str(2**64)], None),
+        (["simulate"], {"trials": 1000.0}),
+        (["simulate"], {"dim": 2.0}),
+        (["simulate"], {"workers": 2.0}),
+        (["simulate"], {"copies": 2.5}),
+        (["analytic", "--observable", "diag(1e200,1e200)"], None),
+        (["simulate", "--observable", "diag(1e200,1e200)"], None),
+        (["simulate", "--observable", "diag(1e170,-1e170)"], None),
     ],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
