@@ -47,25 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
+def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """Register the flags ``command`` reads, so that any other is a usage error."""
+    sub.add_argument("--config", help="JSON config file mirroring ExperimentConfig fields")
+    if command != "analytic":
+        sub.add_argument("--seed", type=int, help="master seed")
+    sub.add_argument("--out", help="output file (default: stdout)")
+    if command == "verify":
+        sub.add_argument("--level", choices=["fast", "full"], default="fast")
+        return
     sub.add_argument("--dim", help="Hilbert space dimension d (sweep: comma list)")
     sub.add_argument("--copies", help="number of copies N (sweep: comma list)")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trial count M")
-    sub.add_argument(
-        "--estimator",
-        choices=[kind.value for kind in EstimatorKind],
-        help="estimator to simulate",
-    )
     sub.add_argument("--observable", help="builtin name, diag(...), or JSON file path")
-    sub.add_argument(
-        "--n2",
-        type=float,
-        help="Bloch second moment; selects the fixed-radius sqrt(n2) ensemble",
-    )
+    if command != "sweep":
+        sub.add_argument("--n2", type=float, help="Bloch second moment: the fixed-radius sqrt(n2) ensemble")
+    if command == "analytic":
+        return
+    if command == "simulate":
+        sub.add_argument("--estimator", choices=[e.value for e in EstimatorKind], help="estimator to run")
+    sub.add_argument("--trials", type=int, help="Monte Carlo trial count M")
     sub.add_argument(
         "--workers",
         type=int,
-        help="jobs each pass is split into; above 1 they run in a spawn pool of at most one process per CPU",
+        help="jobs the trials are split into; above 1, run in a spawn pool of at most one process per CPU",
     )
     sub.add_argument(
         "--timing",
@@ -83,14 +87,7 @@ def _build_parser() -> _Parser:
         ("sweep", "run both pure-state estimators over a (dim, copies) grid"),
         ("verify", "run the exact identity suite"),
     ):
-        sub = commands.add_parser(name, help=helptext)
-        sub.add_argument("--config", help="JSON config file mirroring ExperimentConfig fields")
-        sub.add_argument("--seed", type=int, help="master seed")
-        sub.add_argument("--out", help="output file (default: stdout)")
-        if name == "verify":
-            sub.add_argument("--level", choices=["fast", "full"], default="fast")
-        else:
-            _add_experiment_flags(sub)
+        _add_flags(commands.add_parser(name, help=helptext), name)
     return parser
 
 
@@ -109,30 +106,21 @@ def _single_int(text: str, flag: str) -> int:
 
 
 def _config_from_args(args, grid_flags: bool = False) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig()
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    flags = {name: value for name, value in vars(args).items() if value is not None}
     overrides = {}
     if not grid_flags:
-        if args.dim is not None:
-            overrides["dim"] = _single_int(args.dim, "--dim")
-        if args.copies is not None:
-            overrides["copies"] = _single_int(args.copies, "--copies")
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.estimator is not None:
-        overrides["estimator"] = args.estimator
-    if args.observable is not None:
-        overrides["observable_source"] = args.observable
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.n2 is not None:
-        if not 0.0 <= args.n2 <= 1.0:
-            raise ConfigError(f"--n2 must lie in [0, 1], got {args.n2}")
-        overrides["ensemble"] = RadialLaw.fixed_radius(math.sqrt(args.n2))
+        for name in ("dim", "copies"):
+            if name in flags:
+                overrides[name] = _single_int(flags[name], f"--{name}")
+    renamed = {"seed": "master_seed", "observable": "observable_source"}
+    for flag in ("trials", "seed", "estimator", "observable", "workers"):
+        if flag in flags:
+            overrides[renamed.get(flag, flag)] = flags[flag]
+    if "n2" in flags:
+        if not 0.0 <= flags["n2"] <= 1.0:
+            raise ConfigError(f"--n2 must lie in [0, 1], got {flags['n2']}")
+        overrides["ensemble"] = RadialLaw.fixed_radius(math.sqrt(flags["n2"]))
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -223,7 +211,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, OSError, BrokenProcessPool) as exc:
+    except BrokenProcessPool as exc:
+        # a worker killed mid-traceback may have left stderr mid-line
+        sys.stderr.write(f"\noptev: error: {exc}\n")
+        return EXIT_CONFIG
+    except (ConfigError, OSError) as exc:
         sys.stderr.write(f"optev: error: {exc}\n")
         return EXIT_CONFIG
 

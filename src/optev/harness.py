@@ -1,18 +1,18 @@
 """Seeded Monte Carlo experiment runner with CSV/JSON emission.
 
-An experiment is one run of 2M trials: trials 0..M-1 sample the ensemble,
-trials M..2M-1 drive the fixed-probe bias measurement.  Each pass runs in
-blocks of ``BLOCK`` trials; the block starting at trial k draws all of its
-randomness from the stream keyed by (master_seed, k) and records each
-trial's truth and sum of observed eigenvalues.  Blocks never depend on the
-worker count and results are reduced in trial order afterwards, so output is
-byte-identical for any worker count.
+An experiment draws M ensemble trials in blocks of ``BLOCK`` trials; the
+block starting at trial k draws all of its randomness from the stream keyed
+by (master_seed, k) and records each trial's truth and sum of observed
+eigenvalues.  Blocks never depend on the worker count and results are
+reduced in trial order afterwards, so output is byte-identical for any
+worker count.  The bias at the fixed probe (the top eigenvector, where every
+outcome is the top eigenvalue) is exact, not drawn.
 
 Runs with ``workers > 1`` share one spawn process pool per process.  The
 first such run starts it with ``min(workers, os.cpu_count())`` processes;
 later runs reuse it, and a run that needs another size replaces it.  A pool
-that breaks is dropped, so the next run starts a fresh one, and
-``concurrent.futures`` joins the pool at interpreter exit.
+that breaks is shut down and dropped, so the next run starts a fresh one,
+and ``concurrent.futures`` joins the pool at interpreter exit.
 """
 
 from __future__ import annotations
@@ -229,24 +229,14 @@ class ResultRow:
 def _run_trials(
     config: ExperimentConfig, obs: Observable, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truths of the ensemble trials and sums of observed eigenvalues of all
-    trials among start..stop of the run.
-
-    ``start`` is a block edge of one pass and ``stop`` a later block edge or
-    the end of that pass.  Trials below M draw a state from the ensemble; the
-    rest measure the fixed probe, the top eigenvector of the observable, and
-    record no truth.
-    """
-    d, n, m, law = config.dim, config.copies, config.trials, config.law
+    """Truths and sums of observed eigenvalues of ensemble trials from block edge start to stop."""
+    d, n, law = config.dim, config.copies, config.law
     w = obs.eigenvalues
-    probe_p = outcome_distribution(PureState(obs.eigenvectors[:, 0]), obs)
     truths, sums = [], []
     for k in range(start, stop, BLOCK):
         generator = derive_stream(config.master_seed, k)
         size = min(BLOCK, stop - k)
-        if k >= m:
-            truth, p = np.empty(0), np.broadcast_to(probe_p, (size, d))
-        elif law is None:
+        if law is None:
             p = outcome_distribution(sample_haar_amplitudes(d, size, generator), obs)
             truth = p @ w
         else:
@@ -259,25 +249,24 @@ def _run_trials(
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    # fsum over a list, not the array: the same float, without numpy scalars
     m = values.size
-    mean = math.fsum(values) / m
+    mean = math.fsum(values.tolist()) / m
     if m < 2:
         return mean, 0.0
     centered = values - mean
-    variance = math.fsum(centered * centered) / (m - 1)
+    variance = math.fsum((centered * centered).tolist()) / (m - 1)
     return mean, math.sqrt(variance / m)
 
 
 def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
-    if not config.is_bloch:
-        if config.estimator is EstimatorKind.OPTIMAL_PURE:
-            return analytic_delta_opt(obs, config.copies)
-        if config.estimator is EstimatorKind.SAMPLE_AVERAGE:
-            return analytic_delta_av(obs, config.copies)
-        return None
-    if config.estimator is EstimatorKind.OPTIMAL_MIXED_QUBIT:
+    if config.estimator is EstimatorKind.OPTIMAL_MIXED_QUBIT:  # valid on Bloch ensembles only
         return analytic_delta_mixed_qubit(obs, config.n2)
-    return None
+    if config.is_bloch:
+        return None
+    if config.estimator is EstimatorKind.OPTIMAL_PURE:
+        return analytic_delta_opt(obs, config.copies)
+    return analytic_delta_av(obs, config.copies)
 
 
 def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, probe: PureState, truth: float) -> float:
@@ -310,39 +299,47 @@ def _pool_map(size: int, fn, *iterables) -> list:
         try:
             return list(_pool[1].map(fn, *iterables))
         except BrokenProcessPool:
+            # joins the workers, so none writes to stderr after the caller
+            _pool[1].shutdown(wait=True)
             _pool = None
             raise
 
 
-def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
-    """Run one seeded experiment: ensemble MSE pass plus fixed-probe bias pass."""
-    started = time.perf_counter()
-    obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
+def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Truths and sums of the ensemble pass's M trials, the only random part."""
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
-
-    # each pass's blocks split evenly into one job per worker, so none gets
-    # only the cheaper probe trials; no more jobs than blocks, so none is empty
+    # the blocks split evenly into min(workers, blocks) jobs, so none is empty
     m, workers = config.trials, config.workers
     blocks = -(-m // BLOCK)
     split = min(workers, blocks)
     edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
-    starts, stops = zip(*((offset + a, offset + b) for offset in (0, m) for a, b in zip(edges, edges[1:])))
-    jobs = (repeat(config), repeat(obs), starts, stops)
+    jobs = (repeat(config), repeat(obs), edges[:-1], edges[1:])
     if workers == 1:
         results = map(_run_trials, *jobs)
     else:
         # more processes than CPUs would only queue; blocks are keyed by their
         # first trial, so neither the cap nor the split can change the output
         results = _pool_map(min(workers, os.cpu_count() or 1), _run_trials, *jobs)
-    truths, sums = map(np.concatenate, zip(*results))
+    return tuple(map(np.concatenate, zip(*results)))
 
-    estimates = estimate_from_sums(config.estimator, sums, config.copies, obs, config.n2)
-    empirical_mse, standard_error = _mean_and_se((estimates[:m] - truths) ** 2)
-    probe_mean, _ = _mean_and_se(estimates[m:])
 
+def _reduce(config: ExperimentConfig, obs: Observable, truths, sums, started: float) -> ResultRow:
+    """The row of one estimator over a draw; its wall time runs from ``started``."""
+    m, n = config.trials, config.copies
+    estimates = estimate_from_sums(config.estimator, sums, n, obs, config.n2)
+    empirical_mse, standard_error = _mean_and_se((estimates - truths) ** 2)
+
+    # every outcome at the top eigenvector is the top eigenvalue, so all M
+    # probe trials share one sum; counts @ w keeps the drawn path's bits
     probe = PureState(obs.eigenvectors[:, 0])
     truth = expectation(probe, obs)
+    if not abs(outcome_distribution(probe, obs)[0] - 1.0) <= 1e-12:
+        raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
+    counts = np.array([n] + [0] * (obs.dim - 1), dtype=np.int64)
+    e = float(estimate_from_sums(config.estimator, counts @ obs.eigenvalues, n, obs, config.n2))
+    # the correctly rounded M*e, as math.fsum([e] * M) is, since M < 2**53
+    probe_mean = (m * e) / m
     return ResultRow(
         config=config,
         empirical_mse=empirical_mse,
@@ -354,21 +351,32 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     )
 
 
+def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
+    """Run one seeded experiment: ensemble MSE pass plus the exact bias at the probe."""
+    started = time.perf_counter()
+    obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
+    return _reduce(config, obs, *_draw(config, obs), started)
+
+
 def run_sweep(
     base: ExperimentConfig, copies_values, dim_values, observable: Observable | None = None
 ) -> list[ResultRow]:
     """Both pure-ensemble estimators on every (dim, copies) cell.
 
     Rows come out ordered by dim, then copies, with the optimal estimator
-    before the sample average; every cell reuses the base master seed.
+    before the sample average; every cell reuses the base master seed.  Each
+    cell is drawn once, in the optimal row's wall time, and reduced twice.
     """
     rows = []
     for d in sorted(set(int(v) for v in dim_values)):
         obs = observable if observable is not None else load_observable(base.observable_source, dim=d)
         for n in sorted(set(int(v) for v in copies_values)):
-            for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE):
-                config = replace(base, dim=d, copies=n, estimator=kind, ensemble=HAAR_ENSEMBLE)
-                rows.append(run_experiment(config, observable=obs))
+            started = time.perf_counter()
+            config = replace(base, dim=d, copies=n, estimator="optimal-pure", ensemble=HAAR_ENSEMBLE)
+            drawn = _draw(config, obs)
+            rows.append(_reduce(config, obs, *drawn, started))
+            average = replace(config, estimator="sample-average")
+            rows.append(_reduce(average, obs, *drawn, time.perf_counter()))
     return rows
 
 

@@ -29,6 +29,9 @@ from optev import (
     analytic_delta_av,
     analytic_delta_opt,
     derive_stream,
+    estimate_optimal,
+    estimate_optimal_mixed_qubit,
+    estimate_sample_average,
     expectation,
     load_config,
     load_observable,
@@ -42,6 +45,7 @@ from optev import (
     run_sweep,
     sample_haar_amplitudes,
 )
+from optev import harness
 from optev.cli import main
 from optev.estimators import draw_counts, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials
@@ -259,6 +263,55 @@ def test_probe_bias_is_deterministic_at_top_eigenvector():
     assert row_av.analytic_bias_at_probe == 0.0
 
 
+# odd trial counts off the block grid; at 25, 109 and 227 the mean of M equal
+# estimates rounds away from the estimate itself for some of the cases
+@pytest.mark.parametrize("trials", [1, 25, 109, 227, 3 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "estimator, source, copies",
+    [
+        ("optimal-pure", "diag(3,0,-3)", 2),
+        ("optimal-pure", "diag(0,-1)", 5),
+        ("sample-average", "diag(1,0.5,-2,3)", 3),
+        ("sample-average", "diag(0,-1)", 1),
+        ("optimal-mixed-qubit", "pauli-z", 1),
+        ("optimal-mixed-qubit", "diag(0,-1)", 1),
+    ],
+)
+def test_probe_bias_is_the_exact_mean_of_m_equal_estimates(estimator, source, copies, trials):
+    # at the top eigenvector all N outcomes are the top eigenvalue, so every
+    # probe trial gives the estimate e of the count vector [N, 0, ..., 0]
+    obs = load_observable(source)
+    law = RadialLaw.uniform_ball() if estimator == "optimal-mixed-qubit" else "haar-pure"
+    config = ExperimentConfig(
+        dim=obs.dim,
+        copies=copies,
+        trials=trials,
+        master_seed=trials,
+        estimator=estimator,
+        ensemble=law,
+        observable_source=source,
+    )
+    counts = [copies] + [0] * (obs.dim - 1)
+    e = {
+        "optimal-pure": lambda: estimate_optimal(counts, obs),
+        "sample-average": lambda: estimate_sample_average(counts, obs),
+        "optimal-mixed-qubit": lambda: estimate_optimal_mixed_qubit(counts, obs, law.second_moment()),
+    }[estimator]()
+    want = math.fsum([e] * trials) / trials - expectation(PureState(obs.eigenvectors[:, 0]), obs)
+    got = run_experiment(config).empirical_bias_at_probe
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
+
+
+def test_serial_run_keys_only_the_ensemble_blocks(monkeypatch):
+    keys = []
+    real = harness.derive_stream
+    monkeypatch.setattr(harness, "derive_stream", lambda seed, k: keys.append(k) or real(seed, k))
+    trials = 3 * BLOCK + 5
+    run_experiment(ExperimentConfig(dim=2, copies=3, trials=trials, master_seed=30))
+    assert keys == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+
+
 def test_mse_statistically_consistent():
     config = ExperimentConfig(dim=2, copies=1, trials=200_000, master_seed=12)
     row = run_experiment(config)
@@ -302,7 +355,7 @@ def test_pool_is_reused_across_runs():
 
 
 def test_pool_processes_capped_at_cpu_count():
-    # 64 workers over 3 blocks is 6 jobs; the pool still starts at most one
+    # 64 workers over 3 blocks is 3 jobs; the pool still starts at most one
     # process per CPU, and the output is that of one worker
     config = ExperimentConfig(dim=2, copies=1, trials=3 * BLOCK, master_seed=21, workers=64)
     text = rows_to_csv([run_experiment(config)])
@@ -311,8 +364,8 @@ def test_pool_processes_capped_at_cpu_count():
 
 
 def test_more_workers_than_blocks_gives_the_serial_row(monkeypatch):
-    # each pass is split into min(workers, blocks) jobs, so a huge worker
-    # count builds one job per pass; the pretend CPU count caps the pool at 2
+    # the blocks are split into min(workers, blocks) jobs, so a huge worker
+    # count builds one job; the pretend CPU count caps the pool at 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = ExperimentConfig(dim=2, copies=1, trials=10, master_seed=23, workers=10**6)
     assert rows_to_csv([run_experiment(config)]) == rows_to_csv([run_experiment(replace(config, workers=1))])
@@ -377,6 +430,25 @@ def test_sweep_grid_and_ratio():
             + (opt.standard_error / opt.empirical_mse) ** 2
         )
         assert abs(ratio - want) < 3 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_equal_separate_runs(workers):
+    # a sweep draws each cell once for both estimators; the rows must be those
+    # of one run per estimator, apart from the wall time
+    base = ExperimentConfig(
+        trials=2 * BLOCK + 7, master_seed=31, observable_source="diag(1,0.5,-2)", workers=workers
+    )
+    rows = run_sweep(base, copies_values=[4, 1], dim_values=[3])
+    separate = [
+        run_experiment(replace(base, dim=3, copies=n, estimator=kind))
+        for n in (1, 4)
+        for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE)
+    ]
+    assert len(rows) == len(separate) == 4
+    for row, other in zip(rows, separate):
+        assert row.wall_time > 0.0
+        assert replace(row, wall_time=0.0) == replace(other, wall_time=0.0)
 
 
 def test_sweep_analytic_ratio_corners():
@@ -522,7 +594,7 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    if argv[0] != "verify":
+    if argv[0] == "simulate":
         argv = argv + ["--trials", "10"]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -575,11 +647,20 @@ def test_guarded_script_exits_with_its_pool_alive(tmp_path):
     assert float(done.stdout) >= 0.0
 
 
-def test_cli_usage_error_exit_code():
-    for argv in (["simulate", "--estimator", "bogus"], ["verify", "--trials", "5"]):
+def test_cli_usage_error_exit_code(capsys):
+    # each command takes only the flags it reads; any other is a usage error
+    ignored = [
+        "analytic --trials 5 --workers 3 --timing --estimator sample-average --seed 4".split(),
+        "sweep --dim 2 --copies 1 --trials 10 --estimator sample-average --n2 0.3".split(),
+    ]
+    ignored += [["analytic", *flag] for flag in (["--trials", "5"], ["--workers", "3"], ["--timing"])]
+    ignored += [["analytic", "--estimator", "sample-average"], ["analytic", "--seed", "4"]]
+    ignored += [["sweep", "--estimator", "sample-average"], ["sweep", "--n2", "0.3"]]
+    for argv in [["simulate", "--estimator", "bogus"], ["verify", "--trials", "5"], *ignored]:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+        assert ": error: " in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
