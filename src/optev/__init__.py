@@ -49,8 +49,6 @@ from .sampling import (
     sample_haar_pure,
 )
 from .symmetric import (
-    LemmaReport,
-    SymmetricProjector,
     build_projector_occupation,
     build_projector_permutation,
     check_unbiased_lemma,
@@ -72,13 +70,11 @@ __all__ = [
     "ConfigError",
     "EstimatorKind",
     "ExperimentConfig",
-    "LemmaReport",
     "MixedQubitState",
     "Observable",
     "PureState",
     "RadialLaw",
     "ResultRow",
-    "SymmetricProjector",
     "analytic_bias_mean",
     "analytic_delta_av",
     "analytic_delta_av_conditional",

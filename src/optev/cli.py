@@ -178,6 +178,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args, grid_flags=True)
+    if config.is_bloch:
+        raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
     dims = _parse_int_list(args.dim, "--dim") if args.dim else [config.dim]
     copies = _parse_int_list(args.copies, "--copies") if args.copies else [config.copies]
     rows = run_sweep(config, copies_values=copies, dim_values=dims)

@@ -18,6 +18,9 @@ from .hermitian import Observable, frozen, make_observable
 from .sampling import sample_haar_amplitudes
 
 DIMENSION_GUARD = 4096
+# states per batch in haar_average_tensor_power; the batching fixes the
+# summation order of the average, so changing it changes its last bits
+HAAR_CHUNK = 65536
 _INT64_MAX = 2**63 - 1
 
 
@@ -44,17 +47,29 @@ def _check_copies(d: int, n: int) -> None:
     _check_guard(d, n)
 
 
-def swap_indices(d: int, n: int, a: int, b: int) -> np.ndarray:
-    """Basis-index permutation that swaps tensor slots a and b (0-based)."""
-    idx = np.arange(d**n).reshape([d] * n)
-    return np.swapaxes(idx, a, b).ravel()
-
-
-def digit_table(d: int, n: int) -> np.ndarray:
+def _digit_table(d: int, n: int) -> np.ndarray:
     """Row x holds the base-d digits (i_1, ..., i_n) of basis index x."""
     idx = np.arange(d**n)
     shifts = d ** np.arange(n - 1, -1, -1)
     return (idx[:, None] // shifts[None, :]) % d
+
+
+def _occupation_table(d: int, n: int) -> np.ndarray:
+    """Row x holds how many digits of basis index x equal each level 0..d-1."""
+    digits = _digit_table(d, n)
+    return np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
+
+
+def random_observable(d: int, generator: np.random.Generator) -> Observable:
+    """The Hermitian part (B + B^dagger)/2 of a complex Gaussian d x d matrix B."""
+    raw = generator.standard_normal((d, d)) + 1j * generator.standard_normal((d, d))
+    return make_observable((raw + raw.conj().T) / 2.0)
+
+
+def product_eigenbasis(obs: Observable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker eigenvector columns of the n-fold power and each column's n eigenvalues."""
+    vectors = reduce(np.kron, [obs.eigenvectors] * n)
+    return vectors, obs.eigenvalues[_digit_table(obs.dim, n)]
 
 
 @dataclass(frozen=True)
@@ -78,11 +93,12 @@ def build_projector_permutation(d: int, n: int) -> SymmetricProjector:
     _check_copies(d, n)
     scaled = np.eye(d, dtype=np.int64)
     for k in range(2, n + 1):
-        grown = np.kron(scaled, np.eye(d, dtype=np.int64))
+        # axes 0..k-1 are the row's tensor slots, so swapping two permutes rows
+        grown = np.kron(scaled, np.eye(d, dtype=np.int64)).reshape([d] * k + [d**k])
         acc = grown.copy()  # the j = k (identity) coset
         for j in range(k - 1):
-            acc += grown[swap_indices(d, k, j, k - 1), :]
-        scaled = acc
+            acc += np.swapaxes(grown, j, k - 1)
+        scaled = acc.reshape(d**k, d**k)
     matrix = scaled / math.factorial(n)
     return SymmetricProjector(
         local_dim=d, copies=n, matrix=frozen(matrix), dimension=symmetric_dimension(d, n)
@@ -116,9 +132,7 @@ def occupation_basis_vector(d: int, n: int, counts) -> np.ndarray:
     counts = tuple(int(c) for c in counts)
     if len(counts) != d or any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"occupation counts must be {d} nonnegative integers summing to {n}, got {counts}")
-    digits = digit_table(d, n)
-    occ = np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
-    ids = np.flatnonzero((occ == np.array(counts)).all(axis=1))
+    ids = np.flatnonzero((_occupation_table(d, n) == np.array(counts)).all(axis=1))
     vec = np.zeros(d**n)
     vec[ids] = 1.0 / math.sqrt(ids.size)
     return vec
@@ -132,15 +146,13 @@ def build_projector_occupation(d: int, n: int) -> SymmetricProjector:
     distinct classes do not mix.
     """
     _check_copies(d, n)
-    digits = digit_table(d, n)
-    occ = np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
+    occ = _occupation_table(d, n)
     matrix = np.zeros((d**n, d**n))
-    dimension = 0
-    for counts in enumerate_occupations(d, n):
+    classes = enumerate_occupations(d, n)
+    for counts in classes:
         ids = np.flatnonzero((occ == np.array(counts)).all(axis=1))
         matrix[np.ix_(ids, ids)] = 1.0 / ids.size
-        dimension += 1
-    return SymmetricProjector(local_dim=d, copies=n, matrix=frozen(matrix), dimension=dimension)
+    return SymmetricProjector(local_dim=d, copies=n, matrix=frozen(matrix), dimension=len(classes))
 
 
 def embed_one_body(obs: Observable, position: int, copies: int) -> np.ndarray:
@@ -203,9 +215,7 @@ def tensor_power_rows(amplitudes: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def haar_average_tensor_power(
-    d: int, n: int, trials: int, stream: np.random.Generator, chunk: int = 65536
-) -> np.ndarray:
+def haar_average_tensor_power(d: int, n: int, trials: int, stream: np.random.Generator) -> np.ndarray:
     """Empirical mean of rho^(x n) over Haar-uniform pure states.
 
     Converges to S_n / d_n; the sampler consumes the stream identically to
@@ -218,7 +228,7 @@ def haar_average_tensor_power(
     acc = np.zeros((size, size), dtype=complex)
     remaining = trials
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(HAAR_CHUNK, remaining)
         amps = sample_haar_amplitudes(d, m, stream)
         rows = tensor_power_rows(amps, n)
         acc += rows.T @ rows.conj()
@@ -270,11 +280,9 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
 
     # sample-average POVM: sum_a omega_a E_a with E_a the product
     # eigenprojectors of a random observable and omega_a the sample averages
-    raw2 = stream.standard_normal((d, d)) + 1j * stream.standard_normal((d, d))
-    obs = make_observable((raw2 + raw2.conj().T) / 2.0)
-    digits = digit_table(d, copies)
-    averaged = obs.eigenvalues[digits].mean(axis=1)
-    vkron = reduce(np.kron, [obs.eigenvectors] * copies)  # columns are product eigenvectors
+    obs = random_observable(d, stream)
+    vkron, outcomes = product_eigenbasis(obs, copies)
+    averaged = outcomes.mean(axis=1)
     weighted = (vkron * averaged) @ vkron.conj().T
     deviation_op = s @ (weighted - omega_hat_av(obs, copies)) @ s
     converse = float(np.abs(deviation_op).max())

@@ -9,23 +9,22 @@ whole d**n <= 4096 construction range plus the operator-identity grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .estimators import analytic_delta_av, analytic_delta_opt, analytic_second_moment
-from .hermitian import Observable, make_observable
+from .hermitian import Observable
 from .sampling import derive_stream, sample_haar_amplitudes
 from .symmetric import (
     build_projector_occupation,
     build_projector_permutation,
     check_unbiased_lemma,
-    digit_table,
     embed_one_body,
     omega_hat,
     omega_hat_av,
     partial_trace_last,
-    swap_indices,
+    product_eigenbasis,
+    random_observable,
     symmetric_dimension,
     tensor_power_rows,
 )
@@ -75,17 +74,10 @@ def _report(check: str, params: dict, deviation: float, tolerance: float) -> Che
     )
 
 
-def _random_observable(d: int, generator: np.random.Generator) -> Observable:
-    raw = generator.standard_normal((d, d)) + 1j * generator.standard_normal((d, d))
-    return make_observable((raw + raw.conj().T) / 2.0)
-
-
 def _projector_checks(d: int, n: int, tamper_scale: float) -> list[CheckReport]:
     params = {"d": d, "n": n}
-    by_permutation = build_projector_permutation(d, n)
-    by_occupation = build_projector_occupation(d, n)
-    s = by_permutation.matrix * tamper_scale
-    s_occ = by_occupation.matrix * tamper_scale
+    s = build_projector_permutation(d, n).matrix * tamper_scale
+    s_occ = build_projector_occupation(d, n).matrix * tamper_scale
     d_n = symmetric_dimension(d, n)
 
     reports = [
@@ -94,26 +86,25 @@ def _projector_checks(d: int, n: int, tamper_scale: float) -> list[CheckReport]:
         _report("self-adjointness", params, np.abs(s - s.T).max(), 0.0),
         _report("trace-dimension", params, abs(float(s.trace()) - d_n), 1e-9),
     ]
+    # axes 0..n-1 are the row slots and n..2n-1 the column slots
+    slots = s.reshape([d] * (2 * n))
     commute = 0.0
     for slot in range(n - 1):
-        perm = swap_indices(d, n, slot, slot + 1)
-        commute = max(commute, float(np.abs(s[perm, :] - s[:, perm]).max()))
+        rows_swapped = np.swapaxes(slots, slot, slot + 1)
+        columns_swapped = np.swapaxes(slots, n + slot, n + slot + 1)
+        commute = max(commute, float(np.abs(rows_swapped - columns_swapped).max()))
     reports.append(_report("transposition-commute", params, commute, 1e-12))
     return reports
 
 
-def _operator_checks(
-    d: int, copies: int, observables: list[Observable]
-) -> list[CheckReport]:
-    params = {"d": d, "N": copies}
-    n = copies
+def _operator_checks(d: int, n: int, observables: list[Observable]) -> list[CheckReport]:
+    params = {"d": d, "N": n}
     s_n = build_projector_permutation(d, n).matrix
     s_next = build_projector_permutation(d, n + 1).matrix
     s_2 = build_projector_permutation(d, 2).matrix
     d_n = symmetric_dimension(d, n)
     d_next = symmetric_dimension(d, n + 1)
     d_2 = symmetric_dimension(d, 2)
-    digits = digit_table(d, n)
 
     dev_pt = dev_tr1 = dev_tr2_eq = dev_tr2_ne = dev_hat2 = 0.0
     dev_square = dev_second = dev_attain = dev_av_term = 0.0
@@ -152,16 +143,15 @@ def _operator_checks(
 
         # expanded-versus-completed-square bookkeeping for the
         # product-eigenprojector strategy with the shrinkage estimates
-        vkron = reduce(np.kron, [obs.eigenvectors] * n)
-        omega_opt_by_index = (tr + obs.eigenvalues[digits].sum(axis=1)) / (n + d)
-        omega_av_by_index = obs.eigenvalues[digits].mean(axis=1)
+        vkron, outcomes = product_eigenbasis(obs, n)
+        omega_opt_by_index = (tr + outcomes.sum(axis=1)) / (n + d)
+        omega_av_by_index = outcomes.mean(axis=1)
 
         q_s = np.einsum("ia,ij,ja->a", vkron.conj(), s_n, vkron).real
         s_hat = s_n @ hat
         q_sh = np.einsum("ia,ij,ja->a", vkron.conj(), s_hat, vkron).real
         q_sh2 = np.einsum("ia,ij,ja->a", vkron.conj(), s_hat @ hat, vkron).real
-        traced = partial_trace_last(s_next @ embed_one_body(obs, n + 1, n + 1), d, n + 1)
-        q_traced = np.einsum("ia,ij,ja->a", vkron.conj(), traced, vkron).real
+        q_traced = np.einsum("ia,ij,ja->a", vkron.conj(), lhs, vkron).real
 
         second_direct = float(
             np.trace(s_2 @ embed_one_body(obs, 1, 2) @ embed_one_body(obs, 2, 2)).real
@@ -227,9 +217,8 @@ def _operator_checks(
 def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
     params = {"d": d, "N": copies}
     generator = derive_stream(seed, 902_000 + 17 * d + copies)
-    obs = _random_observable(d, generator)
-    digits = digit_table(d, copies)
-    vkron = reduce(np.kron, [obs.eigenvectors] * copies)
+    obs = random_observable(d, generator)
+    vkron, outcomes = product_eigenbasis(obs, copies)
 
     hat = omega_hat(obs, copies)
     hat_av = omega_hat_av(obs, copies)
@@ -238,8 +227,8 @@ def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
         column = vkron[:, a]
         eig_opt = float((column.conj() @ hat @ column).real)
         eig_av = float((column.conj() @ hat_av @ column).real)
-        want_opt = (obs.trace + obs.eigenvalues[digits[a]].sum()) / (copies + d)
-        want_av = obs.eigenvalues[digits[a]].mean()
+        want_opt = (obs.trace + outcomes[a].sum()) / (copies + d)
+        want_av = outcomes[a].mean()
         dev_opt = max(dev_opt, abs(eig_opt - want_opt))
         dev_av = max(dev_av, abs(eig_av - want_av))
 
@@ -278,7 +267,7 @@ def run_verify(level: str = "fast", seed: int = 0, _tamper_scale: float = 1.0) -
 
     for index, (d, copies) in enumerate(operator_pairs):
         generator = derive_stream(seed, 901_000 + index)
-        observables = [_random_observable(d, generator) for _ in range(observables_per_cell)]
+        observables = [random_observable(d, generator) for _ in range(observables_per_cell)]
         reports.extend(_operator_checks(d, copies, observables))
         reports.extend(_consistency_checks(d, copies, seed))
 

@@ -587,6 +587,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["analytic", "--observable", "diag(1e200,1e200)"], None),
         (["simulate", "--observable", "diag(1e200,1e200)"], None),
         (["simulate", "--observable", "diag(1e170,-1e170)"], None),
+        (["sweep"], {"estimator": "optimal-mixed-qubit", "ensemble": {"bloch": {"kind": "uniform-ball"}}}),
     ],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
@@ -594,7 +595,7 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + ["--config", str(path)]
-    if argv[0] == "simulate":
+    if argv[0] in ("simulate", "sweep"):
         argv = argv + ["--trials", "10"]
     assert main(argv) == 1
     captured = capsys.readouterr()

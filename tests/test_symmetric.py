@@ -23,6 +23,7 @@ from optev import (
     sample_haar_amplitudes,
     symmetric_dimension,
 )
+from optev import symmetric
 from optev.symmetric import tensor_power_rows
 
 
@@ -228,9 +229,10 @@ def test_haar_average_first_moment():
     assert np.linalg.norm(mean - np.eye(3) / 3) < 0.005
 
 
-def test_haar_average_matches_batched_states():
+def test_haar_average_matches_batched_states(monkeypatch):
     # consuming the stream in chunks must equal one flat batch
-    mean = haar_average_tensor_power(2, 2, 1000, derive_stream(62, 0), chunk=128)
+    monkeypatch.setattr(symmetric, "HAAR_CHUNK", 128)
+    mean = haar_average_tensor_power(2, 2, 1000, derive_stream(62, 0))
     amps = sample_haar_amplitudes(2, 1000, derive_stream(62, 0))
     rows = tensor_power_rows(amps, 2)
     assert np.abs(mean - (rows.T @ rows.conj()) / 1000).max() < 1e-12

@@ -1,8 +1,9 @@
 """Tests for verify.py: the identity suite and its negative controls."""
 
+import dataclasses
 import json
 
-from optev import run_verify
+from optev import run_verify, verify
 
 
 def test_fast_level_passes():
@@ -37,6 +38,24 @@ def test_tampered_projector_fails_idempotence():
     reports = run_verify(level="fast", seed=0, _tamper_scale=1.01)
     idempotence = [r for r in reports if r.check == "idempotence"]
     assert idempotence and all(not r.passed for r in idempotence)
+
+
+def test_asymmetric_projector_fails_commute_and_self_adjointness(monkeypatch):
+    # a uniform rescale keeps S_n symmetric and slot-symmetric, so only an
+    # off-diagonal perturbation shows that these two checks bite
+    build = verify.build_projector_permutation
+
+    def perturbed(d, n):
+        projector = build(d, n)
+        matrix = projector.matrix.copy()
+        matrix[0, 1] += 1e-3
+        return dataclasses.replace(projector, matrix=matrix)
+
+    monkeypatch.setattr(verify, "build_projector_permutation", perturbed)
+    reports = run_verify(level="fast", seed=0)
+    for check in ("transposition-commute", "self-adjointness"):
+        selected = [r for r in reports if r.check == check]
+        assert selected and all(not r.passed for r in selected), check
 
 
 def test_reports_serialize_to_json():
