@@ -22,7 +22,6 @@ from .estimators import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ResultRow,
     load_config,
     load_observable,
     rows_to_csv,
@@ -61,12 +60,11 @@ from .symmetric import (
     partial_trace_last,
     symmetric_dimension,
 )
-from .verify import CheckReport, run_verify
+from .verify import run_verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport",
     "ConfigError",
     "EstimatorKind",
     "ExperimentConfig",
@@ -74,7 +72,6 @@ __all__ = [
     "Observable",
     "PureState",
     "RadialLaw",
-    "ResultRow",
     "analytic_bias_mean",
     "analytic_delta_av",
     "analytic_delta_av_conditional",

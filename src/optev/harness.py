@@ -78,6 +78,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration or unreadable input file."""
 
 
+def _read_json(path: Path):
+    """Parse a UTF-8 JSON file; undecodable bytes or bad syntax raise ConfigError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def load_observable(source, dim: int | None = None) -> Observable:
     """Resolve a builtin observable name or parse an observable JSON file.
 
@@ -96,13 +108,7 @@ def load_observable(source, dim: int | None = None) -> Observable:
         path = Path(text)
         if not path.exists():
             raise ConfigError(f"unknown builtin observable or missing file: {text!r}")
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{text}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        return observable_from_json(payload)
+        return observable_from_json(_read_json(path))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -203,13 +209,9 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = _read_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
     return ExperimentConfig.from_dict(payload)
 
 

@@ -27,10 +27,9 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def frozen(array: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``array``."""
-    out = np.array(array)
-    out.setflags(write=False)
-    return out
+    """Mark ``array`` read-only in place and return it, with no copy; pass only arrays you own."""
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class Observable:
         if self.dim != 2:
             raise ValueError(f"Pauli coefficients require d=2, got d={self.dim}")
         a = self.matrix
-        return frozen([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real])
+        return frozen(np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real]))
 
     @cached_property
     def top_bloch_vector(self) -> np.ndarray:
@@ -79,7 +78,7 @@ def make_observable(entries) -> Observable:
     Hermiticity is enforced (max entry deviation <= 1e-10), never silently
     symmetrized: a violation signals bad user data.
     """
-    m = np.asarray(entries, dtype=complex)
+    m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"observable must be a square matrix, got shape {m.shape}")
     d = m.shape[0]
@@ -115,7 +114,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError(f"amplitudes must be a nonempty vector, got shape {amp.shape}")
         norm_sq = float(np.vdot(amp, amp).real)
@@ -148,7 +147,7 @@ class MixedQubitState:
     bloch: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.bloch, dtype=float)
+        n = np.array(self.bloch, dtype=float)
         if n.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {n.shape}")
         length = float(np.linalg.norm(n))

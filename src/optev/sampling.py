@@ -114,11 +114,15 @@ class RadialLaw:
         unknown = payload.keys() - known
         if unknown:
             raise ValueError(f"radial law has unknown keys: {sorted(unknown)}")
-        return cls(
-            kind=payload["kind"],
-            radius=float(payload.get("radius", 1.0)),
-            weight=float(payload.get("weight", 1.0)),
-        )
+        numbers = {}
+        for name in ("radius", "weight"):
+            value = payload.get(name, 1.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"radial law {name} must be a number, got {value!r}")
+            # a value outside [0, 1] reaches the range check as given, so an
+            # int too large for a float is rejected instead of overflowing
+            numbers[name] = float(value) if 0.0 <= value <= 1.0 else value
+        return cls(kind=payload["kind"], **numbers)
 
 
 def sample_haar_pure(d: int, stream: np.random.Generator) -> PureState:

@@ -76,8 +76,6 @@ def product_eigenbasis(obs: Observable, n: int) -> tuple[np.ndarray, np.ndarray]
 class SymmetricProjector:
     """Projector S_n onto the symmetric subspace of the n-fold tensor power."""
 
-    local_dim: int
-    copies: int
     matrix: np.ndarray
     dimension: int
 
@@ -100,9 +98,7 @@ def build_projector_permutation(d: int, n: int) -> SymmetricProjector:
             acc += np.swapaxes(grown, j, k - 1)
         scaled = acc.reshape(d**k, d**k)
     matrix = scaled / math.factorial(n)
-    return SymmetricProjector(
-        local_dim=d, copies=n, matrix=frozen(matrix), dimension=symmetric_dimension(d, n)
-    )
+    return SymmetricProjector(matrix=frozen(matrix), dimension=symmetric_dimension(d, n))
 
 
 def enumerate_occupations(d: int, n: int) -> list[tuple[int, ...]]:
@@ -152,7 +148,7 @@ def build_projector_occupation(d: int, n: int) -> SymmetricProjector:
     for counts in classes:
         ids = np.flatnonzero((occ == np.array(counts)).all(axis=1))
         matrix[np.ix_(ids, ids)] = 1.0 / ids.size
-    return SymmetricProjector(local_dim=d, copies=n, matrix=frozen(matrix), dimension=len(classes))
+    return SymmetricProjector(matrix=frozen(matrix), dimension=len(classes))
 
 
 def embed_one_body(obs: Observable, position: int, copies: int) -> np.ndarray:
@@ -240,9 +236,6 @@ def haar_average_tensor_power(d: int, n: int, trials: int, stream: np.random.Gen
 class LemmaReport:
     """Deviations from both directions of the symmetric-support lemma."""
 
-    dim: int
-    copies: int
-    trials: int
     forward_max_deviation: float
     forward_tolerance: float
     converse_max_deviation: float
@@ -288,9 +281,6 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
     converse = float(np.abs(deviation_op).max())
 
     return LemmaReport(
-        dim=d,
-        copies=copies,
-        trials=trials,
         forward_max_deviation=forward,
         forward_tolerance=1e-10,
         converse_max_deviation=converse,

@@ -588,12 +588,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["simulate", "--observable", "diag(1e200,1e200)"], None),
         (["simulate", "--observable", "diag(1e170,-1e170)"], None),
         (["sweep"], {"estimator": "optimal-mixed-qubit", "ensemble": {"bloch": {"kind": "uniform-ball"}}}),
+        (["simulate"], b"\x80\x81\xff"),
+        (["verify"], b"\x80\x81\xff"),
+        (["simulate"], {"ensemble": {"bloch": {"kind": "fixed-radius", "radius": None}}}),
+        (["simulate"], {"ensemble": {"bloch": {"kind": "two-point", "radius": 0.5, "weight": [1]}}}),
     ],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         argv = argv + ["--config", str(path)]
     if argv[0] in ("simulate", "sweep"):
         argv = argv + ["--trials", "10"]

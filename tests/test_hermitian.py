@@ -9,6 +9,8 @@ import scipy.linalg
 from optev import (
     MixedQubitState,
     PureState,
+    build_projector_occupation,
+    build_projector_permutation,
     expectation,
     make_observable,
     mixed_qubit_expectation,
@@ -221,6 +223,26 @@ def test_states_are_immutable():
     state = PureState(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+def test_stored_arrays_are_read_only_copies_of_the_input():
+    # freezing is in place, so each constructor must copy what the caller owns
+    matrix = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+    amplitudes = np.array([0.6, 0.8j])
+    bloch = np.array([0.0, 0.6, 0.0])
+    obs = make_observable(matrix)
+    for given, kept in (
+        (matrix, obs.matrix),
+        (amplitudes, PureState(amplitudes).amplitudes),
+        (bloch, MixedQubitState(bloch).bloch),
+    ):
+        assert given.flags.writeable
+        assert not np.shares_memory(given, kept)
+        assert not kept.flags.writeable
+    for kept in (obs.eigenvalues, obs.eigenvectors, obs.pauli_vector, obs.top_bloch_vector):
+        assert not kept.flags.writeable
+    for construct in (build_projector_permutation, build_projector_occupation):
+        assert not construct(2, 3).matrix.flags.writeable
 
 
 # --- JSON format ---

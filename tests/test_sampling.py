@@ -159,6 +159,22 @@ def test_radial_law_validation():
         RadialLaw(kind="gaussian")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "fixed-radius", "radius": None},
+        {"kind": "fixed-radius", "radius": [1]},
+        {"kind": "fixed-radius", "radius": "0.5"},
+        {"kind": "two-point", "radius": 0.5, "weight": [1]},
+        {"kind": "two-point", "radius": 0.5, "weight": True},
+        {"kind": "fixed-radius", "radius": 10**400},
+    ],
+)
+def test_radial_law_from_dict_rejects_non_numbers(payload):
+    with pytest.raises(ValueError):
+        RadialLaw.from_dict(payload)
+
+
 def test_radial_law_dict_round_trip():
     for law in (
         RadialLaw.pure_surface(),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 from optev import run_verify, verify
 
@@ -34,8 +35,19 @@ def test_fast_level_covers_expected_checks():
     } <= names
 
 
-def test_tampered_projector_fails_idempotence():
-    reports = run_verify(level="fast", seed=0, _tamper_scale=1.01)
+def test_tampered_projector_fails_idempotence(monkeypatch):
+    # rescaling both constructions keeps them equal and symmetric, so only
+    # idempotence can catch it
+    def scaled(build):
+        def tampered(d, n):
+            projector = build(d, n)
+            return dataclasses.replace(projector, matrix=1.01 * projector.matrix)
+
+        return tampered
+
+    for name in ("build_projector_permutation", "build_projector_occupation"):
+        monkeypatch.setattr(verify, name, scaled(getattr(verify, name)))
+    reports = run_verify(level="fast", seed=0)
     idempotence = [r for r in reports if r.check == "idempotence"]
     assert idempotence and all(not r.passed for r in idempotence)
 
@@ -56,6 +68,18 @@ def test_asymmetric_projector_fails_commute_and_self_adjointness(monkeypatch):
     for check in ("transposition-commute", "self-adjointness"):
         selected = [r for r in reports if r.check == check]
         assert selected and all(not r.passed for r in selected), check
+
+
+def test_projector_checks_hold_at_most_three_projectors():
+    # no copy on freezing, and the occupation projector is freed before the
+    # check temporaries are made
+    tracemalloc.start()
+    try:
+        verify._projector_checks(2, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.05 * 8 * (2**10) ** 2
 
 
 def test_reports_serialize_to_json():
