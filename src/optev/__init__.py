@@ -8,12 +8,9 @@ identities behind the error formulas at machine precision.
 
 from .estimators import (
     EstimatorKind,
-    analytic_bias_mean,
     analytic_delta_av,
-    analytic_delta_av_conditional,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
-    analytic_second_moment,
     estimate_optimal,
     estimate_optimal_mixed_qubit,
     estimate_sample_average,
@@ -22,11 +19,9 @@ from .estimators import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    load_config,
     load_observable,
     rows_to_csv,
     run_experiment,
-    run_sweep,
 )
 from .hermitian import (
     MixedQubitState,
@@ -36,7 +31,6 @@ from .hermitian import (
     make_observable,
     mixed_qubit_expectation,
     mixed_qubit_outcome_distribution,
-    observable_from_json,
     observable_to_json,
     outcome_distribution,
 )
@@ -51,13 +45,9 @@ from .symmetric import (
     build_projector_occupation,
     build_projector_permutation,
     check_unbiased_lemma,
-    embed_one_body,
     enumerate_occupations,
     haar_average_tensor_power,
     occupation_basis_vector,
-    omega_hat,
-    omega_hat_av,
-    partial_trace_last,
     symmetric_dimension,
 )
 from .verify import run_verify
@@ -72,38 +62,28 @@ __all__ = [
     "Observable",
     "PureState",
     "RadialLaw",
-    "analytic_bias_mean",
     "analytic_delta_av",
-    "analytic_delta_av_conditional",
     "analytic_delta_mixed_qubit",
     "analytic_delta_opt",
-    "analytic_second_moment",
     "build_projector_occupation",
     "build_projector_permutation",
     "check_unbiased_lemma",
     "derive_stream",
-    "embed_one_body",
     "enumerate_occupations",
     "estimate_optimal",
     "estimate_optimal_mixed_qubit",
     "estimate_sample_average",
     "expectation",
     "haar_average_tensor_power",
-    "load_config",
     "load_observable",
     "make_observable",
     "mixed_qubit_expectation",
     "mixed_qubit_outcome_distribution",
-    "observable_from_json",
     "observable_to_json",
     "occupation_basis_vector",
-    "omega_hat",
-    "omega_hat_av",
     "outcome_distribution",
-    "partial_trace_last",
     "rows_to_csv",
     "run_experiment",
-    "run_sweep",
     "run_verify",
     "sample_bloch_mixed",
     "sample_haar_amplitudes",

@@ -1,6 +1,6 @@
 """Command line interface: analytic, simulate, sweep, verify.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 verification failure.
+Exit codes: 0 success, 1 configuration, I/O or out-of-memory error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _cmd_analytic(args) -> int:
             EstimatorKind.OPTIMAL_PURE, n * obs.eigenvalues, n, obs
         ).tolist(),
     }
-    n2 = config.n2 if config.is_bloch else None
+    n2 = config.n2
     if n2 is not None:
         report["n2"] = n2
         report["delta_mixed"] = analytic_delta_mixed_qubit(obs, n2)
@@ -180,8 +180,8 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args, grid_flags=True)
     if config.is_bloch:
         raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
-    dims = _parse_int_list(args.dim, "--dim") if args.dim else [config.dim]
-    copies = _parse_int_list(args.copies, "--copies") if args.copies else [config.copies]
+    dims = _parse_int_list(args.dim, "--dim") if args.dim is not None else [config.dim]
+    copies = _parse_int_list(args.copies, "--copies") if args.copies is not None else [config.copies]
     rows = run_sweep(config, copies_values=copies, dim_values=dims)
     _emit(rows_to_csv(rows, include_timing=args.timing), args.out)
     return EXIT_OK
@@ -219,6 +219,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"optev: error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        sys.stderr.write(f"optev: error: out of memory: {exc}\n")
         return EXIT_CONFIG
 
 

@@ -136,16 +136,6 @@ def analytic_delta_av(obs: Observable, copies: int) -> float:
     return (d * obs.trace_square - obs.trace**2) / (d * (d + 1) * copies)
 
 
-def analytic_delta_av_conditional(state: PureState, obs: Observable, copies: int) -> float:
-    """Squared error of the sample average at fixed state: its variance / N."""
-    _check_copies(copies)
-    p = outcome_distribution(state, obs)
-    w = obs.eigenvalues
-    mean = float(p @ w)
-    second = float(p @ (w * w))
-    return (second - mean**2) / copies
-
-
 def analytic_bias_mean(state: PureState, obs: Observable, copies: int) -> float:
     """Exact conditional mean of the optimal estimate at fixed state.
 

@@ -115,10 +115,10 @@ def load_observable(source, dim: int | None = None) -> Observable:
         raise ConfigError(f"{text}: {exc}") from exc
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Reject a value that is not an ``int`` (``bool`` excluded) in [low, 2**64)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**64:
-        raise ConfigError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+def _check_int(name: str, value, low: int, bits: int = 64) -> None:
+    """Reject a value that is not an ``int`` (``bool`` excluded) in [low, 2**bits)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**bits:
+        raise ConfigError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
 
 
 def check_seed(seed) -> None:
@@ -141,8 +141,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
-        for name, low in (("dim", 2), ("copies", 1), ("trials", 1), ("workers", 1), ("master_seed", 0)):
+        for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
             _check_int(name, getattr(self, name), low)
+        # the outcome draw, Generator.multinomial, takes a signed 64-bit count
+        _check_int("copies", self.copies, 1, bits=63)
         if self.is_bloch:
             if not isinstance(self.ensemble, RadialLaw):
                 raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a RadialLaw, got {self.ensemble!r}")
@@ -360,9 +362,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     return _reduce(config, obs, *_draw(config, obs), started)
 
 
-def run_sweep(
-    base: ExperimentConfig, copies_values, dim_values, observable: Observable | None = None
-) -> list[ResultRow]:
+def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultRow]:
     """Both pure-ensemble estimators on every (dim, copies) cell.
 
     Rows come out ordered by dim, then copies, with the optimal estimator
@@ -371,7 +371,7 @@ def run_sweep(
     """
     rows = []
     for d in sorted(set(int(v) for v in dim_values)):
-        obs = observable if observable is not None else load_observable(base.observable_source, dim=d)
+        obs = load_observable(base.observable_source, dim=d)
         for n in sorted(set(int(v) for v in copies_values)):
             started = time.perf_counter()
             config = replace(base, dim=d, copies=n, estimator="optimal-pure", ensemble=HAAR_ENSEMBLE)

@@ -20,12 +20,6 @@ NORM_TOL = 1e-12
 # float maximum 1.8e308 whenever M d^4 < 1e107
 MAX_ENTRY = 1e50
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
-
-
 def frozen(array: np.ndarray) -> np.ndarray:
     """Mark ``array`` read-only in place and return it, with no copy; pass only arrays you own."""
     array.setflags(write=False)
@@ -155,13 +149,6 @@ class MixedQubitState:
             raise ValueError(f"Bloch vector lies outside the unit ball: |n| = {length!r}")
         object.__setattr__(self, "bloch", frozen(n))
 
-    def density_matrix(self) -> np.ndarray:
-        n = self.bloch
-        rho = np.eye(2, dtype=complex)
-        for k in range(3):
-            rho = rho + n[k] * PAULI[k]
-        return rho / 2.0
-
 
 def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np.ndarray:
     """Probabilities p_i = |<i|phi>|^2 of the projective eigenbasis outcomes.
@@ -197,6 +184,13 @@ def mixed_qubit_outcome_distribution(state: "MixedQubitState | np.ndarray", obs:
     return np.stack([p_top, 1.0 - p_top], axis=-1)
 
 
+def _matrix_entry(entry) -> complex:
+    """One [re, im] entry of the JSON matrix: a list of exactly two numbers (bools excluded)."""
+    if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry)):
+        raise TypeError(f"got {entry!r}")
+    return complex(*entry)
+
+
 def observable_from_json(payload: dict) -> Observable:
     """Parse the on-disk observable format.
 
@@ -213,20 +207,17 @@ def observable_from_json(payload: dict) -> Observable:
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"observable JSON 'dim' must be an integer >= 2, got {d!r}")
     try:
-        m = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"observable JSON 'matrix' entries must be [re, im] pairs: {exc}") from exc
+        m = np.array([[_matrix_entry(entry) for entry in row] for row in rows], dtype=complex)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"observable JSON 'matrix' entries must be [re, im] pairs of numbers: {exc}") from exc
     if m.shape != (d, d):
         raise ValueError(f"observable JSON 'matrix' has shape {m.shape}, expected ({d}, {d})")
     return make_observable(m)
 
 
 def observable_to_json(obs: Observable) -> dict:
-    """Inverse of :func:`observable_from_json`."""
+    """Inverse of :func:`observable_from_json`, with plain Python numbers as JSON has."""
     return {
         "dim": obs.dim,
-        "matrix": [[[entry.real, entry.imag] for entry in row] for row in obs.matrix],
+        "matrix": [[[float(entry.real), float(entry.imag)] for entry in row] for row in obs.matrix],
     }

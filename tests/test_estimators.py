@@ -9,12 +9,9 @@ from numpy.polynomial.legendre import leggauss
 from optev import (
     EstimatorKind,
     PureState,
-    analytic_bias_mean,
     analytic_delta_av,
-    analytic_delta_av_conditional,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
-    analytic_second_moment,
     derive_stream,
     enumerate_occupations,
     estimate_optimal,
@@ -22,12 +19,12 @@ from optev import (
     estimate_sample_average,
     expectation,
     make_observable,
-    omega_hat,
     outcome_distribution,
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import draw_counts, estimate_from_sums
+from optev.estimators import analytic_bias_mean, analytic_second_moment, draw_counts, estimate_from_sums
+from optev.symmetric import omega_hat
 
 
 def random_observable(d, rng):
@@ -203,29 +200,6 @@ def test_delta_ratio_is_copies_plus_dim_over_copies():
     assert analytic_delta_av(obs, 2) / analytic_delta_opt(obs, 2) == pytest.approx(3.0, rel=1e-13)
 
 
-def test_delta_av_conditional_eigenstate_is_zero():
-    state = PureState(SIGMA_Z.eigenvectors[:, 0])
-    assert abs(analytic_delta_av_conditional(state, SIGMA_Z, 3)) < 1e-14
-
-
-def test_delta_av_conditional_fair_coin():
-    plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert analytic_delta_av_conditional(plus, SIGMA_Z, 4) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_delta_av_conditional_haar_average():
-    amps = sample_haar_amplitudes(2, 1_000_000, derive_stream(41, 0))
-    p_top = np.abs(amps[:, 0]) ** 2
-    truth = 2 * p_top - 1  # tr[rho sigma_z]
-    conditional = (1.0 - truth**2) / 1  # tr[rho sigma_z^2] = 1
-    assert abs(float(conditional.mean()) - 2 / 3) < 0.002
-    # the scalar routine agrees with the vectorized expression
-    for row in amps[:100]:
-        state = PureState(row)
-        want = (1.0 - expectation(state, SIGMA_Z) ** 2) / 1
-        assert abs(analytic_delta_av_conditional(state, SIGMA_Z, 1) - want) < 1e-12
-
-
 def test_bias_mean_deterministic_case():
     state = PureState(np.array([1.0, 0.0]))
     assert analytic_bias_mean(state, SIGMA_Z, 1) == 1 / 3
@@ -281,7 +255,7 @@ def test_exact_count_distribution_matches_closed_forms(d, copies):
     variance = float(p @ (w - t) ** 2)
     assert abs(pmf.sum() - 1.0) < 1e-12
     assert abs(pmf @ optimal - analytic_bias_mean(state, obs, copies)) < 1e-12
-    assert abs(pmf @ (average - t) ** 2 - analytic_delta_av_conditional(state, obs, copies)) < 1e-12
+    assert abs(pmf @ (average - t) ** 2 - variance / copies) < 1e-12
     want = (copies * variance + (obs.trace - d * t) ** 2) / (copies + d) ** 2
     assert abs(pmf @ (optimal - t) ** 2 - want) < 1e-12
 

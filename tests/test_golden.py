@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from optev import ExperimentConfig, RadialLaw, make_observable, rows_to_csv, run_experiment, run_sweep
-from optev.harness import BLOCK
+from optev import ExperimentConfig, RadialLaw, make_observable, rows_to_csv, run_experiment
+from optev.harness import BLOCK, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden.csv")
 

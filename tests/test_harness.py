@@ -23,7 +23,6 @@ from optev import (
     ConfigError,
     EstimatorKind,
     ExperimentConfig,
-    MixedQubitState,
     PureState,
     RadialLaw,
     analytic_delta_av,
@@ -33,7 +32,6 @@ from optev import (
     estimate_optimal_mixed_qubit,
     estimate_sample_average,
     expectation,
-    load_config,
     load_observable,
     make_observable,
     mixed_qubit_expectation,
@@ -42,13 +40,12 @@ from optev import (
     outcome_distribution,
     rows_to_csv,
     run_experiment,
-    run_sweep,
     sample_haar_amplitudes,
 )
 from optev import harness
 from optev.cli import main
 from optev.estimators import draw_counts, estimate_from_sums
-from optev.harness import BLOCK, CSV_COLUMNS, _run_trials
+from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
 from optev.sampling import sample_bloch_vectors
 
 
@@ -134,6 +131,10 @@ def test_config_validation():
         ExperimentConfig(ensemble=RadialLaw.pure_surface(), dim=3)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"dim": 2, "unknown_field": 1})
+    # the outcome draw takes a signed 64-bit count
+    assert ExperimentConfig(copies=2**63 - 1).copies == 2**63 - 1
+    with pytest.raises(ConfigError, match=r"copies must be an integer in \[1, 2\*\*63\)"):
+        ExperimentConfig(copies=2**63)
 
 
 def test_load_config(tmp_path):
@@ -233,9 +234,11 @@ def test_hot_loop_matches_public_operations_bloch():
     truths = mixed_qubit_expectation(bloch, obs)
     kernel_truths, _ = _run_trials(config, obs, 0, config.trials)
     assert np.array_equal(kernel_truths, truths)
-    # against the density-matrix oracle, state by state
+    # against the density-matrix oracle rho = (1 + n.sigma)/2, state by state
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
     for n, truth in zip(bloch, truths):
-        assert abs(truth - np.trace(MixedQubitState(n).density_matrix() @ obs.matrix).real) < 1e-14
+        rho = (np.eye(2) + sum(x * sigma for x, sigma in zip(n, pauli))) / 2
+        assert abs(truth - np.trace(rho @ obs.matrix).real) < 1e-14
     counts = draw_counts(mixed_qubit_outcome_distribution(bloch, obs), 1, stream)
     estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, 1, obs, law.second_moment())
     slow = list((estimates - truths) ** 2)
@@ -592,6 +595,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["verify"], b"\x80\x81\xff"),
         (["simulate"], {"ensemble": {"bloch": {"kind": "fixed-radius", "radius": None}}}),
         (["simulate"], {"ensemble": {"bloch": {"kind": "two-point", "radius": 0.5, "weight": [1]}}}),
+        (["simulate", "--copies", str(2**63)], None),
+        (["sweep", "--dim", ""], None),
+        (["sweep", "--copies", ""], None),
+        # d = 10^8 asks for a 71 PiB matrix, far past the 128 TiB of address space
+        # 64-bit Linux maps for a process by default, so the allocation fails at
+        # once even under overcommit; a smaller d could really allocate
+        (["analytic", "--observable", "identity", "--dim", str(10**8)], None),
     ],
 )
 def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):

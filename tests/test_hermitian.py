@@ -15,10 +15,21 @@ from optev import (
     make_observable,
     mixed_qubit_expectation,
     mixed_qubit_outcome_distribution,
-    observable_from_json,
     observable_to_json,
     outcome_distribution,
 )
+from optev.hermitian import observable_from_json
+
+# the oracle for a Bloch vector n: rho = (1 + n.sigma)/2
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
+
+
+def density_matrix(bloch):
+    return (np.eye(2) + sum(n * sigma for n, sigma in zip(bloch, PAULI))) / 2
 
 
 def random_hermitian(d, rng):
@@ -181,9 +192,8 @@ def test_mixed_outcomes_match_density_matrix():
         obs = make_observable(random_hermitian(2, rng))
         n = rng.standard_normal(3)
         n *= rng.random() / np.linalg.norm(n)
-        state = MixedQubitState(n)
-        p = mixed_qubit_outcome_distribution(state, obs)
-        rho = state.density_matrix()
+        p = mixed_qubit_outcome_distribution(MixedQubitState(n), obs)
+        rho = density_matrix(n)
         for i in range(2):
             v = obs.eigenvectors[:, i]
             assert abs(p[i] - float(np.vdot(v, rho @ v).real)) < 1e-12
@@ -259,6 +269,12 @@ def test_observable_json_round_trip():
 def test_observable_json_rejects_bad_shape():
     with pytest.raises(ValueError, match="shape"):
         observable_from_json({"dim": 3, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("entry", [{"re": 1}, [-1, 0, 7], [True, 0], True, [10**400, 0]])
+def test_observable_json_entries_must_be_two_numbers(entry):
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs of numbers"):
+        observable_from_json({"dim": 2, "matrix": [[entry, [0, 0]], [[0, 0], [1, 0]]]})
 
 
 def test_observable_json_rejects_missing_keys():

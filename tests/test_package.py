@@ -1,11 +1,14 @@
 """Tests of the package as a whole: module boundaries and the README's API."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import optev
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "optev"
@@ -50,3 +53,55 @@ def test_readme_quick_start_runs():
         [sys.executable, "-c", blocks[0]], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_public_surface_is_the_documented_api():
+    assert sorted(optev.__all__) == [
+        "ConfigError",
+        "EstimatorKind",
+        "ExperimentConfig",
+        "MixedQubitState",
+        "Observable",
+        "PureState",
+        "RadialLaw",
+        "__version__",
+        "analytic_delta_av",
+        "analytic_delta_mixed_qubit",
+        "analytic_delta_opt",
+        "build_projector_occupation",
+        "build_projector_permutation",
+        "check_unbiased_lemma",
+        "derive_stream",
+        "enumerate_occupations",
+        "estimate_optimal",
+        "estimate_optimal_mixed_qubit",
+        "estimate_sample_average",
+        "expectation",
+        "haar_average_tensor_power",
+        "load_observable",
+        "make_observable",
+        "mixed_qubit_expectation",
+        "mixed_qubit_outcome_distribution",
+        "observable_to_json",
+        "occupation_basis_vector",
+        "outcome_distribution",
+        "rows_to_csv",
+        "run_experiment",
+        "run_verify",
+        "sample_bloch_mixed",
+        "sample_haar_amplitudes",
+        "sample_haar_pure",
+        "simulate_measurements",
+        "symmetric_dimension",
+    ]
+    assert all(hasattr(optev, name) for name in optev.__all__)
+    # internals that stay importable from their modules, not from the top level
+    internal = {
+        "estimators": ["analytic_bias_mean", "analytic_second_moment"],
+        "symmetric": ["embed_one_body", "omega_hat", "omega_hat_av", "partial_trace_last"],
+        "hermitian": ["observable_from_json"],
+        "harness": ["load_config", "run_sweep"],
+    }
+    for module, names in internal.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"optev.{module}"), name))

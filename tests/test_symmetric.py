@@ -10,21 +10,17 @@ from optev import (
     build_projector_permutation,
     check_unbiased_lemma,
     derive_stream,
-    embed_one_body,
     enumerate_occupations,
     estimate_optimal,
     estimate_sample_average,
     haar_average_tensor_power,
     make_observable,
     occupation_basis_vector,
-    omega_hat,
-    omega_hat_av,
-    partial_trace_last,
     sample_haar_amplitudes,
     symmetric_dimension,
 )
 from optev import symmetric
-from optev.symmetric import tensor_power_rows
+from optev.symmetric import embed_one_body, omega_hat, omega_hat_av, partial_trace_last, tensor_power_rows
 
 
 def random_observable(d, rng):
