@@ -60,8 +60,9 @@ def estimate_from_sums(
 
 
 def _check_copies(copies: int) -> None:
-    if copies < 1:
-        raise ValueError(f"need copies >= 1, got {copies}")
+    # the outcome draw, Generator.multinomial, takes a signed 64-bit count
+    if isinstance(copies, bool) or not isinstance(copies, int) or not 1 <= copies < 2**63:
+        raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
 
 
 def _check_n2(n2: float) -> None:

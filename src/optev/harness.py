@@ -3,20 +3,25 @@
 An experiment draws M ensemble trials in blocks of ``BLOCK`` trials; the
 block starting at trial k draws all of its randomness from the stream keyed
 by (master_seed, k) and records each trial's truth and sum of observed
-eigenvalues.  Blocks never depend on the worker count and results are
-reduced in trial order afterwards, so output is byte-identical for any
-worker count.  The bias at the fixed probe (the top eigenvector, where every
-outcome is the top eigenvalue) is exact, not drawn.
+eigenvalues.  A Haar block draws only the states' outcome probabilities in
+the observable's eigenbasis, which are Dirichlet(1, ..., 1) rows
+(:func:`optev.sampling.sample_haar_probabilities`); no amplitude is built.
+Blocks never depend on the worker count and results are reduced in trial
+order afterwards with an exact sum equal to ``math.fsum``, so output is
+byte-identical for any worker count.  The bias at the fixed probe (the top
+eigenvector, where every outcome is the top eigenvalue) is exact, not drawn.
 
 Runs with ``workers > 1`` share one spawn process pool per process.  The
 first such run starts it with ``min(workers, os.cpu_count())`` processes;
 later runs reuse it, and a run that needs another size replaces it.  A pool
-that breaks is shut down and dropped, so the next run starts a fresh one,
-and ``concurrent.futures`` joins the pool at interpreter exit.
+that breaks is shut down and dropped, so the next run starts a fresh one.
+At interpreter exit ``concurrent.futures`` stops the workers and an
+``atexit`` hook then shuts the pool down.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
@@ -50,12 +55,12 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, sample_bloch_vectors, sample_haar_amplitudes
+from .sampling import RadialLaw, derive_stream, sample_bloch_vectors, sample_haar_probabilities
 
 HAAR_ENSEMBLE = "haar-pure"
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
-BLOCK = 256
+BLOCK = 4096
 
 CSV_COLUMNS = (
     "d",
@@ -241,7 +246,7 @@ def _run_trials(
         generator = derive_stream(config.master_seed, k)
         size = min(BLOCK, stop - k)
         if law is None:
-            p = outcome_distribution(sample_haar_amplitudes(d, size, generator), obs)
+            p = sample_haar_probabilities(d, size, generator)
             truth = p @ w
         else:
             bloch = sample_bloch_vectors(law, size, generator)
@@ -252,15 +257,49 @@ def _run_trials(
     return np.concatenate(truths), np.concatenate(sums)
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a float array: ``math.fsum(values.tolist())``.
+
+    Each value is m * 2**(e - 53) with frexp's exponent e and an integer
+    m below 2**53 in magnitude.  m is split into a 27-bit high and a 26-bit
+    low part, and each part is summed per exponent by ``np.bincount``; with
+    at most 2**26 values every partial sum is an integer below 2**53, so the
+    float accumulation is exact.  The buckets then make one Python int,
+    divided once with correct rounding.  Values go through in slices of
+    ``BLOCK``, so no temporary is larger than a block.  Where fsum raises for
+    an overflowing partial sum but the total is finite, this returns the
+    total.
+    """
+    if not 0 < values.size <= 2**26 or not np.isfinite(values).all():
+        return math.fsum(values.tolist())
+    # frexp's exponent of a nonzero finite double lies in [-1073, 1024]
+    highs, lows = np.zeros(2098), np.zeros(2098)
+    for start in range(0, values.size, BLOCK):
+        mantissa, exponent = np.frexp(values[start : start + BLOCK])
+        exponent += 1073
+        mantissa *= 2.0**27
+        high = np.floor(mantissa)
+        mantissa -= high
+        mantissa *= 2.0**26
+        highs += np.bincount(exponent, weights=high, minlength=2098)
+        lows += np.bincount(exponent, weights=mantissa, minlength=2098)
+    total = 0
+    buckets = np.flatnonzero((highs != 0.0) | (lows != 0.0))
+    for shift, high_sum, low_sum in zip(buckets.tolist(), highs[buckets].tolist(), lows[buckets].tolist()):
+        total += ((int(high_sum) << 26) + int(low_sum)) << shift
+    if total == 0:  # fsum keeps the sign of a zero sum
+        return math.fsum(values.tolist())
+    return total / (1 << (1073 + 53))
+
+
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    # fsum over a list, not the array: the same float, without numpy scalars
     m = values.size
-    mean = math.fsum(values.tolist()) / m
+    mean = _exact_sum(values) / m
     if m < 2:
         return mean, 0.0
     centered = values - mean
-    variance = math.fsum((centered * centered).tolist()) / (m - 1)
-    return mean, math.sqrt(variance / m)
+    centered *= centered
+    return mean, math.sqrt(_exact_sum(centered) / (m - 1) / m)
 
 
 def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
@@ -307,6 +346,18 @@ def _pool_map(size: int, fn, *iterables) -> list:
             _pool[1].shutdown(wait=True)
             _pool = None
             raise
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the pool down and drop it.  Run at exit, before module teardown:
+    an executor collected after the modules its callbacks use prints an
+    ignored ``AttributeError``."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown()
+            _pool = None
 
 
 def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,11 @@ bit generator keyed by the pair (master_seed, trial_index).  Its draws are a
 pure function of that pair, so results never depend on worker count or
 scheduling order.  The harness keys one stream per block of trials, by the
 index of the block's first trial.
+
+Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
+amplitudes themselves; :func:`sample_haar_probabilities` draws only the
+outcome probabilities in an observable's eigenbasis, which is all the
+harness's pure-state kernel needs.
 """
 
 from __future__ import annotations
@@ -145,6 +150,26 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
     amp = stream.standard_normal((count, 2 * d)).view(np.complex128)
     amp /= np.linalg.norm(amp, axis=1, keepdims=True)
     return amp
+
+
+def sample_haar_probabilities(d: int, count: int, stream: np.random.Generator) -> np.ndarray:
+    """Batch of Haar pure states' outcome probabilities in a fixed basis, shape (count, d).
+
+    A Haar state's amplitudes are d i.i.d. standard complex Gaussians,
+    normalized; |z_i|^2 of each Gaussian is an exponential variable, so the
+    probabilities |<e_i|psi>|^2 are normalized exponentials: Dirichlet(1, ..., 1),
+    uniform on the simplex.  Unitary invariance makes this the law in every
+    basis, in particular an observable's eigenbasis (the induced measure of
+    Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).  Each row is
+    ``e / e.sum()`` with ``e = stream.standard_exponential(d)``.
+    """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}")
+    p = stream.standard_exponential((count, d))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:

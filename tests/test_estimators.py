@@ -68,6 +68,28 @@ def test_zero_measurements_rejected():
         simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 0, derive_stream(4, 0))
 
 
+@pytest.mark.parametrize("copies", [2.5, 2.0, True, False, 0, -3, 2**63, "2"])
+def test_copies_must_be_an_int_in_range(copies):
+    # floats once gave numbers, bools counted as 1, and 2**63 reached
+    # numpy's OverflowError; every function that takes copies refuses them
+    state = PureState(np.array([1.0, 0.0]))
+    calls = (
+        lambda: analytic_delta_opt(SIGMA_Z, copies),
+        lambda: analytic_delta_av(SIGMA_Z, copies),
+        lambda: analytic_bias_mean(state, SIGMA_Z, copies),
+        lambda: simulate_measurements(state, SIGMA_Z, copies, derive_stream(4, 0)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"copies must be an integer in \[1, 2\*\*63\)"):
+            call()
+
+
+def test_largest_copies_is_accepted():
+    assert analytic_delta_opt(SIGMA_Z, 2**63 - 1) > 0.0
+    out = simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 2**63 - 1, derive_stream(4, 0))
+    assert out.tolist() == [2**63 - 1, 0]
+
+
 def test_draw_counts_never_picks_zero_probability():
     p = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
     counts = draw_counts(p, 10_000, derive_stream(5, 0))

@@ -37,16 +37,14 @@ from optev import (
     mixed_qubit_expectation,
     mixed_qubit_outcome_distribution,
     observable_to_json,
-    outcome_distribution,
     rows_to_csv,
     run_experiment,
-    sample_haar_amplitudes,
 )
 from optev import harness
 from optev.cli import main
 from optev.estimators import draw_counts, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
-from optev.sampling import sample_bloch_vectors
+from optev.sampling import sample_bloch_vectors, sample_haar_probabilities
 
 
 # --- load_observable ---
@@ -208,12 +206,11 @@ def test_hot_loop_matches_public_operations_bitwise():
     obs = load_observable("diag(3,0,-3)")
     row = run_experiment(config)
     stream = derive_stream(config.master_seed, 0)
-    amplitudes = sample_haar_amplitudes(config.dim, config.trials, stream)
-    p = outcome_distribution(amplitudes, obs)
+    p = sample_haar_probabilities(config.dim, config.trials, stream)
     truths = p @ obs.eigenvalues
-    assert np.array_equal(truths, expectation(amplitudes, obs))
-    for amplitude, truth in zip(amplitudes, truths):
-        assert abs(truth - expectation(PureState(amplitude), obs)) < 1e-14
+    # a state with these eigenbasis probabilities has these expectation values
+    for row_p, truth in zip(p, truths):
+        assert abs(truth - expectation(PureState(obs.eigenvectors @ np.sqrt(row_p)), obs)) < 1e-14
     counts = draw_counts(p, config.copies, stream)
     estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, config.copies, obs)
     slow = list((estimates - truths) ** 2)
@@ -660,6 +657,18 @@ def test_guarded_script_exits_with_its_pool_alive(tmp_path):
     done = _run_script([str(path)], None)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) >= 0.0
+
+
+def test_exit_hook_joins_the_pool_and_a_later_run_restarts_it():
+    # registered with atexit: left to module teardown, the executor could be
+    # collected after the modules its callbacks use and print an ignored error
+    config = ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK, master_seed=19, workers=2)
+    text = rows_to_csv([run_experiment(config)])
+    assert multiprocessing.active_children()
+    harness._close_pool()
+    assert harness._pool is None
+    assert multiprocessing.active_children() == []
+    assert rows_to_csv([run_experiment(config)]) == text
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -10,10 +10,13 @@ from optev import (
     RadialLaw,
     build_projector_permutation,
     derive_stream,
+    make_observable,
+    outcome_distribution,
     sample_bloch_mixed,
     sample_haar_amplitudes,
     sample_haar_pure,
 )
+from optev.sampling import sample_haar_probabilities
 
 
 # --- stream derivation ---
@@ -104,6 +107,31 @@ def test_unitary_invariance_proxy_kolmogorov_smirnov():
 def test_haar_rejects_small_dimension():
     with pytest.raises(ValueError):
         sample_haar_pure(1, derive_stream(0, 0))
+    with pytest.raises(ValueError):
+        sample_haar_probabilities(1, 5, derive_stream(0, 0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_haar_probabilities_follow_the_haar_eigenbasis_law(d):
+    samples = 100_000
+    p = sample_haar_probabilities(d, samples, derive_stream(24, d))
+    assert p.shape == (samples, d)
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+    # Dirichlet(1, ..., 1) moments, each within 5 standard errors
+    i, j = np.triu_indices(d, 1)
+    for values, want in (
+        (p, 1.0 / d),
+        (p * p, 2.0 / (d * (d + 1))),
+        (p[:, i] * p[:, j], 1.0 / (d * (d + 1))),
+    ):
+        se = values.std(axis=0, ddof=1) / math.sqrt(samples)
+        assert (np.abs(values.mean(axis=0) - want) < 5 * se).all()
+    # the same law as a Haar state's outcome distribution in a random eigenbasis
+    rng = np.random.default_rng(d)
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    obs = make_observable((raw + raw.conj().T) / 2)
+    haar = outcome_distribution(sample_haar_amplitudes(d, samples, derive_stream(25, d)), obs)
+    assert scipy.stats.ks_2samp(p[:, 0], haar[:, 0]).pvalue > 1e-3
 
 
 # --- radial laws ---
