@@ -25,10 +25,42 @@ class EstimatorKind(str, enum.Enum):
 
 
 def draw_counts(p, copies: int, generator: np.random.Generator) -> np.ndarray:
-    """Outcome counts of ``copies`` measurements, one count row per row of ``p``."""
-    p = np.asarray(p)
-    # renormalized: multinomial rejects rows that sum to an ulp above 1
-    return generator.multinomial(copies, p / p.sum(axis=-1, keepdims=True))
+    """Outcome counts of ``copies`` measurements, one count row per row of ``p``.
+
+    Rows need not be normalized, but every entry must be finite and
+    non-negative and every row must have a positive sum.  One copy takes one
+    ``generator.random`` draw per row, located in the row's cumulative
+    distribution; more copies take one ``generator.multinomial`` draw per row.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if copies == 1:
+            # column by column: numpy accumulates a short last axis one row
+            # at a time, several times slower than d - 1 column additions
+            cumulative = p.copy()
+            for j in range(1, p.shape[-1]):
+                cumulative[..., j] += cumulative[..., j - 1]
+            # a copy, so the division below does not read what it writes
+            total = cumulative[..., -1:].copy()
+        else:
+            total = p.sum(axis=-1, keepdims=True)
+    # a NaN entry makes the minimum NaN, which fails every comparison; an
+    # infinite entry, or finite ones too large to add up, make the row's sum
+    # infinite
+    if not (p.min(initial=0.0) >= 0.0 and ((total > 0.0) & (total < np.inf)).all()):
+        raise ValueError("outcome probabilities must be finite and non-negative with a positive sum per row")
+    if copies > 1:
+        # renormalized: multinomial rejects rows that sum to an ulp above 1
+        return generator.multinomial(copies, p / total)
+    # divided by its own sum, each cumulative row ends in exactly 1, above
+    # every uniform, so the entries above the row's uniform run to its end;
+    # xor with the left neighbour keeps the run's first, the drawn outcome.
+    # That is never an outcome of probability 0, whose entry repeats the one
+    # before it.
+    cumulative /= total
+    first = cumulative > generator.random(total.shape)
+    first[..., 1:] ^= first[..., :-1]
+    return first.astype(np.int64)
 
 
 def simulate_measurements(

@@ -6,6 +6,11 @@ by (master_seed, k) and records each trial's truth and sum of observed
 eigenvalues.  A Haar block draws only the states' outcome probabilities in
 the observable's eigenbasis, which are Dirichlet(1, ..., 1) rows
 (:func:`optev.sampling.sample_haar_probabilities`); no amplitude is built.
+A Bloch block draws only each state's Bloch component s along the top
+eigenvector's Bloch vector m (:func:`optev.sampling.sample_bloch_components`)
+and measures the state with Bloch vector s m, which has the same
+expectation value and outcome law.  A one-copy outcome is one uniform per
+trial, located in the trial's cumulative outcome distribution.
 Blocks never depend on the worker count and results are reduced in trial
 order afterwards with an exact sum equal to ``math.fsum``, so output is
 byte-identical for any worker count.  The bias at the fixed probe (the top
@@ -55,7 +60,7 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, sample_bloch_vectors, sample_haar_probabilities
+from .sampling import RadialLaw, derive_stream, sample_bloch_components, sample_haar_probabilities
 
 HAAR_ENSEMBLE = "haar-pure"
 
@@ -249,12 +254,22 @@ def _run_trials(
             p = sample_haar_probabilities(d, size, generator)
             truth = p @ w
         else:
-            bloch = sample_bloch_vectors(law, size, generator)
+            # tr[rho Omega] and the outcome law see n only through n.tau, and tau
+            # is parallel to m, so n = s m has the same truth and law
+            bloch = sample_bloch_components(law, size, generator)[:, None] * obs.top_bloch_vector
             truth = mixed_qubit_expectation(bloch, obs)
             p = mixed_qubit_outcome_distribution(bloch, obs)
         truths.append(truth)
         sums.append(draw_counts(p, n, generator) @ w)
     return np.concatenate(truths), np.concatenate(sums)
+
+
+# values per flush of the exponent buckets into one Python int; each bucket's
+# partial sum stays an integer below 2**53 for at most 2**26 values
+_FLUSH = 2**26
+
+# fsum's sum of negative zeros: -0.0 on Pythons whose fsum keeps the sign
+_NEGATIVE_ZERO_SUM = math.fsum([-0.0])
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -263,32 +278,37 @@ def _exact_sum(values: np.ndarray) -> float:
     Each value is m * 2**(e - 53) with frexp's exponent e and an integer
     m below 2**53 in magnitude.  m is split into a 27-bit high and a 26-bit
     low part, and each part is summed per exponent by ``np.bincount``; with
-    at most 2**26 values every partial sum is an integer below 2**53, so the
-    float accumulation is exact.  The buckets then make one Python int,
-    divided once with correct rounding.  Values go through in slices of
-    ``BLOCK``, so no temporary is larger than a block.  Where fsum raises for
+    at most ``_FLUSH`` = 2**26 values per flush every partial sum is an
+    integer below 2**53, so the float accumulation is exact.  Each flush adds
+    the buckets to one Python int, divided once with correct rounding at the
+    end.  Values go through in slices of ``BLOCK``, so no temporary is larger
+    than a block.  A zero total is fsum's signed zero.  Where fsum raises for
     an overflowing partial sum but the total is finite, this returns the
     total.
     """
-    if not 0 < values.size <= 2**26 or not np.isfinite(values).all():
+    if values.size == 0 or not np.isfinite(values).all():
         return math.fsum(values.tolist())
-    # frexp's exponent of a nonzero finite double lies in [-1073, 1024]
-    highs, lows = np.zeros(2098), np.zeros(2098)
-    for start in range(0, values.size, BLOCK):
-        mantissa, exponent = np.frexp(values[start : start + BLOCK])
-        exponent += 1073
-        mantissa *= 2.0**27
-        high = np.floor(mantissa)
-        mantissa -= high
-        mantissa *= 2.0**26
-        highs += np.bincount(exponent, weights=high, minlength=2098)
-        lows += np.bincount(exponent, weights=mantissa, minlength=2098)
     total = 0
-    buckets = np.flatnonzero((highs != 0.0) | (lows != 0.0))
-    for shift, high_sum, low_sum in zip(buckets.tolist(), highs[buckets].tolist(), lows[buckets].tolist()):
-        total += ((int(high_sum) << 26) + int(low_sum)) << shift
-    if total == 0:  # fsum keeps the sign of a zero sum
-        return math.fsum(values.tolist())
+    for flush in range(0, values.size, _FLUSH):
+        # frexp's exponent of a nonzero finite double lies in [-1073, 1024]
+        highs, lows = np.zeros(2098), np.zeros(2098)
+        end = min(flush + _FLUSH, values.size)
+        for start in range(flush, end, BLOCK):
+            mantissa, exponent = np.frexp(values[start : min(start + BLOCK, end)])
+            exponent += 1073
+            mantissa *= 2.0**27
+            high = np.floor(mantissa)
+            mantissa -= high
+            mantissa *= 2.0**26
+            highs += np.bincount(exponent, weights=high, minlength=2098)
+            lows += np.bincount(exponent, weights=mantissa, minlength=2098)
+        buckets = np.flatnonzero((highs != 0.0) | (lows != 0.0))
+        for shift, high_sum, low_sum in zip(buckets.tolist(), highs[buckets].tolist(), lows[buckets].tolist()):
+            total += ((int(high_sum) << 26) + int(low_sum)) << shift
+    if total == 0:
+        # only negative zeros can sum to fsum's -0.0: any other value that
+        # cancels to 0 includes a positive one
+        return _NEGATIVE_ZERO_SUM if np.signbit(values).all() else 0.0
     return total / (1 << (1073 + 53))
 
 

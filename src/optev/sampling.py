@@ -9,7 +9,10 @@ index of the block's first trial.
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :func:`sample_haar_probabilities` draws only the
 outcome probabilities in an observable's eigenbasis, which is all the
-harness's pure-state kernel needs.
+harness's pure-state kernel needs.  Isotropic Bloch-ball states are drawn
+the same two ways: :func:`sample_bloch_vectors` draws whole Bloch vectors,
+:func:`sample_bloch_components` only their components along one axis, which
+is all a qubit observable sees of them.
 """
 
 from __future__ import annotations
@@ -185,3 +188,17 @@ def sample_bloch_vectors(law: RadialLaw, count: int, stream: np.random.Generator
     """
     u = stream.standard_normal((count, 3))
     return (law.sample_radius(stream, count) / np.linalg.norm(u, axis=1))[:, None] * u
+
+
+def sample_bloch_components(law: RadialLaw, count: int, stream: np.random.Generator) -> np.ndarray:
+    """Batch of isotropic Bloch vectors' components along one fixed axis, shape (count,).
+
+    A uniform direction's component along any fixed unit axis is uniform on
+    [-1, 1] (Archimedes' hat-box theorem), and the radius is independent of
+    the direction, so each value is ``radius * (2u - 1)``.  All ``count``
+    uniforms are drawn first, then all radii, as in
+    :func:`sample_bloch_vectors`.
+    """
+    s = 2.0 * stream.random(count) - 1.0
+    s *= law.sample_radius(stream, count)
+    return s

@@ -90,13 +90,39 @@ def test_largest_copies_is_accepted():
     assert out.tolist() == [2**63 - 1, 0]
 
 
-def test_draw_counts_never_picks_zero_probability():
-    p = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
-    counts = draw_counts(p, 10_000, derive_stream(5, 0))
-    assert (counts[:, 1] == 0).all()
-    assert np.array_equal(counts[1], [0, 0, 10_000])
+@pytest.mark.parametrize("copies", [1, 10_000])
+def test_draw_counts_never_picks_zero_probability(copies):
+    p = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.25, 0.75, 0.0], [1e-300, 0.0, 0.0]])
+    rows = np.repeat(p, 1000, axis=0)
+    counts = draw_counts(rows, copies, derive_stream(5, copies))
+    assert (counts[rows == 0.0] == 0).all()
+    assert (counts[1000:2000] == [0, 0, copies]).all()
+    assert (counts[3000:] == [copies, 0, 0]).all()
     # one count per outcome and copy: nothing lands outside the d outcomes
-    assert counts.shape == p.shape and (counts.sum(axis=1) == 10_000).all()
+    assert counts.shape == rows.shape and (counts.sum(axis=1) == copies).all()
+
+
+@pytest.mark.parametrize("copies", [1, 10])
+@pytest.mark.parametrize(
+    "row",
+    [[0.0, 0.0], [-0.1, 1.1], [math.nan, 1.0], [math.inf, 1.0], [0.5, -math.inf], [math.inf, -math.inf], [1e308, 1e308]],
+)
+def test_draw_counts_rejects_bad_rows(row, copies):
+    # a bad row among good ones, so the check looks at every row
+    p = np.array([[0.5, 0.5], row, [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite and non-negative with a positive sum"):
+        draw_counts(p, copies, derive_stream(6, 0))
+
+
+def test_one_copy_draw_frequencies():
+    # unnormalized rows, so the draw must scale the cumulative row itself
+    p = np.array([0.1, 0.0, 0.45, 0.2, 0.25]) * 3.0
+    trials = 400_000
+    counts = draw_counts(np.broadcast_to(p, (trials, 5)), 1, derive_stream(7, 0))
+    assert counts.dtype == np.int64 and (counts.sum(axis=1) == 1).all()
+    want = p / p.sum()
+    se = np.sqrt(want * (1.0 - want) / trials)
+    assert (np.abs(counts.mean(axis=0) - want) <= 5.0 * se).all()
 
 
 # --- point estimators ---

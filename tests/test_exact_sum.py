@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from optev.harness import _exact_sum
+from optev import harness
+from optev.harness import BLOCK, _exact_sum
 
 
 def outcome(total, values):
@@ -62,6 +63,8 @@ def test_equals_fsum_on_wide_mantissas_at_one_scale(mantissas, exponent):
         [1.0, 2**-1074, -(2**-1074)],
         [1e16, 1.0, -1e16],
         [-0.0, -0.0],
+        [0.0] * (2 * BLOCK + 3),
+        [-0.0] * (2 * BLOCK + 3),
         [0.1] * 10,
         np.random.default_rng(0).standard_normal(10**5).tolist(),
         [1.7976931348623157e308, 1.7976931348623157e308],
@@ -70,8 +73,22 @@ def test_equals_fsum_on_wide_mantissas_at_one_scale(mantissas, exponent):
         [1.0, math.nan],
         [],
     ],
-    ids=["huge-cancel", "subnormal-cancel", "absorbed-one", "negative-zeros", "tenths", "normals",
+    ids=["huge-cancel", "subnormal-cancel", "absorbed-one", "negative-zeros", "zeros-past-block",
+         "negative-zeros-past-block", "tenths", "normals",
          "overflow", "inf", "inf-minus-inf", "nan", "empty"],
 )
 def test_equals_fsum_on_fixed_cases(xs):
     assert_equals_fsum(xs)
+
+
+@pytest.mark.parametrize("flush", [BLOCK, 3 * BLOCK, 3 * BLOCK + 5])
+def test_equals_fsum_across_flushes(monkeypatch, flush):
+    # a flush period of a few blocks stands in for 2**26 values: the buckets
+    # go into the int at every period, with a short last period
+    monkeypatch.setattr(harness, "_FLUSH", flush)
+    rng = np.random.default_rng(flush)
+    values = np.ldexp(rng.standard_normal(10 * BLOCK + 7), rng.integers(-60, 60, 10 * BLOCK + 7))
+    assert_equals_fsum(values.tolist())
+    cancelling = np.concatenate([values, -values[::-1]])
+    assert_equals_fsum(cancelling.tolist())
+    assert_equals_fsum(np.append(cancelling, [-0.0, 2**-1074]).tolist())

@@ -44,7 +44,7 @@ from optev import harness
 from optev.cli import main
 from optev.estimators import draw_counts, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
-from optev.sampling import sample_bloch_vectors, sample_haar_probabilities
+from optev.sampling import sample_bloch_components, sample_haar_probabilities
 
 
 # --- load_observable ---
@@ -224,10 +224,11 @@ def test_hot_loop_matches_public_operations_bloch():
     config = ExperimentConfig(
         dim=2, copies=1, trials=BLOCK, master_seed=10, estimator="optimal-mixed-qubit", ensemble=law
     )
-    obs = load_observable("pauli-z")
-    row = run_experiment(config)
+    # off-diagonal, so the Bloch vector m of the top eigenvector is no axis
+    obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    row = run_experiment(config, observable=obs)
     stream = derive_stream(config.master_seed, 0)
-    bloch = sample_bloch_vectors(law, config.trials, stream)
+    bloch = sample_bloch_components(law, config.trials, stream)[:, None] * obs.top_bloch_vector
     truths = mixed_qubit_expectation(bloch, obs)
     kernel_truths, _ = _run_trials(config, obs, 0, config.trials)
     assert np.array_equal(kernel_truths, truths)

@@ -16,7 +16,7 @@ from optev import (
     sample_haar_amplitudes,
     sample_haar_pure,
 )
-from optev.sampling import sample_haar_probabilities
+from optev.sampling import sample_bloch_components, sample_bloch_vectors, sample_haar_probabilities
 
 
 # --- stream derivation ---
@@ -176,6 +176,30 @@ def test_bloch_direction_isotropy():
         [sample_bloch_mixed(RadialLaw.pure_surface(), derive_stream(34, k)).bloch for k in range(4000)]
     )
     assert np.abs(rows.mean(axis=0)).max() < 4.0 / math.sqrt(3 * 4000) * 3
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        RadialLaw.pure_surface(),
+        RadialLaw.uniform_ball(),
+        RadialLaw.fixed_radius(math.sqrt(0.6)),
+        RadialLaw.fixed_radius(0.0),
+        RadialLaw.two_point(1.0, 0.6),
+    ],
+    ids=lambda law: law.label(),
+)
+def test_bloch_components_follow_the_projected_bloch_law(law):
+    samples = 100_000
+    s = sample_bloch_components(law, samples, derive_stream(35, 0))
+    assert s.shape == (samples,) and (np.abs(s) <= law.radius).all()
+    # the same law as whole isotropic Bloch vectors projected on a fixed axis
+    axis = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
+    projected = sample_bloch_vectors(law, samples, derive_stream(36, 0)) @ axis
+    assert scipy.stats.ks_2samp(s, projected).pvalue > 1e-3
+    # E[s^2] = <n^2> E[cos^2] = n2 / 3, within 5 standard errors
+    se = float(np.std(s * s, ddof=1)) / math.sqrt(samples)
+    assert abs(float(np.mean(s * s)) - law.second_moment() / 3.0) <= 5.0 * se
 
 
 def test_radial_law_validation():
