@@ -12,6 +12,7 @@ together with all d eigenvalues of the observable, i.e.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,8 +32,26 @@ def draw_counts(p, copies: int, generator: np.random.Generator) -> np.ndarray:
     non-negative and every row must have a positive sum.  One copy takes one
     ``generator.random`` draw per row, located in the row's cumulative
     distribution; more copies take one ``generator.multinomial`` draw per row.
+    A 1-D ``p`` is one row and draws what it draws as a row of a block.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim == 1 and p.size:
+        # one row, checked in Python floats: their sum is NaN or infinite,
+        # with no warning, for a NaN, an infinity or entries too large to
+        # add up.  A bad row, or one whose numpy sum might overflow, takes
+        # the block path, which raises or draws
+        row = p.tolist()
+        cumulative = list(accumulate(row))
+        total = cumulative[-1]
+        if not (0.0 < total < 2.0**1023 and min(row) >= 0.0):
+            return draw_counts(p[None], copies, generator)[0]
+        if copies > 1:
+            return generator.multinomial(copies, p / p.sum())
+        # the block path's draw: its cumulative row adds the columns in order too
+        u = generator.random()
+        counts = np.zeros(p.size, dtype=np.int64)
+        counts[next(i for i, c in enumerate(cumulative) if c / total > u)] = 1
+        return counts
     with np.errstate(over="ignore", invalid="ignore"):
         if copies == 1:
             # column by column: numpy accumulates a short last axis one row

@@ -3,14 +3,17 @@
 An experiment draws M ensemble trials in blocks of ``BLOCK`` trials; the
 block starting at trial k draws all of its randomness from the stream keyed
 by (master_seed, k) and records each trial's truth and sum of observed
-eigenvalues.  A Haar block draws only the states' outcome probabilities in
-the observable's eigenbasis, which are Dirichlet(1, ..., 1) rows
-(:func:`optev.sampling.sample_haar_probabilities`); no amplitude is built.
-A Bloch block draws only each state's Bloch component s along the top
-eigenvector's Bloch vector m (:func:`optev.sampling.sample_bloch_components`)
-and measures the state with Bloch vector s m, which has the same
-expectation value and outcome law.  A one-copy outcome is one uniform per
-trial, located in the trial's cumulative outcome distribution.
+eigenvalues.  A Haar block draws each trial's outcome counts first, uniform
+over the compositions of N into d parts, and then the state's outcome
+probabilities in the observable's eigenbasis from Dirichlet(1 + counts)
+(:func:`optev.sampling.sample_haar_counts`); that is the joint law of
+Dirichlet(1, ..., 1) probabilities and multinomial counts, with no
+amplitude and no multinomial draw.  A Bloch block draws only each state's
+Bloch component s along the top eigenvector's Bloch vector m
+(:func:`optev.sampling.sample_bloch_components`) and measures the state
+with Bloch vector s m, which has the same expectation value and outcome
+law; a one-copy outcome is one uniform per trial, located in the trial's
+cumulative outcome distribution.
 Blocks never depend on the worker count and results are reduced in trial
 order afterwards with an exact sum equal to ``math.fsum``, so output is
 byte-identical for any worker count.  The bias at the fixed probe (the top
@@ -60,7 +63,7 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, sample_bloch_components, sample_haar_probabilities
+from .sampling import RadialLaw, derive_stream, sample_bloch_components, sample_haar_counts
 
 HAAR_ENSEMBLE = "haar-pure"
 
@@ -153,7 +156,8 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
             _check_int(name, getattr(self, name), low)
-        # the outcome draw, Generator.multinomial, takes a signed 64-bit count
+        # the Bloch outcome draw, Generator.multinomial, takes a signed 64-bit
+        # count; the Haar draw's N + d - 1 slots are uint64
         _check_int("copies", self.copies, 1, bits=63)
         if self.is_bloch:
             if not isinstance(self.ensemble, RadialLaw):
@@ -251,16 +255,15 @@ def _run_trials(
         generator = derive_stream(config.master_seed, k)
         size = min(BLOCK, stop - k)
         if law is None:
-            p = sample_haar_probabilities(d, size, generator)
-            truth = p @ w
+            p, counts = sample_haar_counts(d, n, size, generator)
+            truths.append(p @ w)
         else:
             # tr[rho Omega] and the outcome law see n only through n.tau, and tau
             # is parallel to m, so n = s m has the same truth and law
             bloch = sample_bloch_components(law, size, generator)[:, None] * obs.top_bloch_vector
-            truth = mixed_qubit_expectation(bloch, obs)
-            p = mixed_qubit_outcome_distribution(bloch, obs)
-        truths.append(truth)
-        sums.append(draw_counts(p, n, generator) @ w)
+            truths.append(mixed_qubit_expectation(bloch, obs))
+            counts = draw_counts(mixed_qubit_outcome_distribution(bloch, obs), n, generator)
+        sums.append(counts @ w)
     return np.concatenate(truths), np.concatenate(sums)
 
 

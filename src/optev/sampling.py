@@ -7,9 +7,10 @@ scheduling order.  The harness keys one stream per block of trials, by the
 index of the block's first trial.
 
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
-amplitudes themselves; :func:`sample_haar_probabilities` draws only the
-outcome probabilities in an observable's eigenbasis, which is all the
-harness's pure-state kernel needs.  Isotropic Bloch-ball states are drawn
+amplitudes themselves; :func:`sample_haar_counts` draws only the outcome
+probabilities in an observable's eigenbasis together with the outcome counts
+of N measurements, counts first, which is all the harness's pure-state
+kernel needs.  Isotropic Bloch-ball states are drawn
 the same two ways: :func:`sample_bloch_vectors` draws whole Bloch vectors,
 :func:`sample_bloch_components` only their components along one axis, which
 is all a qubit observable sees of them.
@@ -155,24 +156,80 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
     return amp
 
 
-def sample_haar_probabilities(d: int, count: int, stream: np.random.Generator) -> np.ndarray:
-    """Batch of Haar pure states' outcome probabilities in a fixed basis, shape (count, d).
+def sample_haar_counts(
+    d: int, copies: int, count: int, stream: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haar pure states' eigenbasis probabilities and the outcome counts of ``copies``
+    measurements of each, both of shape (count, d), drawn counts first.
 
     A Haar state's amplitudes are d i.i.d. standard complex Gaussians,
-    normalized; |z_i|^2 of each Gaussian is an exponential variable, so the
-    probabilities |<e_i|psi>|^2 are normalized exponentials: Dirichlet(1, ..., 1),
-    uniform on the simplex.  Unitary invariance makes this the law in every
-    basis, in particular an observable's eigenbasis (the induced measure of
-    Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).  Each row is
-    ``e / e.sum()`` with ``e = stream.standard_exponential(d)``.
+    normalized, so its probabilities p in any fixed basis are normalized
+    exponentials: Dirichlet(1, ..., 1), uniform on the simplex (the induced
+    measure of Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).  With
+    counts c | p multinomial(N, p), Dirichlet-multinomial conjugacy gives the
+    same joint law the other way round: c uniform over the C(N+d-1, d-1)
+    compositions of N into d parts, then p | c Dirichlet(1 + c).  A
+    composition is a uniform choice of the N "stars" among N + d - 1 stars
+    and bars slots (:func:`_uniform_subsets`).  For N <= d the stars are
+    drawn; the star in slot s with r stars before it lies in part s - r, and
+    each part's probability is one ``standard_exponential`` default datum
+    plus one more exponential per copy observed in it, normalized.  For
+    N > d the d - 1 bars are drawn, and p is ``standard_gamma(c + 1.0)``,
+    normalized.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    p = stream.standard_exponential((count, d))
+    if isinstance(copies, bool) or not isinstance(copies, int) or not 1 <= copies < 2**63:
+        raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
+    slots = copies + d - 1
+    if copies <= d:
+        # stars up to N = d, one more than the d - 1 bars: an exponential
+        # costs about a quarter of a gamma
+        part = _uniform_subsets(slots, copies, count, stream).view(np.int64)
+        part -= np.arange(copies)
+        # flat indices into the (count, d) rows
+        part += np.arange(0, count * d, d)[:, None]
+        p = stream.standard_exponential((count, d))
+        flat = p.reshape(-1)
+        # one copy of every row at a time, so no index repeats within a step
+        for star in part.T:
+            flat[star] += stream.standard_exponential(count)
+        counts = np.bincount(part.reshape(-1), minlength=p.size).reshape(count, d)
+    else:
+        bars = _uniform_subsets(slots, d - 1, count, stream)
+        # part i holds the stars between bar i - 1 and bar i, where bar -1
+        # is at slot -1 and bar d - 1 at slot N + d - 1
+        counts = np.empty((count, d), dtype=np.uint64)
+        counts[:, :-1] = bars
+        counts[:, -1] = slots
+        counts[:, 1:] -= bars
+        del bars
+        counts[:, 1:] -= np.uint64(1)
+        counts = counts.view(np.int64)
+        p = counts + 1.0
+        stream.standard_gamma(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    return p
+    return p, counts
+
+
+def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator) -> np.ndarray:
+    """``count`` uniform k-subsets of range(slots), one sorted uint64 row each, shape (count, k).
+
+    Floyd's algorithm: for j = slots - k, ..., slots - 1 in turn, draw t
+    uniform in [0, j] and take t, or j if t is already taken; one integer
+    per row and step.  Slots are uint64, which holds N + d - 1 for every
+    N below 2**63 at any d below 2**63.
+    """
+    chosen = np.empty((k, count), dtype=np.uint64)
+    for i, j in enumerate(range(slots - k, slots)):
+        chosen[i] = stream.integers(0, j + 1, size=count, dtype=np.uint64)
+        if i:
+            np.copyto(chosen[i], np.uint64(j), where=(chosen[:i] == chosen[i]).any(axis=0))
+    rows = np.ascontiguousarray(chosen.T)
+    rows.sort(axis=1)
+    return rows
 
 
 def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:

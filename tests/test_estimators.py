@@ -112,6 +112,24 @@ def test_draw_counts_rejects_bad_rows(row, copies):
     p = np.array([[0.5, 0.5], row, [1.0, 0.0]])
     with pytest.raises(ValueError, match="finite and non-negative with a positive sum"):
         draw_counts(p, copies, derive_stream(6, 0))
+    with pytest.raises(ValueError, match="finite and non-negative with a positive sum"):
+        draw_counts(np.array(row), copies, derive_stream(6, 0))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 9, 2**63 - 1])
+@pytest.mark.parametrize("d", [2, 3, 8, 17])
+def test_single_row_draws_the_block_row(d, copies):
+    rng = np.random.default_rng(d)
+    rows = rng.random((30, d)) * rng.choice([1e-300, 1.0, 1e300], size=(30, 1))
+    rows[rng.random((30, d)) < 0.3] = 0.0
+    rows[:, 0] += 1e-300  # a positive sum in every row
+    rows[1] = 0.0
+    rows[1, :2] = 8e307  # a sum too large for the short path, not for the block path
+    for k, row in enumerate(rows):
+        single = draw_counts(row, copies, derive_stream(8, k))
+        block = draw_counts(row[None], copies, derive_stream(8, k))
+        assert single.dtype == np.int64 and single.shape == (d,)
+        assert np.array_equal(single, block[0])
 
 
 def test_one_copy_draw_frequencies():

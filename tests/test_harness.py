@@ -44,7 +44,7 @@ from optev import harness
 from optev.cli import main
 from optev.estimators import draw_counts, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
-from optev.sampling import sample_bloch_components, sample_haar_probabilities
+from optev.sampling import sample_bloch_components, sample_haar_counts
 
 
 # --- load_observable ---
@@ -135,6 +135,19 @@ def test_config_validation():
         ExperimentConfig(copies=2**63)
 
 
+@pytest.mark.parametrize("d", [2, 8])
+def test_largest_copies_runs(d):
+    source = f"diag({','.join(str(i) for i in range(d))})"
+    config = ExperimentConfig(dim=d, copies=2**63 - 1, trials=3, master_seed=13, observable_source=source)
+    row = run_experiment(config)
+    assert all(math.isfinite(value) for value in (row.empirical_mse, row.standard_error, row.analytic_mse))
+    assert math.isfinite(row.empirical_bias_at_probe)
+    # the block's own draw: N + d - 1 slots exceed 2**63 - 1 at d = 8
+    p, counts = sample_haar_counts(d, config.copies, config.trials, derive_stream(config.master_seed, 0))
+    assert (counts >= 0).all() and (counts.sum(axis=1) == config.copies).all()
+    assert np.isfinite(p).all()
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(
@@ -200,18 +213,21 @@ def _mean_and_se(values):
     return mean, math.sqrt(spread / len(values))
 
 
-def test_hot_loop_matches_public_operations_bitwise():
-    config = ExperimentConfig(dim=3, copies=4, trials=64, master_seed=9, observable_source="diag(3,0,-3)")
+# N <= d draws the stars of a composition, N > d its bars
+@pytest.mark.parametrize("copies", [2, 4])
+def test_hot_loop_matches_public_operations_bitwise(copies):
+    config = ExperimentConfig(dim=3, copies=copies, trials=64, master_seed=9, observable_source="diag(3,0,-3)")
     assert config.trials <= BLOCK  # one block, keyed by its first trial
     obs = load_observable("diag(3,0,-3)")
     row = run_experiment(config)
-    stream = derive_stream(config.master_seed, 0)
-    p = sample_haar_probabilities(config.dim, config.trials, stream)
+    p, counts = sample_haar_counts(config.dim, config.copies, config.trials, derive_stream(config.master_seed, 0))
     truths = p @ obs.eigenvalues
+    kernel_truths, kernel_sums = _run_trials(config, obs, 0, config.trials)
+    assert np.array_equal(kernel_truths, truths)
+    assert np.array_equal(kernel_sums, counts @ obs.eigenvalues)
     # a state with these eigenbasis probabilities has these expectation values
     for row_p, truth in zip(p, truths):
         assert abs(truth - expectation(PureState(obs.eigenvectors @ np.sqrt(row_p)), obs)) < 1e-14
-    counts = draw_counts(p, config.copies, stream)
     estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, config.copies, obs)
     slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)

@@ -10,13 +10,15 @@ from optev import (
     RadialLaw,
     build_projector_permutation,
     derive_stream,
+    enumerate_occupations,
     make_observable,
     outcome_distribution,
     sample_bloch_mixed,
     sample_haar_amplitudes,
     sample_haar_pure,
 )
-from optev.sampling import sample_bloch_components, sample_bloch_vectors, sample_haar_probabilities
+from optev.estimators import draw_counts
+from optev.sampling import sample_bloch_components, sample_bloch_vectors, sample_haar_counts
 
 
 # --- stream derivation ---
@@ -108,16 +110,40 @@ def test_haar_rejects_small_dimension():
     with pytest.raises(ValueError):
         sample_haar_pure(1, derive_stream(0, 0))
     with pytest.raises(ValueError):
-        sample_haar_probabilities(1, 5, derive_stream(0, 0))
+        sample_haar_counts(1, 1, 5, derive_stream(0, 0))
 
 
-@pytest.mark.parametrize("d", [2, 3, 8])
-def test_haar_probabilities_follow_the_haar_eigenbasis_law(d):
+@pytest.mark.parametrize("copies", [0, 2**63, 2.0, True])
+def test_haar_counts_rejects_bad_copies(copies):
+    with pytest.raises(ValueError, match=r"copies must be an integer in \[1, 2\*\*63\)"):
+        sample_haar_counts(2, copies, 5, derive_stream(0, 0))
+
+
+# N <= d draws the N stars of the N + d - 1 slots, N > d the d - 1 bars
+SIDES = [(2, 1), (3, 2), (8, 1), (8, 8), (3, 7), (2, 64), (8, 64)]
+
+
+@pytest.mark.parametrize("d, copies", [(3, 2), (4, 3), (2, 5), (8, 1), (4, 4), (3, 4)])
+def test_haar_counts_are_uniform_over_compositions(d, copies):
+    # Dirichlet(1)-multinomial: each of the C(N+d-1, d-1) compositions of N
+    # into d parts has the same probability
+    samples = 60_000
+    _, counts = sample_haar_counts(d, copies, samples, derive_stream(26, d * 100 + copies))
+    assert counts.dtype == np.int64 and (counts >= 0).all() and (counts.sum(axis=1) == copies).all()
+    compositions = np.array(enumerate_occupations(d, copies))
+    assert len(compositions) == math.comb(copies + d - 1, d - 1)
+    observed = (counts[:, None, :] == compositions[None, :, :]).all(axis=2).sum(axis=0)
+    assert observed.sum() == samples
+    assert scipy.stats.chisquare(observed).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("d, copies", SIDES)
+def test_haar_counts_probabilities_follow_the_haar_eigenbasis_law(d, copies):
     samples = 100_000
-    p = sample_haar_probabilities(d, samples, derive_stream(24, d))
+    p, _ = sample_haar_counts(d, copies, samples, derive_stream(24, d * 100 + copies))
     assert p.shape == (samples, d)
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
-    # Dirichlet(1, ..., 1) moments, each within 5 standard errors
+    # Dirichlet(1, ..., 1) moments whatever the counts, each within 5 standard errors
     i, j = np.triu_indices(d, 1)
     for values, want in (
         (p, 1.0 / d),
@@ -126,12 +152,39 @@ def test_haar_probabilities_follow_the_haar_eigenbasis_law(d):
     ):
         se = values.std(axis=0, ddof=1) / math.sqrt(samples)
         assert (np.abs(values.mean(axis=0) - want) < 5 * se).all()
-    # the same law as a Haar state's outcome distribution in a random eigenbasis
-    rng = np.random.default_rng(d)
+
+
+@pytest.mark.parametrize("d, copies", SIDES)
+def test_haar_counts_posterior_mean(d, copies):
+    # p | c is Dirichlet(1 + c), whose mean (1 + c)/(N + d) is the paper's
+    # estimate with one default datum per eigenvalue
+    samples = 100_000
+    p, counts = sample_haar_counts(d, copies, samples, derive_stream(27, d * 100 + copies))
+    residual = p - (1.0 + counts) / (copies + d)
+    se = residual.std(axis=0, ddof=1) / math.sqrt(samples)
+    assert (np.abs(residual.mean(axis=0)) < 5 * se).all()
+
+
+@pytest.mark.parametrize("d, copies", SIDES)
+def test_haar_counts_match_the_forward_draw(d, copies):
+    # the forward path draws a Haar state, its outcome distribution in a
+    # random eigenbasis and then the counts; it is the oracle of the joint law
+    samples = 100_000
+    rng = np.random.default_rng(d * 100 + copies)
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     obs = make_observable((raw + raw.conj().T) / 2)
-    haar = outcome_distribution(sample_haar_amplitudes(d, samples, derive_stream(25, d)), obs)
-    assert scipy.stats.ks_2samp(p[:, 0], haar[:, 0]).pvalue > 1e-3
+    p, counts = sample_haar_counts(d, copies, samples, derive_stream(28, d * 100 + copies))
+    stream = derive_stream(29, d * 100 + copies)
+    forward_p = outcome_distribution(sample_haar_amplitudes(d, samples, stream), obs)
+    forward_counts = draw_counts(forward_p, copies, stream)
+    w = obs.eigenvalues
+    assert scipy.stats.ks_2samp(p @ w, forward_p @ w).pvalue > 1e-3
+    assert scipy.stats.ks_2samp(counts @ w, forward_counts @ w).pvalue > 1e-3
+    # E[c_i p_j], the two samples' means within 5 standard errors of their difference
+    joint = (counts[:, :, None] * p[:, None, :]).reshape(samples, -1)
+    forward_joint = (forward_counts[:, :, None] * forward_p[:, None, :]).reshape(samples, -1)
+    se = np.hypot(joint.std(axis=0, ddof=1), forward_joint.std(axis=0, ddof=1)) / math.sqrt(samples)
+    assert (np.abs(joint.mean(axis=0) - forward_joint.mean(axis=0)) < 5 * se).all()
 
 
 # --- radial laws ---
