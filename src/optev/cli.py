@@ -10,7 +10,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .estimators import (
@@ -69,7 +68,7 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="jobs the trials are split into; above 1, run in a spawn pool of at most one process per CPU",
+        help="jobs a Haar run's trials are split into, run on at most one thread per CPU; Bloch runs draw in one thread",
     )
     sub.add_argument(
         "--timing",
@@ -213,10 +212,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BrokenProcessPool as exc:
-        # a worker killed mid-traceback may have left stderr mid-line
-        sys.stderr.write(f"\noptev: error: {exc}\n")
-        return EXIT_CONFIG
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"optev: error: {exc}\n")
         return EXIT_CONFIG

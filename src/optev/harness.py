@@ -10,36 +10,32 @@ probabilities in the observable's eigenbasis from Dirichlet(1 + counts)
 Dirichlet(1, ..., 1) probabilities and multinomial counts, with no
 amplitude and no multinomial draw.  A Bloch block draws only each state's
 Bloch component s along the top eigenvector's Bloch vector m
-(:func:`optev.sampling.sample_bloch_components`) and measures the state
-with Bloch vector s m, which has the same expectation value and outcome
-law; a one-copy outcome is one uniform per trial, located in the trial's
-cumulative outcome distribution.
+(:func:`optev.sampling.sample_bloch_components`); the state's truth and
+outcome law depend on s alone, so the top eigenvalue is seen with
+probability (1 + s)/2, one uniform per trial for one copy and one binomial
+draw per trial for more.
 Blocks never depend on the worker count and results are reduced in trial
 order afterwards with an exact sum equal to ``math.fsum``, so output is
 byte-identical for any worker count.  The bias at the fixed probe (the top
 eigenvector, where every outcome is the top eigenvalue) is exact, not drawn.
 
-Runs with ``workers > 1`` share one spawn process pool per process.  The
-first such run starts it with ``min(workers, os.cpu_count())`` processes;
-later runs reuse it, and a run that needs another size replaces it.  A pool
-that breaks is shut down and dropped, so the next run starts a fresh one.
-At interpreter exit ``concurrent.futures`` stops the workers and an
-``atexit`` hook then shuts the pool down.
+A Haar run with ``workers > 1`` maps its blocks over threads of a
+``ThreadPoolExecutor`` of its own, at most one per CPU; its numpy calls
+release the GIL.  A Bloch block is a few calls on ``BLOCK`` numbers, which
+threads would only slow, so Bloch runs always draw in the calling thread.
+No run starts a process.
 """
 
 from __future__ import annotations
 
-import atexit
 import csv
 import io
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +46,6 @@ from .estimators import (
     analytic_delta_av,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
-    draw_counts,
     estimate_from_sums,
 )
 from .hermitian import (
@@ -58,8 +53,6 @@ from .hermitian import (
     PureState,
     expectation,
     make_observable,
-    mixed_qubit_expectation,
-    mixed_qubit_outcome_distribution,
     observable_from_json,
     outcome_distribution,
 )
@@ -156,7 +149,7 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
             _check_int(name, getattr(self, name), low)
-        # the Bloch outcome draw, Generator.multinomial, takes a signed 64-bit
+        # the Bloch outcome draw, Generator.binomial, takes a signed 64-bit
         # count; the Haar draw's N + d - 1 slots are uint64
         _check_int("copies", self.copies, 1, bits=63)
         if self.is_bloch:
@@ -250,6 +243,10 @@ def _run_trials(
     """Truths and sums of observed eigenvalues of ensemble trials from block edge start to stop."""
     d, n, law = config.dim, config.copies, config.law
     w = obs.eigenvalues
+    if law is not None:
+        # tr[rho Omega] = (tr Omega + r.tau)/2 and the outcome law see a Bloch
+        # vector r only through its component s along m, and tau is parallel to m
+        m_tau = float(obs.top_bloch_vector @ obs.pauli_vector)
     truths, sums = [], []
     for k in range(start, stop, BLOCK):
         generator = derive_stream(config.master_seed, k)
@@ -257,13 +254,18 @@ def _run_trials(
         if law is None:
             p, counts = sample_haar_counts(d, n, size, generator)
             truths.append(p @ w)
+            sums.append(counts @ w)
+            continue
+        s = sample_bloch_components(law, size, generator)
+        truths.append(0.5 * (obs.trace + s * m_tau))
+        # in [0, 1] exactly, since |s| <= 1
+        p_top = 0.5 * (1.0 + s)
+        if n == 1:
+            top = (generator.random(size) < p_top).view(np.int8)
         else:
-            # tr[rho Omega] and the outcome law see n only through n.tau, and tau
-            # is parallel to m, so n = s m has the same truth and law
-            bloch = sample_bloch_components(law, size, generator)[:, None] * obs.top_bloch_vector
-            truths.append(mixed_qubit_expectation(bloch, obs))
-            counts = draw_counts(mixed_qubit_outcome_distribution(bloch, obs), n, generator)
-        sums.append(counts @ w)
+            top = generator.binomial(n, p_top)
+        # the count vector [top, n - top] dotted with the two eigenvalues
+        sums.append(top * w[0] + (n - top) * w[1])
     return np.concatenate(truths), np.concatenate(sums)
 
 
@@ -343,62 +345,24 @@ def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, probe: PureS
     return float(estimate_from_sums(config.estimator, truth, 1, obs, config.n2))
 
 
-_pool_lock = threading.Lock()
-_pool = None  # (size, executor) of this process's spawn pool, once started
-
-
-def _pool_map(size: int, fn, *iterables) -> list:
-    """``list(map(fn, *iterables))`` in this process's spawn pool of ``size``
-    processes, started or resized on demand and dropped if it breaks."""
-    global _pool
-    # imported here: its queues and logging cost serial runs 1.5 MiB
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # held across the map, so no thread replaces the pool another is using
-    with _pool_lock:
-        if _pool is not None and _pool[0] != size:
-            _pool[1].shutdown()
-            _pool = None
-        if _pool is None:
-            _pool = (size, ProcessPoolExecutor(size, mp_context=get_context("spawn")))
-        try:
-            return list(_pool[1].map(fn, *iterables))
-        except BrokenProcessPool:
-            # joins the workers, so none writes to stderr after the caller
-            _pool[1].shutdown(wait=True)
-            _pool = None
-            raise
-
-
-@atexit.register
-def _close_pool() -> None:
-    """Shut the pool down and drop it.  Run at exit, before module teardown:
-    an executor collected after the modules its callbacks use prints an
-    ignored ``AttributeError``."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None:
-            _pool[1].shutdown()
-            _pool = None
-
-
 def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Truths and sums of the ensemble pass's M trials, the only random part."""
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
-    # the blocks split evenly into min(workers, blocks) jobs, so none is empty
-    m, workers = config.trials, config.workers
+    m = config.trials
     blocks = -(-m // BLOCK)
-    split = min(workers, blocks)
+    split = min(config.workers, blocks)
+    if config.is_bloch or split == 1:
+        return _run_trials(config, obs, 0, m)
+    # imported here, so serial runs never load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the blocks split evenly into min(workers, blocks) jobs, so none is empty;
+    # more threads than CPUs would only queue.  Blocks are keyed by their first
+    # trial, so neither the split nor the cap can change the output
     edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
-    jobs = (repeat(config), repeat(obs), edges[:-1], edges[1:])
-    if workers == 1:
-        results = map(_run_trials, *jobs)
-    else:
-        # more processes than CPUs would only queue; blocks are keyed by their
-        # first trial, so neither the cap nor the split can change the output
-        results = _pool_map(min(workers, os.cpu_count() or 1), _run_trials, *jobs)
+    with ThreadPoolExecutor(min(split, os.cpu_count() or 1)) as threads:
+        results = list(threads.map(_run_trials, repeat(config), repeat(obs), edges[:-1], edges[1:]))
     return tuple(map(np.concatenate, zip(*results)))
 
 

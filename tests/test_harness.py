@@ -1,18 +1,15 @@
 """Tests for harness.py and cli.py: configs, runner, CSV, determinism."""
 
+import concurrent.futures
 import json
 import math
 import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import textwrap
-import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +39,7 @@ from optev import (
 )
 from optev import harness
 from optev.cli import main
-from optev.estimators import draw_counts, estimate_from_sums
+from optev.estimators import estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
 from optev.sampling import sample_bloch_components, sample_haar_counts
 
@@ -243,22 +240,42 @@ def test_hot_loop_matches_public_operations_bloch():
     # off-diagonal, so the Bloch vector m of the top eigenvector is no axis
     obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
     row = run_experiment(config, observable=obs)
+    # block 0's stream: the components s first, then one outcome uniform per trial
     stream = derive_stream(config.master_seed, 0)
-    bloch = sample_bloch_components(law, config.trials, stream)[:, None] * obs.top_bloch_vector
-    truths = mixed_qubit_expectation(bloch, obs)
-    kernel_truths, _ = _run_trials(config, obs, 0, config.trials)
-    assert np.array_equal(kernel_truths, truths)
+    s = sample_bloch_components(law, config.trials, stream)
+    top = stream.random(config.trials) < 0.5 * (1.0 + s)
+    counts = np.stack([top, ~top], axis=1).astype(np.int64)
+    truths, sums = _run_trials(config, obs, 0, config.trials)
+    assert np.array_equal(sums, counts @ obs.eigenvalues)
+    # the state with Bloch vector s m has the block's truth and top-outcome probability
+    bloch = s[:, None] * obs.top_bloch_vector
+    assert np.abs(truths - mixed_qubit_expectation(bloch, obs)).max() < 1e-14
+    assert np.abs(0.5 * (1.0 + s) - mixed_qubit_outcome_distribution(bloch, obs)[:, 0]).max() < 1e-15
     # against the density-matrix oracle rho = (1 + n.sigma)/2, state by state
     pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
     for n, truth in zip(bloch, truths):
         rho = (np.eye(2) + sum(x * sigma for x, sigma in zip(n, pauli))) / 2
         assert abs(truth - np.trace(rho @ obs.matrix).real) < 1e-14
-    counts = draw_counts(mixed_qubit_outcome_distribution(bloch, obs), 1, stream)
-    estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, 1, obs, law.second_moment())
+    estimates = estimate_from_sums(config.estimator, sums, 1, obs, law.second_moment())
     slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)
     assert row.empirical_mse == mean == math.fsum(slow) / config.trials
     assert row.standard_error == se
+
+
+@pytest.mark.parametrize("copies", [1, 5])
+@pytest.mark.parametrize("law", [RadialLaw.uniform_ball(), RadialLaw.two_point(0.8, 0.5), RadialLaw.pure_surface()])
+def test_bloch_sample_average_mse_law(law, copies):
+    # given s, each copy shows the top eigenvalue with probability (1 + s)/2, so
+    # the sample average's error is (w0 - w1)^2 (1 - s^2) / (4N), and E[s^2] = <n^2>/3
+    obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    config = ExperimentConfig(
+        dim=2, copies=copies, trials=400_000, master_seed=31, estimator="sample-average", ensemble=law
+    )
+    row = run_experiment(config, observable=obs)
+    w0, w1 = obs.eigenvalues
+    want = (w0 - w1) ** 2 * (1.0 - law.second_moment() / 3.0) / (4.0 * copies)
+    assert abs(row.empirical_mse - want) < 4.0 * row.standard_error
 
 
 def test_probe_bias_is_deterministic_at_top_eigenvector():
@@ -360,53 +377,40 @@ def test_worker_chunking_matches_serial(trials):
     assert rows_to_csv([run_experiment(replace(config, workers=3))]) == serial
 
 
-# --- worker pool ---
+# --- worker threads ---
 
-def test_pool_is_reused_across_runs():
-    config = ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK, master_seed=19, workers=2)
-    run_experiment(config)
-    first = {child.pid for child in multiprocessing.active_children()}
-    run_experiment(config)
-    assert first
-    assert {child.pid for child in multiprocessing.active_children()} == first
-
-
-def test_pool_processes_capped_at_cpu_count():
-    # 64 workers over 3 blocks is 3 jobs; the pool still starts at most one
-    # process per CPU, and the output is that of one worker
-    config = ExperimentConfig(dim=2, copies=1, trials=3 * BLOCK, master_seed=21, workers=64)
+@pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()])
+def test_many_workers_start_no_process_and_give_the_serial_row(monkeypatch, ensemble):
+    # 64 workers over 3 blocks is 3 jobs on at most one thread per CPU; a Bloch
+    # run draws in the calling thread.  The output is that of one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: made.append(n) or ThreadPoolExecutor(n))
+    config = ExperimentConfig(dim=2, copies=1, trials=3 * BLOCK, master_seed=21, workers=64, ensemble=ensemble)
     text = rows_to_csv([run_experiment(config)])
-    assert 0 < len(multiprocessing.active_children()) <= (os.cpu_count() or 1)
+    assert made == ([] if config.is_bloch else [2])
+    assert multiprocessing.active_children() == []
     assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
 def test_more_workers_than_blocks_gives_the_serial_row(monkeypatch):
     # the blocks are split into min(workers, blocks) jobs, so a huge worker
-    # count builds one job; the pretend CPU count caps the pool at 2
+    # count builds one job, drawn in the calling thread; the pretend CPU
+    # count would cap any threads at 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = ExperimentConfig(dim=2, copies=1, trials=10, master_seed=23, workers=10**6)
     assert rows_to_csv([run_experiment(config)]) == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
-def test_killed_worker_breaks_one_run_then_pool_restarts():
-    config = ExperimentConfig(dim=2, copies=2, trials=2 * BLOCK + 3, master_seed=20, workers=2)
-    serial = rows_to_csv([run_experiment(replace(config, workers=1))])
-    run_experiment(config)
-    victim = multiprocessing.active_children()[0]
-    os.kill(victim.pid, signal.SIGKILL)
-    assert wait([victim.sentinel], timeout=30)
-    time.sleep(0.5)  # lets the pool's manager thread see the death
-    with pytest.raises(BrokenProcessPool):
-        run_experiment(config)
-    assert rows_to_csv([run_experiment(config)]) == serial
-
-
-def test_threads_sharing_the_pool_get_serial_output(monkeypatch):
-    # a pretend third CPU lets the threads' 2- and 3-worker runs need pools
-    # of two sizes, so each may replace the pool while another uses it
+def test_threads_sharing_runs_get_serial_output(monkeypatch):
+    # a pretend third CPU lets the runs' 2- and 3-worker splits run on
+    # executors of two sizes at once; every run's thread pool is its own
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    laws = ("haar-pure", RadialLaw.uniform_ball())
     configs = [
-        ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK + 1, master_seed=22 + k % 2, workers=2 + k % 2)
+        ExperimentConfig(
+            dim=2, copies=1, trials=2 * BLOCK + 1, master_seed=22 + k % 2, workers=2 + k % 2, ensemble=laws[k // 3 % 2]
+        )
         for k in range(6)
     ]
     interval = sys.getswitchinterval()
@@ -417,7 +421,7 @@ def test_threads_sharing_the_pool_get_serial_output(monkeypatch):
             rows = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(multiprocessing.active_children()) <= 3  # no pool was left behind
+    assert multiprocessing.active_children() == []
     for config, row in zip(configs, rows):
         assert rows_to_csv([row]) == rows_to_csv([run_experiment(replace(config, workers=1))])
 
@@ -641,9 +645,9 @@ def _run_script(args, script):
     )
 
 
-def test_unguarded_worker_script_fails_instead_of_hanging():
-    # spawned workers cannot re-import a __main__ read from stdin, just as
-    # they fail on a script that lacks an if __name__ == "__main__" guard
+def test_unguarded_worker_script_runs():
+    # no worker re-imports the calling script, so a script read from stdin,
+    # with no if __name__ == "__main__" guard, runs at any worker count
     script = textwrap.dedent(
         """
         import sys
@@ -652,40 +656,9 @@ def test_unguarded_worker_script_fails_instead_of_hanging():
         """
     )
     done = _run_script(["-"], script)
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert done.stderr.splitlines()[-1].startswith("optev: error: ")
-
-
-def test_guarded_script_exits_with_its_pool_alive(tmp_path):
-    # the script never shuts the pool down; interpreter exit must join it
-    path = tmp_path / "guarded.py"
-    path.write_text(
-        textwrap.dedent(
-            """
-            from optev import ExperimentConfig, run_experiment
-
-            if __name__ == "__main__":
-                row = run_experiment(ExperimentConfig(trials=10, workers=2))
-                print(row.empirical_mse)
-            """
-        )
-    )
-    done = _run_script([str(path)], None)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) >= 0.0
-
-
-def test_exit_hook_joins_the_pool_and_a_later_run_restarts_it():
-    # registered with atexit: left to module teardown, the executor could be
-    # collected after the modules its callbacks use and print an ignored error
-    config = ExperimentConfig(dim=2, copies=1, trials=2 * BLOCK, master_seed=19, workers=2)
-    text = rows_to_csv([run_experiment(config)])
-    assert multiprocessing.active_children()
-    harness._close_pool()
-    assert harness._pool is None
-    assert multiprocessing.active_children() == []
-    assert rows_to_csv([run_experiment(config)]) == text
+    assert done.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert len(done.stdout.splitlines()) == 2
 
 
 def test_cli_usage_error_exit_code(capsys):
