@@ -24,6 +24,15 @@ A Haar run with ``workers > 1`` maps its blocks over threads of a
 release the GIL.  A Bloch block is a few calls on ``BLOCK`` numbers, which
 threads would only slow, so Bloch runs always draw in the calling thread.
 No run starts a process.
+
+The estimator is in no stream key, so ``_draw`` keeps its last draw,
+read-only, keyed by every value the draw reads: master seed, N, M, the
+ensemble, the eigenvalues' bytes (which fix d) and, for Bloch runs,
+tr Omega and m.tau; and by the worker count, so a run on other workers
+draws afresh.  A run on an equal key, such as the other estimator on a
+cell, reuses the draw.  A run on another key drops it before drawing, so
+memory never holds two; until then it costs 16 bytes per trial (16 MB at
+M = 10^6).  One assignment swaps it, so threads need no lock.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -52,6 +62,7 @@ from .hermitian import (
     Observable,
     PureState,
     expectation,
+    frozen,
     make_observable,
     observable_from_json,
     outcome_distribution,
@@ -244,9 +255,7 @@ def _run_trials(
     d, n, law = config.dim, config.copies, config.law
     w = obs.eigenvalues
     if law is not None:
-        # tr[rho Omega] = (tr Omega + r.tau)/2 and the outcome law see a Bloch
-        # vector r only through its component s along m, and tau is parallel to m
-        m_tau = float(obs.top_bloch_vector @ obs.pauli_vector)
+        m_tau = _m_tau(obs)
     truths, sums = [], []
     for k in range(start, stop, BLOCK):
         generator = derive_stream(config.master_seed, k)
@@ -345,29 +354,74 @@ def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, probe: PureS
     return float(estimate_from_sums(config.estimator, truth, 1, obs, config.n2))
 
 
+# the last draw as (key, (truths, sums)), read-only, or None; see _draw
+_last_draw = None
+
+
+def _m_tau(obs: Observable) -> float:
+    # tr[rho Omega] = (tr Omega + r.tau)/2 and the outcome law see a Bloch
+    # vector r only through its component s along m, and tau is parallel to m
+    return float(obs.top_bloch_vector @ obs.pauli_vector)
+
+
 def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Truths and sums of the ensemble pass's M trials, the only random part."""
+    """Truths and sums of the ensemble pass's M trials, the only random part;
+    the last ones are kept under their key (see the module docstring)."""
+    global _last_draw
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
+    # the eigenvalues' bytes hold d; repr and hex tell -0.0 from 0.0, so a hit
+    # is bit for bit the draw it stands for.  The worker count changes no
+    # output, but a run on other workers draws afresh, so comparing two runs
+    # that differ only in it compares two draws
+    key = (
+        config.master_seed,
+        config.copies,
+        config.trials,
+        repr(config.ensemble),
+        obs.eigenvalues.tobytes(),
+        config.workers,
+    )
+    if config.is_bloch:
+        key += (obs.trace.hex(), _m_tau(obs).hex())
+    last = _last_draw
+    if last is not None and last[0] == key:
+        return last[1]
+    # drop the old draw first, so memory never holds two
+    _last_draw = None
     m = config.trials
     blocks = -(-m // BLOCK)
     split = min(config.workers, blocks)
     if config.is_bloch or split == 1:
-        return _run_trials(config, obs, 0, m)
-    # imported here, so serial runs never load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
+        drawn = _run_trials(config, obs, 0, m)
+    else:
+        # imported here, so serial runs never load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
 
-    # the blocks split evenly into min(workers, blocks) jobs, so none is empty;
-    # more threads than CPUs would only queue.  Blocks are keyed by their first
-    # trial, so neither the split nor the cap can change the output
-    edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
-    with ThreadPoolExecutor(min(split, os.cpu_count() or 1)) as threads:
-        results = list(threads.map(_run_trials, repeat(config), repeat(obs), edges[:-1], edges[1:]))
-    return tuple(map(np.concatenate, zip(*results)))
+        # the blocks split evenly into min(workers, blocks) jobs, so none is
+        # empty; more threads than CPUs would only queue.  Blocks are keyed by
+        # their first trial, so neither the split nor the cap can change the output
+        edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
+        with ThreadPoolExecutor(min(split, os.cpu_count() or 1)) as threads:
+            results = list(threads.map(_run_trials, repeat(config), repeat(obs), edges[:-1], edges[1:]))
+        drawn = tuple(map(np.concatenate, zip(*results)))
+    for array in drawn:
+        frozen(array)
+    # one assignment of an immutable tuple, so a thread sees the old entry or
+    # the new one, never half of one, and needs no lock
+    _last_draw = (key, drawn)
+    return drawn
 
 
-def _reduce(config: ExperimentConfig, obs: Observable, truths, sums, started: float) -> ResultRow:
-    """The row of one estimator over a draw; its wall time runs from ``started``."""
+def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
+    """Run one seeded experiment: ensemble MSE pass plus the exact bias at the probe.
+
+    The draw's truths and sums, 16 bytes per trial, stay in memory after this
+    returns, until a run with other draw inputs replaces them.
+    """
+    started = time.perf_counter()
+    obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
+    truths, sums = _draw(config, obs)
     m, n = config.trials, config.copies
     estimates = estimate_from_sums(config.estimator, sums, n, obs, config.n2)
     empirical_mse, standard_error = _mean_and_se((estimates - truths) ** 2)
@@ -393,30 +447,32 @@ def _reduce(config: ExperimentConfig, obs: Observable, truths, sums, started: fl
     )
 
 
-def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
-    """Run one seeded experiment: ensemble MSE pass plus the exact bias at the probe."""
-    started = time.perf_counter()
-    obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
-    return _reduce(config, obs, *_draw(config, obs), started)
+def _integral(value):
+    """A numpy integer as an int; any other value as it is, bools too, for ExperimentConfig to check."""
+    try:
+        return value if isinstance(value, int) else operator.index(value)
+    except TypeError:
+        return value
 
 
 def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultRow]:
     """Both pure-ensemble estimators on every (dim, copies) cell.
 
     Rows come out ordered by dim, then copies, with the optimal estimator
-    before the sample average; every cell reuses the base master seed.  Each
-    cell is drawn once, in the optimal row's wall time, and reduced twice.
+    before the sample average; every cell reuses the base master seed.  The
+    sample average's run finds the optimal run's draw in ``_draw``'s memo.
+    A grid value that is not an integer raises ConfigError.
     """
+    cell = replace(base, estimator=EstimatorKind.OPTIMAL_PURE, ensemble=HAAR_ENSEMBLE)
+    dims = sorted({replace(cell, dim=_integral(v)).dim for v in dim_values})
+    copies = sorted({replace(cell, copies=_integral(v)).copies for v in copies_values})
     rows = []
-    for d in sorted(set(int(v) for v in dim_values)):
+    for d in dims:
         obs = load_observable(base.observable_source, dim=d)
-        for n in sorted(set(int(v) for v in copies_values)):
-            started = time.perf_counter()
-            config = replace(base, dim=d, copies=n, estimator="optimal-pure", ensemble=HAAR_ENSEMBLE)
-            drawn = _draw(config, obs)
-            rows.append(_reduce(config, obs, *drawn, started))
-            average = replace(config, estimator="sample-average")
-            rows.append(_reduce(average, obs, *drawn, time.perf_counter()))
+        for n in copies:
+            config = replace(cell, dim=d, copies=n)
+            rows.append(run_experiment(config, observable=obs))
+            rows.append(run_experiment(replace(config, estimator=EstimatorKind.SAMPLE_AVERAGE), observable=obs))
     return rows
 
 

@@ -44,6 +44,12 @@ from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_swee
 from optev.sampling import sample_bloch_components, sample_haar_counts
 
 
+def fresh(config, observable=None):
+    """``run_experiment`` on a fresh draw: the draw memo is emptied first."""
+    harness._last_draw = None
+    return run_experiment(config, observable=observable)
+
+
 # --- load_observable ---
 
 def test_builtin_pauli_z():
@@ -354,8 +360,8 @@ def test_mse_statistically_consistent():
 
 def test_runs_are_reproducible():
     config = ExperimentConfig(dim=2, copies=2, trials=3000, master_seed=13)
-    a = run_experiment(config)
-    b = run_experiment(config)
+    a = fresh(config)
+    b = fresh(config)
     assert a.empirical_mse == b.empirical_mse
     assert a.standard_error == b.standard_error
     assert a.empirical_bias_at_probe == b.empirical_bias_at_probe
@@ -404,12 +410,14 @@ def test_more_workers_than_blocks_gives_the_serial_row(monkeypatch):
 
 def test_threads_sharing_runs_get_serial_output(monkeypatch):
     # a pretend third CPU lets the runs' 2- and 3-worker splits run on
-    # executors of two sizes at once; every run's thread pool is its own
+    # executors of two sizes at once; every run's thread pool is its own.
+    # Each run has its own seed, so each draws afresh rather than finding
+    # another's draw in the memo
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     laws = ("haar-pure", RadialLaw.uniform_ball())
     configs = [
         ExperimentConfig(
-            dim=2, copies=1, trials=2 * BLOCK + 1, master_seed=22 + k % 2, workers=2 + k % 2, ensemble=laws[k // 3 % 2]
+            dim=2, copies=1, trials=2 * BLOCK + 1, master_seed=22 + k, workers=2 + k % 2, ensemble=laws[k // 3 % 2]
         )
         for k in range(6)
     ]
@@ -456,13 +464,13 @@ def test_sweep_grid_and_ratio():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_rows_equal_separate_runs(workers):
     # a sweep draws each cell once for both estimators; the rows must be those
-    # of one run per estimator, apart from the wall time
+    # of one run per estimator on a fresh draw, apart from the wall time
     base = ExperimentConfig(
         trials=2 * BLOCK + 7, master_seed=31, observable_source="diag(1,0.5,-2)", workers=workers
     )
     rows = run_sweep(base, copies_values=[4, 1], dim_values=[3])
     separate = [
-        run_experiment(replace(base, dim=3, copies=n, estimator=kind))
+        fresh(replace(base, dim=3, copies=n, estimator=kind))
         for n in (1, 4)
         for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE)
     ]
@@ -481,6 +489,140 @@ def test_sweep_analytic_ratio_corners():
     )
     (opt_row, av_row) = run_sweep(base8, copies_values=[1], dim_values=[8])
     assert opt_row.analytic_mse / av_row.analytic_mse == pytest.approx(1 / 9, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "copies, dims",
+    [
+        ([1.9], [2]),
+        ([1], [2.7]),
+        ([True], [2]),
+        ([1], [True]),
+        ([1, True], [2]),
+        ([np.float64(2.0)], [2]),
+        ([1], [np.True_]),
+        ([1], ["3"]),
+    ],
+)
+def test_sweep_rejects_non_integer_grid_values(copies, dims):
+    base = ExperimentConfig(trials=10, master_seed=19)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_sweep(base, copies_values=copies, dim_values=dims)
+
+
+def test_sweep_takes_numpy_integers():
+    base = ExperimentConfig(trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
+    rows = run_sweep(base, copies_values=[np.int64(4), 1], dim_values=[np.int64(3)])
+    assert [(row.config.dim, row.config.copies) for row in rows] == [(3, 1), (3, 1), (3, 4), (3, 4)]
+    assert all(type(row.config.dim) is int and type(row.config.copies) is int for row in rows)
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(base, copies_values=[4, 1], dim_values=[3]))
+
+
+# --- draw memo ---
+
+@pytest.fixture
+def draws(monkeypatch):
+    """One entry per ``_run_trials`` call, which only a memo miss makes:
+    whether the memo was empty during the call."""
+    calls = []
+    real = harness._run_trials
+    monkeypatch.setattr(harness, "_run_trials", lambda *args: calls.append(harness._last_draw is None) or real(*args))
+    return calls
+
+
+def _text(row):
+    return rows_to_csv([row])
+
+
+def test_second_estimator_on_the_same_draw_inputs_draws_once(draws):
+    config = ExperimentConfig(dim=3, copies=4, trials=BLOCK + 5, master_seed=40, observable_source="diag(1,0.5,-2)")
+    average = replace(config, estimator="sample-average")
+    rows = [run_experiment(config), run_experiment(average)]
+    # the miss drops the old entry before it draws, so memory never holds two draws
+    assert draws == [True]
+    assert [_text(row) for row in rows] == [_text(fresh(config)), _text(fresh(average))]
+
+
+def test_sweep_draws_each_cell_once(draws):
+    base = ExperimentConfig(trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
+    rows = run_sweep(base, copies_values=[1, 2, 4], dim_values=[3])
+    assert len(rows) == 6 and len(draws) == 3
+
+
+HAAR = ExperimentConfig(dim=2, copies=2, trials=50, master_seed=41)
+BLOCH = replace(HAAR, ensemble=RadialLaw.uniform_ball())
+
+
+# each change touches one key field; a Bloch key holds tr Omega and m.tau too
+@pytest.mark.parametrize(
+    "base, change",
+    [
+        (HAAR, {"master_seed": 42}),
+        (HAAR, {"copies": 3}),
+        (HAAR, {"trials": 51}),
+        (HAAR, {"observable_source": "diag(1,-2)"}),
+        (HAAR, {"dim": 3, "observable_source": "diag(1,0,-1)"}),
+        (HAAR, {"ensemble": RadialLaw.uniform_ball()}),
+        (BLOCH, {"ensemble": RadialLaw.pure_surface()}),
+        (BLOCH, {"master_seed": 42}),
+        (BLOCH, {"copies": 3}),
+        (BLOCH, {"trials": 51}),
+    ],
+)
+def test_a_changed_draw_input_draws_again(draws, base, change):
+    changed = replace(base, **change)
+    run_experiment(base)
+    row = run_experiment(changed)
+    assert draws == [True, True]
+    assert _text(row) == _text(fresh(changed))
+
+
+@pytest.mark.parametrize(
+    "first, second, field",
+    [
+        ([[0.1, 0.0], [0.0, -0.1]], [[0.0, 0.1], [0.1, 0.0]], "m_tau"),
+        ([[0.0, 0.6 + 0.1j], [0.6 - 0.1j, -0.2]], [[0.1, 0.5 + 0.3j], [0.5 - 0.3j, -0.3]], "trace"),
+    ],
+)
+def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws, first, second, field):
+    # the two observables' eigenvalues are equal bit for bit, and of tr Omega
+    # and m.tau, as the draw computes them, exactly one differs in its last bit
+    a, b = make_observable(first), make_observable(second)
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    scalars = [{"trace": obs.trace, "m_tau": harness._m_tau(obs)} for obs in (a, b)]
+    assert [key for key in scalars[0] if scalars[0][key] != scalars[1][key]] == [field]
+    config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
+    run_experiment(config, observable=a)
+    row = run_experiment(config, observable=b)
+    assert draws == [True, True]
+    truths, sums = harness._last_draw[1]
+    fresh_truths, fresh_sums = _run_trials(config, b, 0, config.trials)
+    assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
+    assert _text(row) == _text(fresh(config, b)) != _text(fresh(config, a))
+
+
+@pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()])
+def test_worker_count_is_in_the_key(draws, ensemble):
+    # so a run on other workers is a fresh draw, and comparing the two rows
+    # compares two draws
+    config = ExperimentConfig(
+        dim=2, copies=2, trials=3 * BLOCK, master_seed=44, observable_source="diag(1,-2)", ensemble=ensemble
+    )
+    serial = run_experiment(config)
+    threaded = run_experiment(replace(config, workers=2))
+    # a threaded Haar run draws its three blocks in two jobs
+    assert draws == [True] * (2 if config.is_bloch else 3)
+    assert _text(threaded) == _text(serial)
+
+
+def test_memo_arrays_are_read_only():
+    config = ExperimentConfig(trials=20, master_seed=45)
+    truths, sums = harness._draw(config, load_observable("pauli-z"))
+    assert all(kept is drawn for kept, drawn in zip(harness._last_draw[1], (truths, sums)))
+    for array in (truths, sums):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 # --- CSV ---
