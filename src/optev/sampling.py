@@ -1,10 +1,11 @@
 """Deterministic keyed random streams and state-ensemble samplers.
 
-A stream is a plain ``numpy.random.Generator`` over a counter-based Philox
-bit generator keyed by the pair (master_seed, trial_index).  Its draws are a
-pure function of that pair, so results never depend on worker count or
-scheduling order.  The harness keys one stream per block of trials, by the
-index of the block's first trial.
+A stream is a plain ``numpy.random.Generator`` over SFC64, seeded by the
+trial_index-th spawned child of ``SeedSequence(master_seed)``, both reduced
+modulo 2**64 (:func:`derive_stream`).  Its draws are a pure function of
+that pair, so results never depend on worker count or scheduling order.
+The harness keys one stream per block of trials, by the index of the
+block's first trial.
 
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :func:`sample_haar_counts` draws only the outcome
@@ -31,12 +32,18 @@ _MASK64 = (1 << 64) - 1
 def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent, reproducible stream keyed by (master_seed, trial_index).
 
-    Two streams derived from equal pairs produce identical sequences;
-    distinct indices select statistically independent Philox keys.  Both
-    arguments must be integers; they are reduced modulo 2**64.
+    The stream is ``Generator(SFC64(SeedSequence(s, spawn_key=(k,))))`` for
+    s = master_seed and k = trial_index, integers reduced modulo 2**64.  That
+    seed sequence is exactly ``SeedSequence(s).spawn(k + 1)[k]``, numpy's
+    k-th child of the master seed, whose mixing hashes distinct pairs to
+    unrelated 192-bit states.  SFC64's 64-bit counter starts at one value in
+    every seeded stream and steps once per output, and its step is a
+    bijection, so two streams could only meet at equal output counts, and
+    would then have been equal from the start: no two overlap within their
+    first 2**64 outputs.  No OS entropy is read.
     """
-    key = [operator.index(master_seed) & _MASK64, operator.index(trial_index) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    s, k = operator.index(master_seed) & _MASK64, operator.index(trial_index) & _MASK64
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(s, spawn_key=(k,))))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,25 @@ estimator x ensemble pair runs at tiny, mostly odd trial counts, and one
 Haar and one Bloch case span three blocks per pass, all at one and two
 workers; any rewrite of the Monte Carlo core must reproduce the file
 exactly.
+
+A change that is meant to change the drawn numbers (a new stream or kernel)
+regenerates the file with
+
+    python tests/test_golden.py --write
+
+which writes ``golden_text(1)`` and refuses, writing nothing, unless
+``golden_text(2)`` is identical.  Run as a script, it imports optev from
+the checkout's ``src`` when optev is not installed.
 """
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from optev import ExperimentConfig, RadialLaw, make_observable, rows_to_csv, run_experiment
 from optev.harness import BLOCK, run_sweep
@@ -81,3 +94,31 @@ def golden_text(workers: int) -> str:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_matches_golden_file(workers):
     assert golden_text(workers) == GOLDEN.read_text()
+
+
+def write_golden() -> int:
+    one, two = golden_text(1), golden_text(2)
+    if one != two:
+        print("golden.csv not written: the text at one and two workers differs", file=sys.stderr)
+        return 1
+    GOLDEN.write_text(one)
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+def test_write_refuses_unless_worker_counts_agree(monkeypatch, tmp_path):
+    module = sys.modules[__name__]
+    target = tmp_path / "golden.csv"
+    monkeypatch.setattr(module, "GOLDEN", target)
+    monkeypatch.setattr(module, "golden_text", lambda workers: f"rows at {workers} workers\n")
+    assert write_golden() == 1
+    assert not target.exists()
+    monkeypatch.setattr(module, "golden_text", lambda workers: "rows\n")
+    assert write_golden() == 0
+    assert target.read_text() == "rows\n"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    sys.exit(write_golden())

@@ -1,0 +1,176 @@
+"""Hypothesis property tests: config and observable round trips, the
+estimators' shift-and-scale covariance, and a CLI that fails only with a
+one-line error or a usage message, whatever flags it is given."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from optev import EstimatorKind, ExperimentConfig, RadialLaw, make_observable
+from optev.cli import main
+from optev.estimators import estimate_from_sums
+from optev.hermitian import observable_from_json, observable_to_json
+
+unit = st.floats(0.0, 1.0)
+
+laws = st.one_of(
+    st.just(RadialLaw.pure_surface()),
+    st.just(RadialLaw.uniform_ball()),
+    st.builds(RadialLaw.fixed_radius, unit),
+    st.builds(RadialLaw.two_point, unit, unit),
+)
+
+
+@st.composite
+def configs(draw):
+    common = dict(
+        trials=draw(st.integers(1, 2**64 - 1)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        observable_source=draw(st.text()),
+        workers=draw(st.integers(1, 2**64 - 1)),
+    )
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from([EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE]))
+        return ExperimentConfig(
+            dim=draw(st.integers(2, 2**64 - 1)), copies=draw(st.integers(1, 2**63 - 1)), estimator=kind, **common
+        )
+    kind = draw(st.sampled_from(list(EstimatorKind)))
+    copies = 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else draw(st.integers(1, 2**63 - 1))
+    return ExperimentConfig(dim=2, copies=copies, estimator=kind, ensemble=draw(laws), **common)
+
+
+@given(configs())
+def test_config_round_trips_through_json(config):
+    payload = config.to_dict()
+    assert ExperimentConfig.from_dict(payload) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(payload))) == config
+
+
+entries = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    d = draw(st.integers(2, 5))
+    m = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        m[i, i] = draw(entries)
+        for j in range(i + 1, d):
+            m[i, j] = complex(draw(entries), draw(entries))
+            m[j, i] = m[i, j].conjugate()
+    return m
+
+
+@given(hermitian_matrices())
+def test_observable_json_round_trip_is_exact(matrix):
+    obs = make_observable(matrix)
+    again = observable_from_json(json.loads(json.dumps(observable_to_json(obs))))
+    assert again.dim == obs.dim
+    assert np.array_equal(again.matrix, obs.matrix)
+    assert np.array_equal(again.eigenvalues, obs.eigenvalues)
+
+
+coefficients = st.floats(-1e3, 1e3)
+
+
+@given(
+    st.sampled_from(list(EstimatorKind)),
+    st.data(),
+    coefficients,
+    coefficients,
+    unit,
+)
+def test_estimates_follow_a_shift_and_scale_of_the_observable(kind, data, a, b, n2):
+    # Omega -> a Omega + b 1 sends tr -> a tr + b d and sum -> a sum + b N,
+    # and every estimator's estimate -> a est + b
+    if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT:
+        d, copies = 2, 1
+    else:
+        d, copies = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 1000))
+    matrix = np.diag(data.draw(st.lists(entries, min_size=d, max_size=d)))
+    sums = np.array(data.draw(st.lists(st.floats(-1e6 * copies, 1e6 * copies), min_size=1, max_size=8)))
+    obs = make_observable(matrix)
+    moved = make_observable(a * matrix + b * np.eye(d))
+    est = estimate_from_sums(kind, sums, copies, obs, n2)
+    got = estimate_from_sums(kind, a * sums + b * copies, copies, moved, n2)
+    # every term is rounded a few times at the scale of its inputs
+    scale = abs(a) * (np.abs(est) + abs(obs.trace) + np.abs(sums)) + abs(b) * (1 + d + copies)
+    assert (np.abs(got - (a * est + b)) <= 1e-12 * scale).all()
+
+
+# --- CLI fuzz ---
+
+# the flags each command reads; any other is a usage error
+SHARED = ["--config", "--out", "--dim", "--copies", "--observable"]
+RUNS = ["--seed", "--trials", "--workers", "--timing"]
+READS = {
+    "analytic": SHARED + ["--n2"],
+    "simulate": SHARED + RUNS + ["--n2", "--estimator"],
+    "sweep": SHARED + RUNS,
+    "verify": ["--config", "--out", "--seed", "--level"],
+}
+
+
+@st.composite
+def argvs(draw, workdir):
+    observable = workdir / "observable.json"
+    observable.write_text(json.dumps(observable_to_json(make_observable([[1.0, 0.5j], [-0.5j, -1.0]]))))
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"dim": 3, "copies": 2, "trials": 500, "observable_source": "diag(1,0,-1)"}))
+    bad_config = workdir / "bad.json"
+    bad_config.write_text('{"trials": 1e3,')
+    values = {
+        "--dim": st.sampled_from(["2", "3", "8", "2,3", "0", "1", "-2", "x", "", "2.5"]),
+        "--copies": st.sampled_from(["1", "4", "64", "1,64", "0", "-1", "x", "", str(2**63)]),
+        "--observable": st.sampled_from(
+            ["pauli-z", "identity", "diag(1,-1)", "diag(1,0.5,-2)", "diag(nan,1)", "diag()", "nope",
+             str(observable), str(workdir / "missing.json")]
+        ),
+        "--n2": st.sampled_from(["0", "0.6", "1", "1.5", "-0.1", "nan", "x"]),
+        "--estimator": st.sampled_from([kind.value for kind in EstimatorKind] + ["bogus"]),
+        "--trials": st.sampled_from(["1", "7", "4097", "10000", "0", "-5", "x"]),
+        "--seed": st.sampled_from(["0", "1", "-1", str(2**64), "y"]),
+        "--workers": st.sampled_from(["1", "2", "3", "0", "z"]),
+        "--config": st.sampled_from([str(config), str(bad_config), str(workdir / "missing.json")]),
+        "--out": st.sampled_from([str(workdir / "out.txt"), str(workdir / "no-dir" / "out.txt")]),
+        "--level": st.just("fast"),
+        "--timing": st.none(),
+    }
+    command = draw(st.sampled_from(sorted(READS)))
+    argv = [command]
+    # flags the command reads, so most runs get past the parser, and now
+    # and then one it does not read or a stray token
+    flags = draw(st.lists(st.sampled_from(READS[command]), max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(sorted(values))))
+    for flag in flags:
+        value = draw(values[flag])
+        argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "extra", "-", "--"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fails_only_with_a_one_line_error_or_a_usage_message(tmp_path, data):
+    argv = data.draw(argvs(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse: usage line(s), then "optev <command>: error: ..."
+            assert exc.code == 1
+            assert ": error: " in err.getvalue().splitlines()[-1]
+            return
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("optev: error: ")
+        assert err.getvalue().count("\n") == 1
+    elif code == 0:
+        assert err.getvalue() == ""

@@ -18,6 +18,7 @@ from optev import (
     sample_haar_pure,
 )
 from optev.estimators import draw_counts
+from optev.harness import BLOCK
 from optev.sampling import sample_bloch_components, sample_bloch_vectors, sample_haar_counts
 
 
@@ -43,15 +44,39 @@ def test_pooled_uniform_mean():
     assert abs(total / 1_000_000 - 0.5) < 0.002
 
 
+@pytest.mark.parametrize("seed, k", [(0, 0), (7, 1), (2024, 4096), (2**64 - 1, 3)])
+def test_stream_is_the_spawned_sfc64_child_of_the_master_seed(seed, k):
+    child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+    want = np.random.Generator(np.random.SFC64(child))
+    got = derive_stream(seed, k)
+    assert np.array_equal(got.random(8), want.random(8))
+    assert np.array_equal(got.standard_gamma(2.5, 8), want.standard_gamma(2.5, 8))
+
+
 def test_negative_and_wide_seeds_are_masked():
     a = derive_stream(-1, 0).random(3)
     b = derive_stream(2**64 - 1, 0).random(3)
     assert np.array_equal(a, b)
+    assert np.array_equal(derive_stream(5 + 2**64, 0).random(3), derive_stream(5, 0).random(3))
     # non-integers are refused, not truncated
     with pytest.raises(TypeError):
         derive_stream(1.5, 0)
     with pytest.raises(TypeError):
         derive_stream(1, 2.9)
+
+
+@pytest.mark.parametrize("k", [0, 9, 2**64 - 1])
+def test_trial_index_is_reduced_mod_2_64(k):
+    assert np.array_equal(derive_stream(11, 2**64 + k).random(3), derive_stream(11, k).random(3))
+    assert np.array_equal(derive_stream(11, k - 2**64).random(3), derive_stream(11, k).random(3))
+
+
+def test_neighbouring_block_streams_are_uncorrelated():
+    # first uniforms of the streams keying blocks k and k + BLOCK, over
+    # n = 2 * 10^4 pairs; |r| < 4 / sqrt(n) is about a 4 sigma bound
+    n = 20_000
+    first = np.array([derive_stream(3, k).random() for k in range(0, (n + 1) * BLOCK, BLOCK)])
+    assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 4.0 / math.sqrt(n)
 
 
 # --- Haar sampling ---
