@@ -12,7 +12,6 @@ together with all d eigenvalues of the observable, i.e.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -25,69 +24,14 @@ class EstimatorKind(str, enum.Enum):
     OPTIMAL_MIXED_QUBIT = "optimal-mixed-qubit"
 
 
-def draw_counts(p, copies: int, generator: np.random.Generator) -> np.ndarray:
-    """Outcome counts of ``copies`` measurements, one count row per row of ``p``.
-
-    Rows need not be normalized, but every entry must be finite and
-    non-negative and every row must have a positive sum.  One copy takes one
-    ``generator.random`` draw per row, located in the row's cumulative
-    distribution; more copies take one ``generator.multinomial`` draw per row.
-    A 1-D ``p`` is one row and draws what it draws as a row of a block.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1 and p.size:
-        # one row, checked in Python floats: their sum is NaN or infinite,
-        # with no warning, for a NaN, an infinity or entries too large to
-        # add up.  A bad row, or one whose numpy sum might overflow, takes
-        # the block path, which raises or draws
-        row = p.tolist()
-        cumulative = list(accumulate(row))
-        total = cumulative[-1]
-        if not (0.0 < total < 2.0**1023 and min(row) >= 0.0):
-            return draw_counts(p[None], copies, generator)[0]
-        if copies > 1:
-            return generator.multinomial(copies, p / p.sum())
-        # the block path's draw: its cumulative row adds the columns in order too
-        u = generator.random()
-        counts = np.zeros(p.size, dtype=np.int64)
-        counts[next(i for i, c in enumerate(cumulative) if c / total > u)] = 1
-        return counts
-    with np.errstate(over="ignore", invalid="ignore"):
-        if copies == 1:
-            # column by column: numpy accumulates a short last axis one row
-            # at a time, several times slower than d - 1 column additions
-            cumulative = p.copy()
-            for j in range(1, p.shape[-1]):
-                cumulative[..., j] += cumulative[..., j - 1]
-            # a copy, so the division below does not read what it writes
-            total = cumulative[..., -1:].copy()
-        else:
-            total = p.sum(axis=-1, keepdims=True)
-    # a NaN entry makes the minimum NaN, which fails every comparison; an
-    # infinite entry, or finite ones too large to add up, make the row's sum
-    # infinite
-    if not (p.min(initial=0.0) >= 0.0 and ((total > 0.0) & (total < np.inf)).all()):
-        raise ValueError("outcome probabilities must be finite and non-negative with a positive sum per row")
-    if copies > 1:
-        # renormalized: multinomial rejects rows that sum to an ulp above 1
-        return generator.multinomial(copies, p / total)
-    # divided by its own sum, each cumulative row ends in exactly 1, above
-    # every uniform, so the entries above the row's uniform run to its end;
-    # xor with the left neighbour keeps the run's first, the drawn outcome.
-    # That is never an outcome of probability 0, whose entry repeats the one
-    # before it.
-    cumulative /= total
-    first = cumulative > generator.random(total.shape)
-    first[..., 1:] ^= first[..., :-1]
-    return first.astype(np.int64)
-
-
 def simulate_measurements(
     state: PureState, obs: Observable, copies: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Outcome counts of N independent measurements of the observable's eigenbasis."""
-    _check_copies(copies)
-    return draw_counts(outcome_distribution(state, obs), copies, stream)
+    check_copies(copies)
+    p = outcome_distribution(state, obs)
+    # renormalized: multinomial rejects rows that sum to more than 1 + 1e-12
+    return stream.multinomial(copies, p / p.sum())
 
 
 def estimate_from_sums(
@@ -110,8 +54,11 @@ def estimate_from_sums(
     return (3.0 - n2) / 6.0 * obs.trace + n2 / 3.0 * sums
 
 
-def _check_copies(copies: int) -> None:
-    # the outcome draw, Generator.multinomial, takes a signed 64-bit count
+def check_copies(copies: int) -> None:
+    """Reject a copy count that is not an ``int`` (``bool`` excluded) in [1, 2**63).
+
+    The outcome draw, ``Generator.multinomial``, takes a signed 64-bit count.
+    """
     if isinstance(copies, bool) or not isinstance(copies, int) or not 1 <= copies < 2**63:
         raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
 
@@ -172,7 +119,7 @@ def analytic_delta_opt(obs: Observable, copies: int) -> float:
     (d tr Omega^2 - (tr Omega)^2) / (d (d+1) (N+d)); zero iff the observable
     is a multiple of the identity.
     """
-    _check_copies(copies)
+    check_copies(copies)
     d = obs.dim
     return (d * obs.trace_square - obs.trace**2) / (d * (d + 1) * (copies + d))
 
@@ -183,7 +130,7 @@ def analytic_delta_av(obs: Observable, copies: int) -> float:
     (d tr Omega^2 - (tr Omega)^2) / (d (d+1) N): the optimal error scaled by
     (N+d)/N.
     """
-    _check_copies(copies)
+    check_copies(copies)
     d = obs.dim
     return (d * obs.trace_square - obs.trace**2) / (d * (d + 1) * copies)
 
@@ -194,7 +141,7 @@ def analytic_bias_mean(state: PureState, obs: Observable, copies: int) -> float:
     (tr Omega + N tr[rho Omega]) / (N + d); approaches tr[rho Omega] only as
     N grows.
     """
-    _check_copies(copies)
+    check_copies(copies)
     expected_sum = copies * expectation(state, obs)
     return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, expected_sum, copies, obs))
 

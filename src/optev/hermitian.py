@@ -112,7 +112,7 @@ class PureState:
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError(f"amplitudes must be a nonempty vector, got shape {amp.shape}")
         norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: sum |c_i|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", frozen(amp))
 
@@ -145,7 +145,7 @@ class MixedQubitState:
         if n.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {n.shape}")
         length = float(np.linalg.norm(n))
-        if length > 1.0 + NORM_TOL:
+        if not length <= 1.0 + NORM_TOL:
             raise ValueError(f"Bloch vector lies outside the unit ball: |n| = {length!r}")
         object.__setattr__(self, "bloch", frozen(n))
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import check_copies
 from .hermitian import MixedQubitState, PureState
 
 _MASK64 = (1 << 64) - 1
@@ -188,8 +189,7 @@ def sample_haar_counts(
         raise ValueError(f"need d >= 2, got {d}")
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
-    if isinstance(copies, bool) or not isinstance(copies, int) or not 1 <= copies < 2**63:
-        raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
+    check_copies(copies)
     slots = copies + d - 1
     if copies <= d:
         # stars up to N = d, one more than the d - 1 bars: an exponential

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def _check_guard(d: int, n: int) -> None:
         )
 
 
-def _check_copies(d: int, n: int) -> None:
+def _check_dense(d: int, n: int) -> None:
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     _check_guard(d, n)
@@ -88,7 +89,7 @@ def build_projector_permutation(d: int, n: int) -> SymmetricProjector:
     which reproduces the full permutation sum entry for entry, independent
     of enumeration order, then divides once.
     """
-    _check_copies(d, n)
+    _check_dense(d, n)
     scaled = np.eye(d, dtype=np.int64)
     for k in range(2, n + 1):
         # axes 0..k-1 are the row's tensor slots, so swapping two permutes rows
@@ -105,17 +106,12 @@ def enumerate_occupations(d: int, n: int) -> list[tuple[int, ...]]:
     """All d-tuples of nonnegative counts summing to n, lexicographic order."""
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for count in range(remaining + 1):
-            grow(prefix + (count,), remaining - count, slots - 1)
-
-    grow((), n, d)
-    return out
+    # stars and bars: d - 1 bars among n + d - 1 slots, each part the gap
+    # between consecutive bars; bars in lexicographic order give parts in it
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + d - 1,)))
+        for bars in combinations(range(n + d - 1), d - 1)
+    ]
 
 
 def occupation_basis_vector(d: int, n: int, counts) -> np.ndarray:
@@ -124,7 +120,7 @@ def occupation_basis_vector(d: int, n: int, counts) -> np.ndarray:
     The equal-amplitude sum over the multinomial(n; counts) distinct product
     states, scaled by the reciprocal square root of that multiplicity.
     """
-    _check_copies(d, n)
+    _check_dense(d, n)
     counts = tuple(int(c) for c in counts)
     if len(counts) != d or any(c < 0 for c in counts) or sum(counts) != n:
         raise ValueError(f"occupation counts must be {d} nonnegative integers summing to {n}, got {counts}")
@@ -141,7 +137,7 @@ def build_projector_occupation(d: int, n: int) -> SymmetricProjector:
     multiplicity m the projector block is the constant matrix 1/m, and
     distinct classes do not mix.
     """
-    _check_copies(d, n)
+    _check_dense(d, n)
     occ = _occupation_table(d, n)
     matrix = np.zeros((d**n, d**n))
     classes = enumerate_occupations(d, n)
@@ -171,7 +167,7 @@ def omega_hat(obs: Observable, copies: int) -> np.ndarray:
     Diagonal in the product eigenbasis, where its eigenvalue on
     |i_1 ... i_N> is exactly the optimal estimate for those outcomes.
     """
-    _check_copies(obs.dim, copies)
+    _check_dense(obs.dim, copies)
     total = obs.trace * np.eye(obs.dim**copies, dtype=complex)
     for position in range(1, copies + 1):
         total += embed_one_body(obs, position, copies)
@@ -184,7 +180,7 @@ def omega_hat_av(obs: Observable, copies: int) -> np.ndarray:
     Its eigenvalue on a product eigenvector is the sample average of the
     corresponding outcomes, and tr[rho^(x N) omega_hat_av] = tr[rho Omega].
     """
-    _check_copies(obs.dim, copies)
+    _check_dense(obs.dim, copies)
     total = embed_one_body(obs, 1, copies).astype(complex)
     for position in range(2, copies + 1):
         total += embed_one_body(obs, position, copies)
@@ -217,7 +213,7 @@ def haar_average_tensor_power(d: int, n: int, trials: int, stream: np.random.Gen
     Converges to S_n / d_n; the sampler consumes the stream identically to
     ``trials`` successive single-state draws.
     """
-    _check_copies(d, n)
+    _check_dense(d, n)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     size = d**n
@@ -257,7 +253,7 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
     instance: the product-eigenprojector POVM weighted by sample averages
     reproduces the one-body average operator inside the symmetric subspace.
     """
-    _check_copies(d, copies)
+    _check_dense(d, copies)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     size = d**copies

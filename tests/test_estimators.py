@@ -23,7 +23,7 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import analytic_bias_mean, analytic_second_moment, draw_counts, estimate_from_sums
+from optev.estimators import analytic_bias_mean, analytic_second_moment, estimate_from_sums
 from optev.symmetric import omega_hat
 
 
@@ -42,10 +42,23 @@ SIGMA_Z = make_observable([[1, 0], [0, -1]])
 
 # --- simulate_measurements ---
 
-def test_eigenstate_outcomes_are_deterministic():
-    out = simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 5, derive_stream(1, 0))
-    assert np.array_equal(out, [5, 0])  # every outcome is index 0
-    assert out @ SIGMA_Z.eigenvalues == 5.0  # every value is +1
+@pytest.mark.parametrize("copies", [1, 5, 10**4])
+def test_eigenstate_outcomes_are_deterministic(copies):
+    out = simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, copies, derive_stream(1, 0))
+    assert np.array_equal(out, [copies, 0])  # every outcome is index 0
+    assert out @ SIGMA_Z.eigenvalues == copies  # every value is +1
+
+
+@pytest.mark.parametrize("copies", [1, 5, 10**4])
+def test_zero_probability_outcome_is_never_drawn(copies):
+    obs = make_observable(np.diag([3.0, 2.0, 1.0]))
+    state = PureState(np.array([0.6, 0.0, 0.8]))
+    assert outcome_distribution(state, obs)[1] == 0.0
+    for k in range(100):
+        out = simulate_measurements(state, obs, copies, derive_stream(5, k))
+        # at N = 1 these make a one-hot row
+        assert out.dtype == np.int64 and out.shape == (3,)
+        assert (out >= 0).all() and out.sum() == copies and out[1] == 0
 
 
 def test_equator_outcome_frequency():
@@ -88,59 +101,6 @@ def test_largest_copies_is_accepted():
     assert analytic_delta_opt(SIGMA_Z, 2**63 - 1) > 0.0
     out = simulate_measurements(PureState(np.array([1.0, 0.0])), SIGMA_Z, 2**63 - 1, derive_stream(4, 0))
     assert out.tolist() == [2**63 - 1, 0]
-
-
-@pytest.mark.parametrize("copies", [1, 10_000])
-def test_draw_counts_never_picks_zero_probability(copies):
-    p = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.25, 0.75, 0.0], [1e-300, 0.0, 0.0]])
-    rows = np.repeat(p, 1000, axis=0)
-    counts = draw_counts(rows, copies, derive_stream(5, copies))
-    assert (counts[rows == 0.0] == 0).all()
-    assert (counts[1000:2000] == [0, 0, copies]).all()
-    assert (counts[3000:] == [copies, 0, 0]).all()
-    # one count per outcome and copy: nothing lands outside the d outcomes
-    assert counts.shape == rows.shape and (counts.sum(axis=1) == copies).all()
-
-
-@pytest.mark.parametrize("copies", [1, 10])
-@pytest.mark.parametrize(
-    "row",
-    [[0.0, 0.0], [-0.1, 1.1], [math.nan, 1.0], [math.inf, 1.0], [0.5, -math.inf], [math.inf, -math.inf], [1e308, 1e308]],
-)
-def test_draw_counts_rejects_bad_rows(row, copies):
-    # a bad row among good ones, so the check looks at every row
-    p = np.array([[0.5, 0.5], row, [1.0, 0.0]])
-    with pytest.raises(ValueError, match="finite and non-negative with a positive sum"):
-        draw_counts(p, copies, derive_stream(6, 0))
-    with pytest.raises(ValueError, match="finite and non-negative with a positive sum"):
-        draw_counts(np.array(row), copies, derive_stream(6, 0))
-
-
-@pytest.mark.parametrize("copies", [1, 2, 9, 2**63 - 1])
-@pytest.mark.parametrize("d", [2, 3, 8, 17])
-def test_single_row_draws_the_block_row(d, copies):
-    rng = np.random.default_rng(d)
-    rows = rng.random((30, d)) * rng.choice([1e-300, 1.0, 1e300], size=(30, 1))
-    rows[rng.random((30, d)) < 0.3] = 0.0
-    rows[:, 0] += 1e-300  # a positive sum in every row
-    rows[1] = 0.0
-    rows[1, :2] = 8e307  # a sum too large for the short path, not for the block path
-    for k, row in enumerate(rows):
-        single = draw_counts(row, copies, derive_stream(8, k))
-        block = draw_counts(row[None], copies, derive_stream(8, k))
-        assert single.dtype == np.int64 and single.shape == (d,)
-        assert np.array_equal(single, block[0])
-
-
-def test_one_copy_draw_frequencies():
-    # unnormalized rows, so the draw must scale the cumulative row itself
-    p = np.array([0.1, 0.0, 0.45, 0.2, 0.25]) * 3.0
-    trials = 400_000
-    counts = draw_counts(np.broadcast_to(p, (trials, 5)), 1, derive_stream(7, 0))
-    assert counts.dtype == np.int64 and (counts.sum(axis=1) == 1).all()
-    want = p / p.sum()
-    se = np.sqrt(want * (1.0 - want) / trials)
-    assert (np.abs(counts.mean(axis=0) - want) <= 5.0 * se).all()
 
 
 # --- point estimators ---
@@ -283,8 +243,9 @@ def test_sample_average_unbiased_at_fixed_state():
     amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 3, 200_000
-    p = np.broadcast_to(outcome_distribution(state, obs), (trials, 3))
-    averages = draw_counts(p, copies, derive_stream(44, 0)) @ obs.eigenvalues / copies
+    p = outcome_distribution(state, obs)
+    counts = derive_stream(44, 0).multinomial(copies, np.broadcast_to(p / p.sum(), (trials, 3)))
+    averages = counts @ obs.eigenvalues / copies
     sigma = float(averages.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(averages.mean()) - expectation(state, obs)) < 3 * sigma
 
@@ -295,8 +256,9 @@ def test_bias_mean_matches_monte_carlo():
     amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     state = PureState(amp / np.linalg.norm(amp))
     copies, trials = 5, 1_000_000
-    p = np.broadcast_to(outcome_distribution(state, obs), (trials, 3))
-    estimates = (obs.trace + draw_counts(p, copies, derive_stream(42, 0)) @ obs.eigenvalues) / (copies + 3)
+    p = outcome_distribution(state, obs)
+    counts = derive_stream(42, 0).multinomial(copies, np.broadcast_to(p / p.sum(), (trials, 3)))
+    estimates = (obs.trace + counts @ obs.eigenvalues) / (copies + 3)
     sigma = float(estimates.std(ddof=1)) / math.sqrt(trials)
     assert abs(float(estimates.mean()) - analytic_bias_mean(state, obs, copies)) < 3 * sigma
 

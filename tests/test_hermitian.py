@@ -1,6 +1,7 @@
 """Tests for hermitian.py: observables, states, expectation values."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ def test_bloch_vector_needs_qubit():
 def test_mixed_state_rejects_long_bloch_vector():
     with pytest.raises(ValueError, match="unit ball"):
         MixedQubitState(np.array([0.0, 0.0, 1.5]))
+
+
+@pytest.mark.parametrize(
+    "make, entries, message",
+    [
+        (PureState, [math.nan, 1.0], "normalized"),
+        (PureState, [1.0, complex(0.0, math.nan)], "normalized"),
+        (MixedQubitState, [0.0, math.nan, 0.0], "unit ball"),
+    ],
+)
+def test_states_reject_nan(make, entries, message):
+    # NaN fails every comparison, so only a check written as "within the
+    # bound" rejects it; an accepted NaN state has NaN expectations
+    with pytest.raises(ValueError, match=message):
+        make(np.array(entries))
 
 
 def test_states_are_immutable():

@@ -55,6 +55,25 @@ def test_readme_quick_start_runs():
     assert done.returncode == 0, done.stderr
 
 
+def test_documented_names_exist():
+    # `optev.<module>.<name>` in the README, and :func:`name` or
+    # :func:`optev.<module>.<name>` in a docstring, a bare name read in the
+    # docstring's own module
+    refs = [m.groups() for m in re.finditer(r"`optev\.(\w+)\.(\w+)", (ROOT / "README.md").read_text())]
+    assert refs
+    docstring_refs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for ref in re.findall(r":func:`([\w.]+)`", ast.get_docstring(node) or ""):
+                    module, _, name = ref.removeprefix("optev.").rpartition(".")
+                    docstring_refs.append((module or path.stem, name))
+    assert docstring_refs
+    missing = [f"optev.{module}.{name}" for module, name in refs + docstring_refs
+               if not hasattr(importlib.import_module(f"optev.{module}"), name)]
+    assert missing == []
+
+
 def test_public_surface_is_the_documented_api():
     assert sorted(optev.__all__) == [
         "ConfigError",
