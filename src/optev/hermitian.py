@@ -144,7 +144,7 @@ class MixedQubitState:
         n = np.array(self.bloch, dtype=float)
         if n.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {n.shape}")
-        length = float(np.linalg.norm(n))
+        length = float(np.hypot.reduce(n))  # no overflow warning for huge entries
         if not length <= 1.0 + NORM_TOL:
             raise ValueError(f"Bloch vector lies outside the unit ball: |n| = {length!r}")
         object.__setattr__(self, "bloch", frozen(n))

@@ -103,6 +103,36 @@ def test_largest_copies_is_accepted():
     assert out.tolist() == [2**63 - 1, 0]
 
 
+@pytest.mark.parametrize("copies", [1, 2, 9, 2**63 - 1])
+@pytest.mark.parametrize("d", [2, 3, 8, 17])
+def test_draw_is_one_multinomial_call(d, copies):
+    # the counts are numpy's multinomial(N, p) on the given stream, bit for
+    # bit, at N = 1 too; some states have exactly-zero amplitudes
+    rng = np.random.default_rng(d)
+    obs = random_observable(d, rng)
+    for k in range(30):
+        amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        amp[rng.random(d) < 0.3] = 0.0
+        amp[k % d] += 1.0  # a nonzero vector
+        state = PureState(amp / np.linalg.norm(amp))
+        p = outcome_distribution(state, obs)
+        out = simulate_measurements(state, obs, copies, derive_stream(8, k))
+        assert out.dtype == np.int64 and out.shape == (d,)
+        assert np.array_equal(out, derive_stream(8, k).multinomial(copies, p / p.sum()))
+
+
+def test_one_copy_draw_frequencies():
+    p = np.array([0.1, 0.0, 0.45, 0.2, 0.25])
+    obs = make_observable(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
+    state = PureState(np.sqrt(p))
+    trials = 40_000
+    stream = derive_stream(7, 0)
+    counts = np.array([simulate_measurements(state, obs, 1, stream) for _ in range(trials)])
+    assert (counts.sum(axis=1) == 1).all()
+    se = np.sqrt(p * (1.0 - p) / trials)
+    assert (np.abs(counts.mean(axis=0) - p) <= 5.0 * se).all()
+
+
 # --- point estimators ---
 
 def test_sample_average_values():

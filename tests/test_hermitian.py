@@ -245,6 +245,29 @@ def test_states_reject_nan(make, entries, message):
         make(np.array(entries))
 
 
+@pytest.mark.parametrize(
+    "make, entries, message",
+    [
+        (PureState, [0.0, 0.0], "normalized"),
+        (PureState, [-0.1, 1.1], "normalized"),
+        (PureState, [math.inf, 1.0], "normalized"),
+        (PureState, [0.5, -math.inf], "normalized"),
+        (PureState, [math.inf, -math.inf], "normalized"),
+        (PureState, [1.0, complex(0.0, math.inf)], "normalized"),
+        (PureState, [1e308, 1e308], "normalized"),
+        (MixedQubitState, [math.inf, 0.0, 0.0], "unit ball"),
+        (MixedQubitState, [0.0, 0.0, -math.inf], "unit ball"),
+        (MixedQubitState, [math.nan, math.inf, 0.0], "unit ball"),
+        (MixedQubitState, [1e308, 1e308, 0.0], "unit ball"),
+    ],
+)
+def test_states_reject_infinite_zero_and_unnormalized_entries(make, entries, message):
+    # no state whose outcome distribution is not finite, non-negative and
+    # normalized can be built, so the outcome draw never sees such a row
+    with pytest.raises(ValueError, match=message):
+        make(np.array(entries))
+
+
 def test_states_are_immutable():
     state = PureState(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
