@@ -49,9 +49,13 @@ def estimate_from_sums(
     if kind is EstimatorKind.SAMPLE_AVERAGE:
         return sums / copies
     if kind is EstimatorKind.OPTIMAL_PURE:
-        return (obs.trace + sums) / (copies + obs.dim)
+        estimates = sums + obs.trace
+        estimates /= copies + obs.dim
+        return estimates
     # (3 - n2)/6 keeps the n2 = 0 case exactly equal to trace/2
-    return (3.0 - n2) / 6.0 * obs.trace + n2 / 3.0 * sums
+    estimates = n2 / 3.0 * sums
+    estimates += (3.0 - n2) / 6.0 * obs.trace
+    return estimates
 
 
 def check_copies(copies: int) -> None:

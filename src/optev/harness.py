@@ -14,10 +14,10 @@ Bloch component s along the top eigenvector's Bloch vector m
 outcome law depend on s alone, so the top eigenvalue is seen with
 probability (1 + s)/2, one uniform per trial for one copy and one binomial
 draw per trial for more.
-Blocks never depend on the worker count and results are reduced in trial
-order afterwards with an exact sum equal to ``math.fsum``, so output is
-byte-identical for any worker count.  The bias at the fixed probe (the top
-eigenvector, where every outcome is the top eigenvalue) is exact, not drawn.
+Blocks never depend on the worker count and results are reduced afterwards
+with an exact sum equal to ``math.fsum``, so output is byte-identical for
+any worker count.  The bias at the fixed probe (the top eigenvector, where
+every outcome is the top eigenvalue) is exact, not drawn.
 
 A Haar run with ``workers > 1`` maps its blocks over threads of a
 ``ThreadPoolExecutor`` of its own, at most one per CPU; its numpy calls
@@ -31,8 +31,9 @@ ensemble, the eigenvalues' bytes (which fix d) and, for Bloch runs,
 tr Omega and m.tau; and by the worker count, so a run on other workers
 draws afresh.  A run on an equal key, such as the other estimator on a
 cell, reuses the draw.  A run on another key drops it before drawing, so
-memory never holds two; until then it costs 16 bytes per trial (16 MB at
-M = 10^6).  One assignment swaps it, so threads need no lock.
+memory never holds two.  Its 16 bytes per trial (16 MB at M = 10^6) are
+allocated before the first block, so an M that cannot be held fails at
+once with ``MemoryError``.  One assignment swaps it, so threads need no lock.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -249,24 +250,23 @@ class ResultRow:
 
 
 def _run_trials(
-    config: ExperimentConfig, obs: Observable, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truths and sums of observed eigenvalues of ensemble trials from block edge start to stop."""
+    config: ExperimentConfig, obs: Observable, truths: np.ndarray, sums: np.ndarray, start: int, stop: int
+) -> None:
+    """Write the truths and sums of observed eigenvalues of trials start to stop into those slices."""
     d, n, law = config.dim, config.copies, config.law
     w = obs.eigenvalues
     if law is not None:
         m_tau = _m_tau(obs)
-    truths, sums = [], []
     for k in range(start, stop, BLOCK):
         generator = derive_stream(config.master_seed, k)
         size = min(BLOCK, stop - k)
         if law is None:
             p, counts = sample_haar_counts(d, n, size, generator)
-            truths.append(p @ w)
-            sums.append(counts @ w)
+            np.matmul(p, w, out=truths[k : k + size])
+            np.matmul(counts, w, out=sums[k : k + size])
             continue
         s = sample_bloch_components(law, size, generator)
-        truths.append(0.5 * (obs.trace + s * m_tau))
+        truths[k : k + size] = 0.5 * (obs.trace + s * m_tau)
         # in [0, 1] exactly, since |s| <= 1
         p_top = 0.5 * (1.0 + s)
         if n == 1:
@@ -274,13 +274,11 @@ def _run_trials(
         else:
             top = generator.binomial(n, p_top)
         # the count vector [top, n - top] dotted with the two eigenvalues
-        sums.append(top * w[0] + (n - top) * w[1])
-    return np.concatenate(truths), np.concatenate(sums)
+        sums[k : k + size] = top * w[0] + (n - top) * w[1]
 
 
-# values per flush of the exponent buckets into one Python int; each bucket's
-# partial sum stays an integer below 2**53 for at most 2**26 values
-_FLUSH = 2**26
+# values per chunk of the exact sum: its 64 KiB buffers stay below malloc's mmap threshold
+_CHUNK = 2**13
 
 # fsum's sum of negative zeros: -0.0 on Pythons whose fsum keeps the sign
 _NEGATIVE_ZERO_SUM = math.fsum([-0.0])
@@ -289,51 +287,40 @@ _NEGATIVE_ZERO_SUM = math.fsum([-0.0])
 def _exact_sum(values: np.ndarray) -> float:
     """The correctly rounded sum of a float array: ``math.fsum(values.tolist())``.
 
-    Each value is m * 2**(e - 53) with frexp's exponent e and an integer
-    m below 2**53 in magnitude.  m is split into a 27-bit high and a 26-bit
-    low part, and each part is summed per exponent by ``np.bincount``; with
-    at most ``_FLUSH`` = 2**26 values per flush every partial sum is an
-    integer below 2**53, so the float accumulation is exact.  Each flush adds
-    the buckets to one Python int, divided once with correct rounding at the
-    end.  Values go through in slices of ``BLOCK``, so no temporary is larger
-    than a block.  A zero total is fsum's signed zero.  Where fsum raises for
-    an overflowing partial sum but the total is finite, this returns the
-    total.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 189
+    (2008)) over chunks of n <= ``_CHUNK`` values below 2**e in magnitude: for
+    sigma = 2**s, s = e + bit_length(n) + 1, q = (x + sigma) - sigma is an exact
+    multiple of 2**(s - 53) and the q's total lies below 2**(s - 1), so
+    ``q.sum()`` is exact in any order; the exact remainders x - q go round until
+    all are zero.  Level sums join one int in units of 2**-1074, divided once.
+    s >= -1022 (at -1021, 2**-1074 ties to even and never shrinks); a chunk with
+    no sigma (s > 1022) is summed as Python ints.  A zero total is fsum's signed
+    zero, non-finite input goes to fsum, and where fsum's partials overflow the total is returned.
     """
-    if values.size == 0 or not np.isfinite(values).all():
-        return math.fsum(values.tolist())
     total = 0
-    for flush in range(0, values.size, _FLUSH):
-        # frexp's exponent of a nonzero finite double lies in [-1073, 1024]
-        highs, lows = np.zeros(2098), np.zeros(2098)
-        end = min(flush + _FLUSH, values.size)
-        for start in range(flush, end, BLOCK):
-            mantissa, exponent = np.frexp(values[start : min(start + BLOCK, end)])
-            exponent += 1073
-            mantissa *= 2.0**27
-            high = np.floor(mantissa)
-            mantissa -= high
-            mantissa *= 2.0**26
-            highs += np.bincount(exponent, weights=high, minlength=2098)
-            lows += np.bincount(exponent, weights=mantissa, minlength=2098)
-        buckets = np.flatnonzero((highs != 0.0) | (lows != 0.0))
-        for shift, high_sum, low_sum in zip(buckets.tolist(), highs[buckets].tolist(), lows[buckets].tolist()):
-            total += ((int(high_sum) << 26) + int(low_sum)) << shift
+    for start in range(0, values.size, _CHUNK):
+        rest = values[start : start + _CHUNK]
+        top = max(rest.max(), -rest.min())
+        if not math.isfinite(top):
+            return math.fsum(values.tolist())
+        bits = rest.size.bit_length() + 1
+        if math.frexp(top)[1] + bits > 1022:
+            total += sum((num << 1074) // den for num, den in map(float.as_integer_ratio, rest.tolist()))
+            continue
+        level, remainder = np.empty(rest.size), np.empty(rest.size)
+        while top:
+            sigma = 2.0 ** max(math.frexp(top)[1] + bits, -1022)
+            np.add(rest, sigma, out=level)
+            level -= sigma
+            rest = np.subtract(rest, level, out=remainder)
+            num, den = float(level.sum()).as_integer_ratio()
+            total += (num << 1074) // den
+            top = max(rest.max(), -rest.min())
     if total == 0:
         # only negative zeros can sum to fsum's -0.0: any other value that
         # cancels to 0 includes a positive one
-        return _NEGATIVE_ZERO_SUM if np.signbit(values).all() else 0.0
-    return total / (1 << (1073 + 53))
-
-
-def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    m = values.size
-    mean = _exact_sum(values) / m
-    if m < 2:
-        return mean, 0.0
-    centered = values - mean
-    centered *= centered
-    return mean, math.sqrt(_exact_sum(centered) / (m - 1) / m)
+        return _NEGATIVE_ZERO_SUM if values.size and np.signbit(values).all() else 0.0
+    return total / (1 << 1074)
 
 
 def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
@@ -390,23 +377,27 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
     # drop the old draw first, so memory never holds two
     _last_draw = None
     m = config.trials
+    if m >= 2**60:  # numpy refuses arrays of 2**63 bytes or more
+        raise MemoryError(f"{m} trials need {16 * m} bytes")
+    truths, sums = np.empty(m), np.empty(m)
     blocks = -(-m // BLOCK)
     split = min(config.workers, blocks)
     if config.is_bloch or split == 1:
-        drawn = _run_trials(config, obs, 0, m)
+        _run_trials(config, obs, truths, sums, 0, m)
     else:
         # imported here, so serial runs never load concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         # the blocks split evenly into min(workers, blocks) jobs, so none is
         # empty; more threads than CPUs would only queue.  Blocks are keyed by
-        # their first trial, so neither the split nor the cap can change the output
+        # their first trial and each job writes its own slices, so neither the
+        # split nor the cap can change the output; list() reads every result,
+        # so a job's exception is raised here
         edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
+        job = partial(_run_trials, config, obs, truths, sums)
         with ThreadPoolExecutor(min(split, os.cpu_count() or 1)) as threads:
-            results = list(threads.map(_run_trials, repeat(config), repeat(obs), edges[:-1], edges[1:]))
-        drawn = tuple(map(np.concatenate, zip(*results)))
-    for array in drawn:
-        frozen(array)
+            list(threads.map(job, edges[:-1], edges[1:]))
+    drawn = (frozen(truths), frozen(sums))
     # one assignment of an immutable tuple, so a thread sees the old entry or
     # the new one, never half of one, and needs no lock
     _last_draw = (key, drawn)
@@ -423,8 +414,13 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
     truths, sums = _draw(config, obs)
     m, n = config.trials, config.copies
-    estimates = estimate_from_sums(config.estimator, sums, n, obs, config.n2)
-    empirical_mse, standard_error = _mean_and_se((estimates - truths) ** 2)
+    errors = estimate_from_sums(config.estimator, sums, n, obs, config.n2)
+    errors -= truths
+    errors *= errors
+    empirical_mse = _exact_sum(errors) / m
+    errors -= empirical_mse
+    errors *= errors
+    standard_error = math.sqrt(_exact_sum(errors) / (m - 1) / m) if m > 1 else 0.0
 
     # every outcome at the top eigenvector is the top eigenvalue, so all M
     # probe trials share one sum; counts @ w keeps the drawn path's bits

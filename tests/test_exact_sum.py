@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from optev import harness
-from optev.harness import BLOCK, _exact_sum
+from optev.harness import _CHUNK, BLOCK, _exact_sum
 
 
 def outcome(total, values):
@@ -65,6 +65,8 @@ def test_equals_fsum_on_wide_mantissas_at_one_scale(mantissas, exponent):
         [-0.0, -0.0],
         [0.0] * (2 * BLOCK + 3),
         [-0.0] * (2 * BLOCK + 3),
+        [0.0] * (2 * _CHUNK + 3),
+        [-0.0] * (2 * _CHUNK + 3),
         [0.1] * 10,
         np.random.default_rng(0).standard_normal(10**5).tolist(),
         [1.7976931348623157e308, 1.7976931348623157e308],
@@ -72,23 +74,49 @@ def test_equals_fsum_on_wide_mantissas_at_one_scale(mantissas, exponent):
         [math.inf, -math.inf],
         [1.0, math.nan],
         [],
+        # subnormals only: sigma stops at 2**-1022, where x + sigma is exact
+        [2**-1074] * 3 + [-(2**-1073), 3 * 2**-1074, 2**-1023 - 2**-1074],
+        [2**-1074] * (_CHUNK + 1),
+        # too near overflow for sigma to exist: summed as Python ints
+        [2.0**1023, -(2.0**1023), 2.0**1003, 1.0, -(2.0**1003) + 2.0**951, 2**-1074],
+        [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1022, 2.0**-1074] * 5,
+        # one value per power of two from 2**-1074 to 2**1000: many levels
+        [math.ldexp(1.0, e) for e in range(-1074, 1001)],
+        [math.ldexp((-1) ** e * 1.5, e) for e in range(-1074, 1000, 7)],
     ],
     ids=["huge-cancel", "subnormal-cancel", "absorbed-one", "negative-zeros", "zeros-past-block",
-         "negative-zeros-past-block", "tenths", "normals",
-         "overflow", "inf", "inf-minus-inf", "nan", "empty"],
+         "negative-zeros-past-block", "zeros-past-chunk", "negative-zeros-past-chunk", "tenths", "normals",
+         "overflow", "inf", "inf-minus-inf", "nan", "empty", "subnormals", "subnormals-past-chunk",
+         "near-overflow-cancel", "max-cancel", "every-power-of-two", "alternating-span"],
 )
 def test_equals_fsum_on_fixed_cases(xs):
     assert_equals_fsum(xs)
 
 
-@pytest.mark.parametrize("flush", [BLOCK, 3 * BLOCK, 3 * BLOCK + 5])
-def test_equals_fsum_across_flushes(monkeypatch, flush):
-    # a flush period of a few blocks stands in for 2**26 values: the buckets
-    # go into the int at every period, with a short last period
-    monkeypatch.setattr(harness, "_FLUSH", flush)
-    rng = np.random.default_rng(flush)
+@pytest.mark.parametrize("chunk", [BLOCK, 3 * BLOCK, 3 * BLOCK + 5])
+def test_equals_fsum_across_chunks(monkeypatch, chunk):
+    # chunks of a few blocks: each chunk's levels go into the int in turn,
+    # with a short last chunk
+    monkeypatch.setattr(harness, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
     values = np.ldexp(rng.standard_normal(10 * BLOCK + 7), rng.integers(-60, 60, 10 * BLOCK + 7))
     assert_equals_fsum(values.tolist())
     cancelling = np.concatenate([values, -values[::-1]])
     assert_equals_fsum(cancelling.tolist())
     assert_equals_fsum(np.append(cancelling, [-0.0, 2**-1074]).tolist())
+
+
+@given(st.lists(finite, min_size=8, max_size=64), st.integers(1, 7))
+def test_equals_fsum_across_small_chunks(xs, chunk):
+    # every chunk finds its own sigma, and one may take the near-overflow path
+    # while the next does not
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_CHUNK", chunk)
+        assert_equals_fsum(xs)
+
+
+def test_reads_its_input_without_changing_it():
+    values = np.ldexp(np.random.default_rng(3).standard_normal(3 * BLOCK), -40)
+    before = values.tobytes()
+    _exact_sum(values)
+    assert values.tobytes() == before

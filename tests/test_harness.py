@@ -5,9 +5,11 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +50,14 @@ def fresh(config, observable=None):
     """``run_experiment`` on a fresh draw: the draw memo is emptied first."""
     harness._last_draw = None
     return run_experiment(config, observable=observable)
+
+
+def run_trials(config, obs):
+    """All of ``config``'s trials through ``_run_trials``, written into
+    NaN-filled out arrays, so a slot it never writes shows."""
+    truths, sums = np.full(config.trials, np.nan), np.full(config.trials, np.nan)
+    _run_trials(config, obs, truths, sums, 0, config.trials)
+    return truths, sums
 
 
 # --- load_observable ---
@@ -225,7 +235,7 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     row = run_experiment(config)
     p, counts = sample_haar_counts(config.dim, config.copies, config.trials, derive_stream(config.master_seed, 0))
     truths = p @ obs.eigenvalues
-    kernel_truths, kernel_sums = _run_trials(config, obs, 0, config.trials)
+    kernel_truths, kernel_sums = run_trials(config, obs)
     assert np.array_equal(kernel_truths, truths)
     assert np.array_equal(kernel_sums, counts @ obs.eigenvalues)
     # a state with these eigenbasis probabilities has these expectation values
@@ -251,7 +261,7 @@ def test_hot_loop_matches_public_operations_bloch():
     s = sample_bloch_components(law, config.trials, stream)
     top = stream.random(config.trials) < 0.5 * (1.0 + s)
     counts = np.stack([top, ~top], axis=1).astype(np.int64)
-    truths, sums = _run_trials(config, obs, 0, config.trials)
+    truths, sums = run_trials(config, obs)
     assert np.array_equal(sums, counts @ obs.eigenvalues)
     # the state with Bloch vector s m has the block's truth and top-outcome probability
     bloch = s[:, None] * obs.top_bloch_vector
@@ -596,7 +606,7 @@ def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws, first, se
     row = run_experiment(config, observable=b)
     assert draws == [True, True]
     truths, sums = harness._last_draw[1]
-    fresh_truths, fresh_sums = _run_trials(config, b, 0, config.trials)
+    fresh_truths, fresh_sums = run_trials(config, b)
     assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
     assert _text(row) == _text(fresh(config, b)) != _text(fresh(config, a))
 
@@ -613,6 +623,26 @@ def test_worker_count_is_in_the_key(draws, ensemble):
     # a threaded Haar run draws its three blocks in two jobs
     assert draws == [True] * (2 if config.is_bloch else 3)
     assert _text(threaded) == _text(serial)
+
+
+@pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()])
+def test_reductions_leave_the_kept_draw_unchanged(draws, ensemble):
+    # each run reduces its errors in place; none may write through to the
+    # kept truths and sums that the next run on the key reads
+    config = ExperimentConfig(
+        dim=2, copies=3, trials=BLOCK + 9, master_seed=46, observable_source="diag(1,-2)", ensemble=ensemble
+    )
+    average = replace(config, estimator="sample-average")
+    first = run_experiment(config)
+    truths, sums = harness._last_draw[1]
+    kept = truths.tobytes(), sums.tobytes()
+    rows = [first, run_experiment(average), run_experiment(config)]
+    assert draws == [True]
+    assert all(now is then for now, then in zip(harness._last_draw[1], (truths, sums)))
+    assert (truths.tobytes(), sums.tobytes()) == kept
+    fresh_truths, fresh_sums = run_trials(config, load_observable("diag(1,-2)"))
+    assert (fresh_truths.tobytes(), fresh_sums.tobytes()) == kept
+    assert [_text(row) for row in rows] == [_text(fresh(config)), _text(fresh(average)), _text(fresh(config))]
 
 
 def test_memo_arrays_are_read_only():
@@ -778,13 +808,42 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
     assert captured.err.count("\n") == 1
 
 
-def _run_script(args, script):
+def _run_script(args, script, **options):
     """Run a Python script in a fresh interpreter that imports this optev."""
     src = str(Path(optev.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *args], input=script, capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, *args], input=script, capture_output=True, text=True, timeout=120, env=env, **options
     )
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize(
+    "trials, flags",
+    [
+        (10**11, []),
+        (10**11, ["--n2", "0.6", "--estimator", "optimal-mixed-qubit"]),
+        # past numpy's largest array (2**63 bytes), which numpy itself would refuse with ValueError
+        (2**60, []),
+        (2**64 - 1, []),
+    ],
+    ids=["haar", "bloch", "past-numpy-size", "past-numpy-index"],
+)
+def test_cli_trial_count_past_memory_fails_at_once(trials, flags):
+    # 10^11 trials need 1.6 TB of truths and sums, allocated before the first
+    # block, so under a 2 GiB address space the run fails before it draws
+    started = time.monotonic()
+    done = _run_script(
+        ["-m", "optev.cli", "simulate", "--trials", str(trials), *flags], None, preexec_fn=_limit_address_space
+    )
+    assert time.monotonic() - started < 10
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("optev: error: out of memory"), done.stderr
 
 
 def test_unguarded_worker_script_runs():
