@@ -68,7 +68,7 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        help="jobs a Haar run's trials are split into, run on at most one thread per CPU; Bloch runs draw in one thread",
+        help="at most this many threads for a Haar run, and at most one per CPU; Bloch runs draw in one thread",
     )
     sub.add_argument(
         "--timing",
@@ -177,8 +177,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args, grid_flags=True)
-    if config.is_bloch:
-        raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
     dims = _parse_int_list(args.dim, "--dim") if args.dim is not None else [config.dim]
     copies = _parse_int_list(args.copies, "--copies") if args.copies is not None else [config.copies]
     rows = run_sweep(config, copies_values=copies, dim_values=dims)

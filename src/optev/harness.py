@@ -10,30 +10,30 @@ probabilities in the observable's eigenbasis from Dirichlet(1 + counts)
 Dirichlet(1, ..., 1) probabilities and multinomial counts, with no
 amplitude and no multinomial draw.  A Bloch block draws only each state's
 Bloch component s along the top eigenvector's Bloch vector m
-(:func:`optev.sampling.sample_bloch_components`); the state's truth and
-outcome law depend on s alone, so the top eigenvalue is seen with
-probability (1 + s)/2, one uniform per trial for one copy and one binomial
-draw per trial for more.
+(:func:`optev.sampling.sample_bloch_components`); the state's truth,
+(tr Omega + s (w0 - w1))/2, and outcome law depend on s alone, so the top
+eigenvalue is seen with probability (1 + s)/2, one uniform per trial for
+one copy and one binomial draw per trial for more.
 Blocks never depend on the worker count and results are reduced afterwards
 with an exact sum equal to ``math.fsum``, so output is byte-identical for
 any worker count.  The bias at the fixed probe (the top eigenvector, where
 every outcome is the top eigenvalue) is exact, not drawn.
 
-A Haar run with ``workers > 1`` maps its blocks over threads of a
-``ThreadPoolExecutor`` of its own, at most one per CPU; its numpy calls
-release the GIL.  A Bloch block is a few calls on ``BLOCK`` numbers, which
-threads would only slow, so Bloch runs always draw in the calling thread.
-No run starts a process.
+A Haar run with ``workers > 1`` maps its blocks, one task each, over
+min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own;
+its numpy calls release the GIL.  A Bloch block is a few calls on ``BLOCK``
+numbers, which threads would only slow, so Bloch runs always draw in the
+calling thread.  No run starts a process.
 
 The estimator is in no stream key, so ``_draw`` keeps its last draw,
 read-only, keyed by every value the draw reads: master seed, N, M, the
-ensemble, the eigenvalues' bytes (which fix d) and, for Bloch runs,
-tr Omega and m.tau; and by the worker count, so a run on other workers
-draws afresh.  A run on an equal key, such as the other estimator on a
-cell, reuses the draw.  A run on another key drops it before drawing, so
-memory never holds two.  Its 16 bytes per trial (16 MB at M = 10^6) are
-allocated before the first block, so an M that cannot be held fails at
-once with ``MemoryError``.  One assignment swaps it, so threads need no lock.
+ensemble, the eigenvalues' bytes (which fix d) and tr Omega; and by the
+worker count, so a run on other workers draws afresh.  A run on an equal
+key, such as the other estimator on a cell, reuses the draw.  A run on
+another key drops it before drawing, so memory never holds two.  Its 16
+bytes per trial (16 MB at M = 10^6) are allocated before the first block,
+so an M that cannot be held fails at once with ``MemoryError``.  One
+assignment swaps it, so threads need no lock.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import numpy as np
 
 from .estimators import (
     EstimatorKind,
-    analytic_bias_mean,
     analytic_delta_av,
     analytic_delta_mixed_qubit,
     analytic_delta_opt,
@@ -180,10 +179,6 @@ class ExperimentConfig:
         return not (isinstance(self.ensemble, str) and self.ensemble == HAAR_ENSEMBLE)
 
     @property
-    def law(self) -> RadialLaw | None:
-        return self.ensemble if self.is_bloch else None
-
-    @property
     def n2(self) -> float | None:
         return self.ensemble.second_moment() if self.is_bloch else None
 
@@ -249,32 +244,28 @@ class ResultRow:
     wall_time: float
 
 
-def _run_trials(
-    config: ExperimentConfig, obs: Observable, truths: np.ndarray, sums: np.ndarray, start: int, stop: int
-) -> None:
-    """Write the truths and sums of observed eigenvalues of trials start to stop into those slices."""
-    d, n, law = config.dim, config.copies, config.law
-    w = obs.eigenvalues
-    if law is not None:
-        m_tau = _m_tau(obs)
-    for k in range(start, stop, BLOCK):
-        generator = derive_stream(config.master_seed, k)
-        size = min(BLOCK, stop - k)
-        if law is None:
-            p, counts = sample_haar_counts(d, n, size, generator)
-            np.matmul(p, w, out=truths[k : k + size])
-            np.matmul(counts, w, out=sums[k : k + size])
-            continue
-        s = sample_bloch_components(law, size, generator)
-        truths[k : k + size] = 0.5 * (obs.trace + s * m_tau)
-        # in [0, 1] exactly, since |s| <= 1
-        p_top = 0.5 * (1.0 + s)
-        if n == 1:
-            top = (generator.random(size) < p_top).view(np.int8)
-        else:
-            top = generator.binomial(n, p_top)
-        # the count vector [top, n - top] dotted with the two eigenvalues
-        sums[k : k + size] = top * w[0] + (n - top) * w[1]
+def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, sums: np.ndarray, k: int) -> None:
+    """Write the truths and sums of observed eigenvalues of the block starting at trial k into their slices."""
+    n, w = config.copies, obs.eigenvalues
+    generator = derive_stream(config.master_seed, k)
+    size = min(BLOCK, config.trials - k)
+    block = slice(k, k + size)
+    if not config.is_bloch:
+        p, counts = sample_haar_counts(config.dim, n, size, generator)
+        np.matmul(p, w, out=truths[block])
+        np.matmul(counts, w, out=sums[block])
+        return
+    s = sample_bloch_components(config.ensemble, size, generator)
+    # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
+    truths[block] = 0.5 * (obs.trace + s * (w[0] - w[1]))
+    # in [0, 1] exactly, since |s| <= 1
+    p_top = 0.5 * (1.0 + s)
+    if n == 1:
+        top = (generator.random(size) < p_top).view(np.int8)
+    else:
+        top = generator.binomial(n, p_top)
+    # the count vector [top, n - top] dotted with the two eigenvalues
+    sums[block] = top * w[0] + (n - top) * w[1]
 
 
 # values per chunk of the exact sum: its 64 KiB buffers stay below malloc's mmap threshold
@@ -333,22 +324,15 @@ def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
     return analytic_delta_av(obs, config.copies)
 
 
-def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, probe: PureState, truth: float) -> float:
-    if config.estimator is EstimatorKind.OPTIMAL_PURE:
-        return analytic_bias_mean(probe, obs, config.copies)
+def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, truth: float) -> float:
     if config.estimator is EstimatorKind.SAMPLE_AVERAGE:
         return truth
-    return float(estimate_from_sums(config.estimator, truth, 1, obs, config.n2))
+    n = config.copies
+    return float(estimate_from_sums(config.estimator, n * truth, n, obs, config.n2))
 
 
 # the last draw as (key, (truths, sums)), read-only, or None; see _draw
 _last_draw = None
-
-
-def _m_tau(obs: Observable) -> float:
-    # tr[rho Omega] = (tr Omega + r.tau)/2 and the outcome law see a Bloch
-    # vector r only through its component s along m, and tau is parallel to m
-    return float(obs.top_bloch_vector @ obs.pauli_vector)
 
 
 def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -367,10 +351,9 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
         config.trials,
         repr(config.ensemble),
         obs.eigenvalues.tobytes(),
+        obs.trace.hex(),
         config.workers,
     )
-    if config.is_bloch:
-        key += (obs.trace.hex(), _m_tau(obs).hex())
     last = _last_draw
     if last is not None and last[0] == key:
         return last[1]
@@ -380,23 +363,24 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
     if m >= 2**60:  # numpy refuses arrays of 2**63 bytes or more
         raise MemoryError(f"{m} trials need {16 * m} bytes")
     truths, sums = np.empty(m), np.empty(m)
-    blocks = -(-m // BLOCK)
-    split = min(config.workers, blocks)
-    if config.is_bloch or split == 1:
-        _run_trials(config, obs, truths, sums, 0, m)
+    starts = range(0, m, BLOCK)
+    block = partial(_draw_block, config, obs, truths, sums)
+    threads = 1 if config.is_bloch else min(config.workers, len(starts))
+    if threads > 1:
+        # more threads than CPUs would only queue
+        threads = min(threads, os.cpu_count() or 1)
+    if threads == 1:
+        for k in starts:
+            block(k)
     else:
         # imported here, so serial runs never load concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
-        # the blocks split evenly into min(workers, blocks) jobs, so none is
-        # empty; more threads than CPUs would only queue.  Blocks are keyed by
-        # their first trial and each job writes its own slices, so neither the
-        # split nor the cap can change the output; list() reads every result,
-        # so a job's exception is raised here
-        edges = [min(m, BLOCK * (blocks * i // split)) for i in range(split + 1)]
-        job = partial(_run_trials, config, obs, truths, sums)
-        with ThreadPoolExecutor(min(split, os.cpu_count() or 1)) as threads:
-            list(threads.map(job, edges[:-1], edges[1:]))
+        # each block is keyed by its first trial and writes its own slices, so
+        # the thread count cannot change the output; list() reads every
+        # result, so a block's exception is raised here
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(block, starts))
     drawn = (frozen(truths), frozen(sums))
     # one assignment of an immutable tuple, so a thread sees the old entry or
     # the new one, never half of one, and needs no lock
@@ -437,7 +421,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
         empirical_mse=empirical_mse,
         analytic_mse=_analytic_mse(config, obs),
         empirical_bias_at_probe=probe_mean - truth,
-        analytic_bias_at_probe=_analytic_probe_mean(config, obs, probe, truth) - truth,
+        analytic_bias_at_probe=_analytic_probe_mean(config, obs, truth) - truth,
         standard_error=standard_error,
         wall_time=time.perf_counter() - started,
     )
@@ -457,8 +441,10 @@ def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultR
     Rows come out ordered by dim, then copies, with the optimal estimator
     before the sample average; every cell reuses the base master seed.  The
     sample average's run finds the optimal run's draw in ``_draw``'s memo.
-    A grid value that is not an integer raises ConfigError.
+    A Bloch base or a grid value that is not an integer raises ConfigError.
     """
+    if base.is_bloch:
+        raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
     cell = replace(base, estimator=EstimatorKind.OPTIMAL_PURE, ensemble=HAAR_ENSEMBLE)
     dims = sorted({replace(cell, dim=_integral(v)).dim for v in dim_values})
     copies = sorted({replace(cell, copies=_integral(v)).copies for v in copies_values})

@@ -2,7 +2,7 @@
 
 Everything here is small and dense: matrices are validated eagerly,
 eigendecomposed once, and kept immutable so instances can be shared
-across worker processes without synchronization.
+across threads without synchronization.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ which writes ``golden_text(1)`` and refuses, writing nothing, unless
 the checkout's ``src`` when optev is not installed.
 """
 
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -66,7 +68,7 @@ CASES = (
         for kind in ("optimal-pure", "sample-average")
         for law in (RadialLaw.uniform_ball(), RadialLaw.two_point(0.8, 0.5))
     ]
-    # the worker split of these crosses block edges
+    # these span three blocks, so a two-worker run draws them on threads
     + [(ExperimentConfig(dim=3, copies=2, trials=2 * BLOCK + 3, master_seed=111), QUTRIT)]
     + [
         (
@@ -94,6 +96,39 @@ def golden_text(workers: int) -> str:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_matches_golden_file(workers):
     assert golden_text(workers) == GOLDEN.read_text()
+
+
+def _openblas_with_avx2_and_fma() -> bool:
+    """Whether numpy's BLAS is OpenBLAS and the CPU has the AVX2 and FMA
+    instructions that its Haswell and Zen kernels use."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except (TypeError, KeyError, OSError):
+        return False
+    return "openblas" in blas.lower() and {"avx2", "fma"} <= set(flags)
+
+
+# the Bloch rows read the eigenvalues, never a BLAS dot; the Haar rows' gemv
+# calls still change their last bits under the Sandybridge and Prescott kernels,
+# so those two are left out
+@pytest.mark.skipif(not _openblas_with_avx2_and_fma(), reason="needs OpenBLAS on a CPU with AVX2 and FMA")
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen"])
+def test_golden_file_under_another_openblas_kernel(kernel):
+    # OPENBLAS_CORETYPE picks the kernel at load time, so only a new process sees it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_csv_matches_golden_file"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-3000:]
 
 
 def write_golden() -> int:

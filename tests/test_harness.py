@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -42,7 +43,7 @@ from optev import (
 from optev import harness
 from optev.cli import main
 from optev.estimators import estimate_from_sums
-from optev.harness import BLOCK, CSV_COLUMNS, _run_trials, load_config, run_sweep
+from optev.harness import BLOCK, CSV_COLUMNS, _draw_block, load_config, run_sweep
 from optev.sampling import sample_bloch_components, sample_haar_counts
 
 
@@ -53,10 +54,11 @@ def fresh(config, observable=None):
 
 
 def run_trials(config, obs):
-    """All of ``config``'s trials through ``_run_trials``, written into
-    NaN-filled out arrays, so a slot it never writes shows."""
+    """All of ``config``'s trials through ``_draw_block``, block by block,
+    written into NaN-filled out arrays, so a slot it never writes shows."""
     truths, sums = np.full(config.trials, np.nan), np.full(config.trials, np.nan)
-    _run_trials(config, obs, truths, sums, 0, config.trials)
+    for k in range(0, config.trials, BLOCK):
+        _draw_block(config, obs, truths, sums, k)
     return truths, sums
 
 
@@ -248,13 +250,23 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     assert row.standard_error == se
 
 
-def test_hot_loop_matches_public_operations_bloch():
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # off-diagonal, so the Bloch vector m of the top eigenvector is no axis
+        [[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]],
+        # degenerate: the gap w0 - w1 is exactly 0
+        [[2.0, 0.0], [0.0, 2.0]],
+        [[-0.4, 0.0], [0.0, 1.5]],
+    ],
+    ids=["off-diagonal", "degenerate", "diagonal"],
+)
+def test_hot_loop_matches_public_operations_bloch(matrix):
     law = RadialLaw.uniform_ball()
     config = ExperimentConfig(
         dim=2, copies=1, trials=BLOCK, master_seed=10, estimator="optimal-mixed-qubit", ensemble=law
     )
-    # off-diagonal, so the Bloch vector m of the top eigenvector is no axis
-    obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    obs = make_observable(matrix)
     row = run_experiment(config, observable=obs)
     # block 0's stream: the components s first, then one outcome uniform per trial
     stream = derive_stream(config.master_seed, 0)
@@ -263,6 +275,8 @@ def test_hot_loop_matches_public_operations_bloch():
     counts = np.stack([top, ~top], axis=1).astype(np.int64)
     truths, sums = run_trials(config, obs)
     assert np.array_equal(sums, counts @ obs.eigenvalues)
+    if obs.eigenvalues[0] == obs.eigenvalues[1]:
+        assert np.all(truths == 0.5 * obs.trace)
     # the state with Bloch vector s m has the block's truth and top-outcome probability
     bloch = s[:, None] * obs.top_bloch_vector
     assert np.abs(truths - mixed_qubit_expectation(bloch, obs)).max() < 1e-14
@@ -397,8 +411,8 @@ def test_worker_chunking_matches_serial(trials):
 
 @pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()])
 def test_many_workers_start_no_process_and_give_the_serial_row(monkeypatch, ensemble):
-    # 64 workers over 3 blocks is 3 jobs on at most one thread per CPU; a Bloch
-    # run draws in the calling thread.  The output is that of one worker
+    # 64 workers over 3 blocks take min(64, 3, CPUs) = 2 threads; a Bloch run
+    # draws in the calling thread.  The output is that of one worker
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     made = []
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: made.append(n) or ThreadPoolExecutor(n))
@@ -409,17 +423,21 @@ def test_many_workers_start_no_process_and_give_the_serial_row(monkeypatch, ense
     assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
-def test_more_workers_than_blocks_gives_the_serial_row(monkeypatch):
-    # the blocks are split into min(workers, blocks) jobs, so a huge worker
-    # count builds one job, drawn in the calling thread; the pretend CPU
-    # count would cap any threads at 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    config = ExperimentConfig(dim=2, copies=1, trials=10, master_seed=23, workers=10**6)
-    assert rows_to_csv([run_experiment(config)]) == rows_to_csv([run_experiment(replace(config, workers=1))])
+@pytest.mark.parametrize("cpus, blocks", [(2, 1), (1, 3)])
+def test_one_block_or_one_cpu_draws_in_the_calling_thread(monkeypatch, cpus, blocks):
+    # a run takes min(workers, blocks, CPUs) threads, so one block or one CPU
+    # makes no thread pool, however many workers are asked for
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: made.append(n) or ThreadPoolExecutor(n))
+    config = ExperimentConfig(dim=2, copies=1, trials=(blocks - 1) * BLOCK + 10, master_seed=23, workers=10**6)
+    text = rows_to_csv([run_experiment(config)])
+    assert made == []
+    assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
 def test_threads_sharing_runs_get_serial_output(monkeypatch):
-    # a pretend third CPU lets the runs' 2- and 3-worker splits run on
+    # a pretend third CPU lets the runs' 2- and 3-worker draws run on
     # executors of two sizes at once; every run's thread pool is its own.
     # Each run has its own seed, so each draws afresh rather than finding
     # another's draw in the memo
@@ -469,6 +487,15 @@ def test_sweep_grid_and_ratio():
             + (opt.standard_error / opt.empirical_mse) ** 2
         )
         assert abs(ratio - want) < 3 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("estimator", ["optimal-pure", "optimal-mixed-qubit"])
+def test_sweep_rejects_a_bloch_base(estimator):
+    # a sweep runs the two Haar pure-state estimators; it must not quietly
+    # replace the base's Bloch ensemble by the Haar one
+    base = ExperimentConfig(trials=10, estimator=estimator, ensemble=RadialLaw.uniform_ball())
+    with pytest.raises(ConfigError, match="names a Bloch ensemble"):
+        run_sweep(base, copies_values=[1], dim_values=[2])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -532,11 +559,24 @@ def test_sweep_takes_numpy_integers():
 
 @pytest.fixture
 def draws(monkeypatch):
-    """One entry per ``_run_trials`` call, which only a memo miss makes:
-    whether the memo was empty during the call."""
-    calls = []
-    real = harness._run_trials
-    monkeypatch.setattr(harness, "_run_trials", lambda *args: calls.append(harness._last_draw is None) or real(*args))
+    """One entry per run that drew, which only a memo miss makes: whether the
+    memo was empty during every ``_draw_block`` call of that draw.  A draw's
+    blocks, on whatever threads, share its truths array."""
+    calls, arrays = [], []
+    lock = threading.Lock()
+    real = harness._draw_block
+
+    def spy(config, obs, truths, sums, k):
+        empty = harness._last_draw is None
+        with lock:
+            i = next((i for i, array in enumerate(arrays) if array is truths), len(arrays))
+            if i == len(arrays):
+                arrays.append(truths)
+                calls.append(True)
+            calls[i] = calls[i] and empty
+        real(config, obs, truths, sums, k)
+
+    monkeypatch.setattr(harness, "_draw_block", spy)
     return calls
 
 
@@ -563,7 +603,7 @@ HAAR = ExperimentConfig(dim=2, copies=2, trials=50, master_seed=41)
 BLOCH = replace(HAAR, ensemble=RadialLaw.uniform_ball())
 
 
-# each change touches one key field; a Bloch key holds tr Omega and m.tau too
+# each change touches one key field
 @pytest.mark.parametrize(
     "base, change",
     [
@@ -587,20 +627,13 @@ def test_a_changed_draw_input_draws_again(draws, base, change):
     assert _text(row) == _text(fresh(changed))
 
 
-@pytest.mark.parametrize(
-    "first, second, field",
-    [
-        ([[0.1, 0.0], [0.0, -0.1]], [[0.0, 0.1], [0.1, 0.0]], "m_tau"),
-        ([[0.0, 0.6 + 0.1j], [0.6 - 0.1j, -0.2]], [[0.1, 0.5 + 0.3j], [0.5 - 0.3j, -0.3]], "trace"),
-    ],
-)
-def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws, first, second, field):
-    # the two observables' eigenvalues are equal bit for bit, and of tr Omega
-    # and m.tau, as the draw computes them, exactly one differs in its last bit
-    a, b = make_observable(first), make_observable(second)
+def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws):
+    # the two observables' eigenvalues, so their gap w0 - w1, are equal bit
+    # for bit, and tr Omega, as the draw computes it, differs in its last bit
+    a = make_observable([[0.0, 0.6 + 0.1j], [0.6 - 0.1j, -0.2]])
+    b = make_observable([[0.1, 0.5 + 0.3j], [0.5 - 0.3j, -0.3]])
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    scalars = [{"trace": obs.trace, "m_tau": harness._m_tau(obs)} for obs in (a, b)]
-    assert [key for key in scalars[0] if scalars[0][key] != scalars[1][key]] == [field]
+    assert a.trace != b.trace and math.nextafter(a.trace, b.trace) == b.trace
     config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
     run_experiment(config, observable=a)
     row = run_experiment(config, observable=b)
@@ -609,6 +642,24 @@ def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws, first, se
     fresh_truths, fresh_sums = run_trials(config, b)
     assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
     assert _text(row) == _text(fresh(config, b)) != _text(fresh(config, a))
+
+
+def test_rotations_with_equal_eigenvalues_and_trace_share_a_draw(draws):
+    # a Bloch draw reads the observable only through its eigenvalues and
+    # tr Omega, equal bit for bit here, so the rotated observable reuses it
+    a = make_observable([[0.1, 0.0], [0.0, -0.1]])
+    b = make_observable([[0.0, 0.1], [0.1, 0.0]])
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.trace.hex() == b.trace.hex()
+    config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
+    run_experiment(config, observable=a)
+    truths, sums = harness._last_draw[1]
+    row = run_experiment(config, observable=b)
+    assert draws == [True]
+    assert all(now is then for now, then in zip(harness._last_draw[1], (truths, sums)))
+    fresh_truths, fresh_sums = run_trials(config, b)
+    assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
+    assert _text(row) == _text(fresh(config, b))
 
 
 @pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()])
@@ -620,8 +671,7 @@ def test_worker_count_is_in_the_key(draws, ensemble):
     )
     serial = run_experiment(config)
     threaded = run_experiment(replace(config, workers=2))
-    # a threaded Haar run draws its three blocks in two jobs
-    assert draws == [True] * (2 if config.is_bloch else 3)
+    assert draws == [True, True]
     assert _text(threaded) == _text(serial)
 
 

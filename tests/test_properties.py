@@ -1,6 +1,7 @@
-"""Hypothesis property tests: config and observable round trips, the
-estimators' shift-and-scale covariance, and a CLI that fails only with a
-one-line error or a usage message, whatever flags it is given."""
+"""Hypothesis property tests: config and observable round trips, the qubit
+eigenvalue gap as the Bloch dot, the estimators' shift-and-scale
+covariance, and a CLI that fails only with a one-line error or a usage
+message, whatever flags it is given."""
 
 import contextlib
 import io
@@ -72,6 +73,19 @@ def test_observable_json_round_trip_is_exact(matrix):
     assert again.dim == obs.dim
     assert np.array_equal(again.matrix, obs.matrix)
     assert np.array_equal(again.eigenvalues, obs.eigenvalues)
+
+
+qubit_entries = st.floats(-10.0, 10.0)
+
+
+@given(qubit_entries, qubit_entries, qubit_entries, qubit_entries)
+def test_qubit_eigenvalue_gap_is_the_bloch_dot(a, b, re, im):
+    # the Monte Carlo Bloch block takes m.tau, the top eigenvector's Bloch
+    # vector dotted with the observable's, as w0 - w1: tau is parallel to m
+    # and |tau| is the eigenvalue gap
+    obs = make_observable([[a, complex(re, -im)], [complex(re, im), b]])
+    w0, w1 = obs.eigenvalues
+    assert abs((w0 - w1) - obs.top_bloch_vector @ obs.pauli_vector) <= 1e-14 * max(1.0, abs(w0) + abs(w1))
 
 
 coefficients = st.floats(-1e3, 1e3)
