@@ -8,7 +8,9 @@ over the compositions of N into d parts, and then the state's outcome
 probabilities in the observable's eigenbasis from Dirichlet(1 + counts)
 (:func:`optev.sampling.sample_haar_counts`); that is the joint law of
 Dirichlet(1, ..., 1) probabilities and multinomial counts, with no
-amplitude and no multinomial draw.  A Bloch block draws only each state's
+amplitude and no multinomial draw.  Both come as (d, trials) arrays, one
+row per outcome, and the truths sum_i w_i p_i and sums sum_i w_i c_i add
+those rows first to last, elementwise, with no BLAS call.  A Bloch block draws only each state's
 Bloch component s along the top eigenvector's Bloch vector m
 (:func:`optev.sampling.sample_bloch_components`); the state's truth,
 (tr Omega + s (w0 - w1))/2, and outcome law depend on s alone, so the top
@@ -16,8 +18,10 @@ eigenvalue is seen with probability (1 + s)/2, one uniform per trial for
 one copy and one binomial draw per trial for more.
 Blocks never depend on the worker count and results are reduced afterwards
 with an exact sum equal to ``math.fsum``, so output is byte-identical for
-any worker count.  The bias at the fixed probe (the top eigenvector, where
-every outcome is the top eigenvalue) is exact, not drawn.
+any worker count.  No BLAS call lies between the eigendecomposition and the
+CSV, so given the eigenvalues, the output is also the same on every CPU and
+BLAS kernel.  The bias at the fixed probe (the top eigenvector, where every
+outcome is the top eigenvalue, its truth) is exact, not drawn.
 
 A Haar run with ``workers > 1`` maps its blocks, one task each, over
 min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own;
@@ -61,7 +65,6 @@ from .estimators import (
 from .hermitian import (
     Observable,
     PureState,
-    expectation,
     frozen,
     make_observable,
     observable_from_json,
@@ -252,8 +255,11 @@ def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, s
     block = slice(k, k + size)
     if not config.is_bloch:
         p, counts = sample_haar_counts(config.dim, n, size, generator)
-        np.matmul(p, w, out=truths[block])
-        np.matmul(counts, w, out=sums[block])
+        # sum_i w_i p_i and sum_i w_i c_i: numpy adds the outcome rows first
+        # to last, a fixed order, so no BLAS kernel changes the bits
+        p *= w[:, None]
+        p.sum(axis=0, out=truths[block])
+        (counts * w[:, None]).sum(axis=0, out=sums[block])
         return
     s = sample_bloch_components(config.ensemble, size, generator)
     # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
@@ -406,14 +412,13 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     errors *= errors
     standard_error = math.sqrt(_exact_sum(errors) / (m - 1) / m) if m > 1 else 0.0
 
-    # every outcome at the top eigenvector is the top eigenvalue, so all M
-    # probe trials share one sum; counts @ w keeps the drawn path's bits
-    probe = PureState(obs.eigenvectors[:, 0])
-    truth = expectation(probe, obs)
-    if not abs(outcome_distribution(probe, obs)[0] - 1.0) <= 1e-12:
+    # every outcome at the top eigenvector is the top eigenvalue, which is
+    # also its truth, so all M probe trials share one sum, N w_0: the drawn
+    # path's sum of rows with counts [N, 0, ..., 0], bit for bit
+    if not abs(outcome_distribution(PureState(obs.eigenvectors[:, 0]), obs)[0] - 1.0) <= 1e-12:
         raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
-    counts = np.array([n] + [0] * (obs.dim - 1), dtype=np.int64)
-    e = float(estimate_from_sums(config.estimator, counts @ obs.eigenvalues, n, obs, config.n2))
+    truth = float(obs.eigenvalues[0])
+    e = float(estimate_from_sums(config.estimator, n * truth, n, obs, config.n2))
     # the correctly rounded M*e, as math.fsum([e] * M) is, since M < 2**53
     probe_mean = (m * e) / m
     return ResultRow(

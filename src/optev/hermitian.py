@@ -49,8 +49,10 @@ class Observable:
 
     @cached_property
     def trace_square(self) -> float:
-        # tr(M @ M) == Frobenius norm squared for Hermitian M
-        return float(np.vdot(self.matrix, self.matrix).real)
+        # tr(M @ M) == Frobenius norm squared for Hermitian M, from numpy's own
+        # elementwise squares and sum, so no BLAS kernel changes its bits
+        m = self.matrix
+        return float((m.real * m.real + m.imag * m.imag).sum())
 
     @cached_property
     def pauli_vector(self) -> np.ndarray:

@@ -11,7 +11,10 @@ Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :func:`sample_haar_counts` draws only the outcome
 probabilities in an observable's eigenbasis together with the outcome counts
 of N measurements, counts first, which is all the harness's pure-state
-kernel needs.  Isotropic Bloch-ball states are drawn
+kernel needs.  It works in (d, count) layout, one contiguous row per
+outcome: a composition's chosen slots are sorted by a compare-exchange
+network of ``np.minimum`` and ``np.maximum`` over whole rows, and sums over
+outcomes add rows first to last.  Isotropic Bloch-ball states are drawn
 the same two ways: :func:`sample_bloch_vectors` draws whole Bloch vectors,
 :func:`sample_bloch_components` only their components along one axis, which
 is all a qubit observable sees of them.
@@ -19,6 +22,7 @@ is all a qubit observable sees of them.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -168,7 +172,8 @@ def sample_haar_counts(
     d: int, copies: int, count: int, stream: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Haar pure states' eigenbasis probabilities and the outcome counts of ``copies``
-    measurements of each, both of shape (count, d), drawn counts first.
+    measurements of each, both of shape (d, count), drawn counts first: row i
+    holds outcome i of every state, so a sum over outcomes adds whole rows.
 
     A Haar state's amplitudes are d i.i.d. standard complex Gaussians,
     normalized, so its probabilities p in any fixed basis are normalized
@@ -181,9 +186,9 @@ def sample_haar_counts(
     and bars slots (:func:`_uniform_subsets`).  For N <= d the stars are
     drawn; the star in slot s with r stars before it lies in part s - r, and
     each part's probability is one ``standard_exponential`` default datum
-    plus one more exponential per copy observed in it, normalized.  For
-    N > d the d - 1 bars are drawn, and p is ``standard_gamma(c + 1.0)``,
-    normalized.
+    plus one more exponential per copy observed in it.  For N > d the d - 1
+    bars are drawn, and p is ``standard_gamma(c + 1.0)``.  Either way p is
+    divided by the sum of its d rows, added first to last.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -195,48 +200,103 @@ def sample_haar_counts(
         # stars up to N = d, one more than the d - 1 bars: an exponential
         # costs about a quarter of a gamma
         part = _uniform_subsets(slots, copies, count, stream).view(np.int64)
-        part -= np.arange(copies)
-        # flat indices into the (count, d) rows
-        part += np.arange(0, count * d, d)[:, None]
-        p = stream.standard_exponential((count, d))
+        part -= np.arange(copies)[:, None]
+        # flat indices into the (d, count) rows
+        part *= count
+        part += np.arange(count)
+        p = stream.standard_exponential((d, count))
         flat = p.reshape(-1)
-        # one copy of every row at a time, so no index repeats within a step
-        for star in part.T:
+        # one star of every state at a time, so no index repeats within a step
+        for star in part:
             flat[star] += stream.standard_exponential(count)
-        counts = np.bincount(part.reshape(-1), minlength=p.size).reshape(count, d)
+        counts = np.bincount(part.reshape(-1), minlength=p.size).reshape(d, count)
     else:
         bars = _uniform_subsets(slots, d - 1, count, stream)
         # part i holds the stars between bar i - 1 and bar i, where bar -1
         # is at slot -1 and bar d - 1 at slot N + d - 1
-        counts = np.empty((count, d), dtype=np.uint64)
-        counts[:, :-1] = bars
-        counts[:, -1] = slots
-        counts[:, 1:] -= bars
+        counts = np.empty((d, count), dtype=np.uint64)
+        counts[:-1] = bars
+        counts[-1] = slots
+        counts[1:] -= bars
         del bars
-        counts[:, 1:] -= np.uint64(1)
+        counts[1:] -= np.uint64(1)
         counts = counts.view(np.int64)
         p = counts + 1.0
         stream.standard_gamma(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    # numpy adds the rows of a C-ordered array's outer axis one at a time, in order
+    p /= p.sum(axis=0)
     return p, counts
 
 
+# largest subset size sorted by the compare-exchange network; numpy's sort is faster above it
+_NETWORK_MAX = 16
+
+
 def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator) -> np.ndarray:
-    """``count`` uniform k-subsets of range(slots), one sorted uint64 row each, shape (count, k).
+    """``count`` uniform k-subsets of range(slots), one uint64 column each,
+    sorted down the column: shape (k, count).
 
     Floyd's algorithm: for j = slots - k, ..., slots - 1 in turn, draw t
     uniform in [0, j] and take t, or j if t is already taken; one integer
-    per row and step.  Slots are uint64, which holds N + d - 1 for every
-    N below 2**63 at any d below 2**63.
+    per column and step.  Slots are uint64, which holds N + d - 1 for every
+    N below 2**63 at any d below 2**63.  Up to ``_NETWORK_MAX`` rows, the
+    columns are sorted by :func:`_sort_network` on whole rows; above it, by
+    numpy's sort of the transposed rows.
     """
-    chosen = np.empty((k, count), dtype=np.uint64)
+    # one spare row for the network
+    chosen = np.empty((k + 1, count), dtype=np.uint64)
     for i, j in enumerate(range(slots - k, slots)):
         chosen[i] = stream.integers(0, j + 1, size=count, dtype=np.uint64)
         if i:
             np.copyto(chosen[i], np.uint64(j), where=(chosen[:i] == chosen[i]).any(axis=0))
-    rows = np.ascontiguousarray(chosen.T)
+    if k <= _NETWORK_MAX:
+        return _sort_network(chosen)
+    rows = np.ascontiguousarray(chosen[:k].T)
     rows.sort(axis=1)
-    return rows
+    return np.ascontiguousarray(rows.T)
+
+
+def _sort_network(rows: np.ndarray) -> np.ndarray:
+    """The first k of k + 1 rows, each column sorted ascending, as a (k, columns) array.
+
+    Batcher's odd-even merge sort (Knuth, TAOCP vol. 3, 5.3.4) as
+    compare-exchanges of whole rows: ``np.minimum`` into the spare row and
+    ``np.maximum`` in place, after which the spare holds the lower item and
+    the old lower row is the spare, so no row is copied until the one
+    gather at the end.  The contents of ``rows`` are overwritten.
+    """
+    steps, order = _network_schedule(rows.shape[0] - 1)
+    views = list(rows)
+    for low, high, spare in steps:
+        np.minimum(views[low], views[high], out=views[spare])
+        np.maximum(views[low], views[high], out=views[high])
+    return rows[: len(order)] if order == tuple(range(len(order))) else rows[list(order)]
+
+
+@functools.cache
+def _network_schedule(k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The rows (low, high, spare) of each compare-exchange of :func:`_sort_network`
+    on k + 1 rows, and the rows that hold sorted positions 0, ..., k - 1 at the end.
+
+    The pairs are Batcher's for the next power of two above k, without those
+    that reach past k (items there would be +infinity and never move).
+    """
+    steps = []
+    # order[i] is the row that holds position i, order[k] the spare
+    order = list(range(k + 1))
+    p = 1
+    while p < k:
+        step = p
+        while step:
+            for j in range(step % p, k - step, 2 * step):
+                for i in range(j, j + min(step, k - j - step)):
+                    # both items in the same merge of two sorted runs of p
+                    if i // (2 * p) == (i + step) // (2 * p):
+                        steps.append((order[i], order[i + step], order[k]))
+                        order[i], order[k] = order[k], order[i]
+            step //= 2
+        p *= 2
+    return tuple(steps), tuple(order[:k])
 
 
 def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:

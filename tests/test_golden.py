@@ -23,12 +23,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 if __name__ == "__main__":
     sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
-from optev import ExperimentConfig, RadialLaw, make_observable, rows_to_csv, run_experiment
+from optev import ExperimentConfig, Observable, RadialLaw, make_observable, rows_to_csv, run_experiment
 from optev.harness import BLOCK, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden.csv")
@@ -98,37 +99,105 @@ def test_csv_matches_golden_file(workers):
     assert golden_text(workers) == GOLDEN.read_text()
 
 
-def _openblas_with_avx2_and_fma() -> bool:
-    """Whether numpy's BLAS is OpenBLAS and the CPU has the AVX2 and FMA
-    instructions that its Haswell and Zen kernels use."""
-    import numpy as np
+# the CPU flags each OpenBLAS kernel needs; forcing a kernel without them
+# would stop the process on an illegal instruction
+KERNEL_FLAGS = {
+    "Prescott": {"pni"},
+    "Nehalem": {"sse4_2"},
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+    "Zen": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Cooperlake": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl", "avx512_bf16"},
+    "SapphireRapids": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl", "avx512_bf16", "avx512_fp16"},
+}
 
+
+def _openblas_cpu_flags() -> set:
+    """The CPU's flags from /proc/cpuinfo if numpy's BLAS is OpenBLAS, else the empty set."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         flags = Path("/proc/cpuinfo").read_text().split()
     except (TypeError, KeyError, OSError):
-        return False
-    return "openblas" in blas.lower() and {"avx2", "fma"} <= set(flags)
+        return set()
+    return set(flags) if "openblas" in blas.lower() else set()
 
 
-# the Bloch rows read the eigenvalues, never a BLAS dot; the Haar rows' gemv
-# calls still change their last bits under the Sandybridge and Prescott kernels,
-# so those two are left out
-@pytest.mark.skipif(not _openblas_with_avx2_and_fma(), reason="needs OpenBLAS on a CPU with AVX2 and FMA")
-@pytest.mark.parametrize("kernel", ["Haswell", "Zen"])
-def test_golden_file_under_another_openblas_kernel(kernel):
-    # OPENBLAS_CORETYPE picks the kernel at load time, so only a new process sees it
+def _run_under_kernel(kernel: str, args: list) -> subprocess.CompletedProcess:
+    """Run ``python args`` with ``OPENBLAS_CORETYPE=kernel`` and this checkout's ``src`` first on the path.
+
+    OPENBLAS_CORETYPE picks the kernel at load time, so only a new process sees it.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_csv_matches_golden_file"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+# no BLAS call lies between the eigenvalues and the CSV, so every kernel gives
+# the same bytes; Sandybridge needs only AVX and Prescott only SSE3
+@pytest.mark.skipif(not {"avx2", "fma"} <= _openblas_cpu_flags(), reason="needs OpenBLAS on a CPU with AVX2 and FMA")
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen", "Sandybridge", "Prescott"])
+def test_golden_file_under_another_openblas_kernel(kernel):
+    done = _run_under_kernel(
+        kernel, ["-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::test_csv_matches_golden_file"]
     )
     assert done.returncode == 0, done.stdout[-3000:]
+
+
+RANDOM_DIMS = range(2, 18)
+
+
+def save_random_observables(path: Path) -> None:
+    """Seeded random observables at every d in ``RANDOM_DIMS``, with their eigendecompositions, as one .npz file."""
+    rng = np.random.default_rng(2026)
+    arrays = {}
+    for d in RANDOM_DIMS:
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        obs = make_observable((raw + raw.conj().T) * rng.uniform(0.1, 10.0))
+        arrays.update({f"matrix{d}": obs.matrix, f"eigenvalues{d}": obs.eigenvalues, f"eigenvectors{d}": obs.eigenvectors})
+    np.savez(path, **arrays)
+
+
+def random_observable_text(path: Path) -> str:
+    """CSV of Haar runs at every d in ``RANDOM_DIMS``, on both sides of the stars and
+    bars choice, and one Bloch run, on the observables saved at ``path``.
+
+    Each ``Observable`` is built from the stored entries, so eigh never runs
+    and the rows depend on the BLAS kernel only if the harness calls BLAS.
+    """
+    stored = np.load(path)
+    observables = {
+        d: Observable(d, stored[f"matrix{d}"], stored[f"eigenvalues{d}"], stored[f"eigenvectors{d}"])
+        for d in RANDOM_DIMS
+    }
+    rows = []
+    for d, obs in observables.items():
+        for copies, kind in ((max(1, d // 2), "optimal-pure"), (d + 3, "sample-average")):
+            config = ExperimentConfig(dim=d, copies=copies, trials=BLOCK + 3, master_seed=300 + d, estimator=kind)
+            rows.append(run_experiment(config, observable=obs))
+    bloch = ExperimentConfig(
+        dim=2, trials=BLOCK + 3, master_seed=320, estimator="optimal-mixed-qubit", ensemble=RadialLaw.uniform_ball()
+    )
+    rows.append(run_experiment(bloch, observable=observables[2]))
+    return rows_to_csv(rows)
+
+
+def test_random_observable_rows_are_the_same_bytes_under_every_kernel(tmp_path):
+    flags = _openblas_cpu_flags()
+    kernels = [kernel for kernel, needs in KERNEL_FLAGS.items() if needs <= flags]
+    if len(kernels) < 2:
+        pytest.skip("needs OpenBLAS on a CPU that runs at least two of its kernels")
+    path = tmp_path / "observables.npz"
+    save_random_observables(path)
+    want = random_observable_text(path)
+    differ = {}
+    for kernel in kernels:
+        done = _run_under_kernel(kernel, [__file__, "--rows", str(path)])
+        assert done.returncode == 0, done.stderr[-3000:]
+        if done.stdout != want:
+            differ[kernel] = [line for line in done.stdout.splitlines() if line not in want.splitlines()]
+    assert not differ
 
 
 def write_golden() -> int:
@@ -154,6 +223,9 @@ def test_write_refuses_unless_worker_counts_agree(monkeypatch, tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    sys.exit(write_golden())
+    if sys.argv[1:] == ["--write"]:
+        sys.exit(write_golden())
+    if len(sys.argv) == 3 and sys.argv[1] == "--rows":
+        sys.stdout.write(random_observable_text(Path(sys.argv[2])))
+        sys.exit(0)
+    sys.exit(f"usage: {sys.argv[0]} --write | --rows OBSERVABLES.npz")

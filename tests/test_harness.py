@@ -159,7 +159,7 @@ def test_largest_copies_runs(d):
     assert math.isfinite(row.empirical_bias_at_probe)
     # the block's own draw: N + d - 1 slots exceed 2**63 - 1 at d = 8
     p, counts = sample_haar_counts(d, config.copies, config.trials, derive_stream(config.master_seed, 0))
-    assert (counts >= 0).all() and (counts.sum(axis=1) == config.copies).all()
+    assert (counts >= 0).all() and (counts.sum(axis=0) == config.copies).all()
     assert np.isfinite(p).all()
 
 
@@ -236,14 +236,19 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     obs = load_observable("diag(3,0,-3)")
     row = run_experiment(config)
     p, counts = sample_haar_counts(config.dim, config.copies, config.trials, derive_stream(config.master_seed, 0))
-    truths = p @ obs.eigenvalues
+    # sum_i w_i p_i and sum_i w_i c_i, one outcome row at a time from the first
+    w = obs.eigenvalues
+    truths, value_sums = w[0] * p[0], w[0] * counts[0]
+    for i in range(1, config.dim):
+        truths = truths + w[i] * p[i]
+        value_sums = value_sums + w[i] * counts[i]
     kernel_truths, kernel_sums = run_trials(config, obs)
     assert np.array_equal(kernel_truths, truths)
-    assert np.array_equal(kernel_sums, counts @ obs.eigenvalues)
+    assert np.array_equal(kernel_sums, value_sums)
     # a state with these eigenbasis probabilities has these expectation values
-    for row_p, truth in zip(p, truths):
-        assert abs(truth - expectation(PureState(obs.eigenvectors @ np.sqrt(row_p)), obs)) < 1e-14
-    estimates = estimate_from_sums(config.estimator, counts @ obs.eigenvalues, config.copies, obs)
+    for column, truth in zip(p.T, truths):
+        assert abs(truth - expectation(PureState(obs.eigenvectors @ np.sqrt(column)), obs)) < 1e-14
+    estimates = estimate_from_sums(config.estimator, value_sums, config.copies, obs)
     slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)
     assert row.empirical_mse == mean == math.fsum(slow) / config.trials
@@ -361,7 +366,11 @@ def test_probe_bias_is_the_exact_mean_of_m_equal_estimates(estimator, source, co
         "sample-average": lambda: estimate_sample_average(counts, obs),
         "optimal-mixed-qubit": lambda: estimate_optimal_mixed_qubit(counts, obs, law.second_moment()),
     }[estimator]()
-    want = math.fsum([e] * trials) / trials - expectation(PureState(obs.eigenvectors[:, 0]), obs)
+    # the probe's truth is its eigenvalue; for these diagonal observables the
+    # expectation value <phi|Omega|phi> is that number exactly
+    truth = float(expectation(PureState(obs.eigenvectors[:, 0]), obs))
+    assert truth == obs.eigenvalues[0]
+    want = math.fsum([e] * trials) / trials - truth
     got = run_experiment(config).empirical_bias_at_probe
     assert got == want
     assert repr(got) == repr(want)  # signed zeros too

@@ -18,7 +18,14 @@ from optev import (
     sample_haar_pure,
 )
 from optev.harness import BLOCK
-from optev.sampling import sample_bloch_components, sample_bloch_vectors, sample_haar_counts
+from optev.sampling import (
+    _NETWORK_MAX,
+    _sort_network,
+    _uniform_subsets,
+    sample_bloch_components,
+    sample_bloch_vectors,
+    sample_haar_counts,
+)
 
 
 # --- stream derivation ---
@@ -153,10 +160,11 @@ def test_haar_counts_are_uniform_over_compositions(d, copies):
     # into d parts has the same probability
     samples = 60_000
     _, counts = sample_haar_counts(d, copies, samples, derive_stream(26, d * 100 + copies))
-    assert counts.dtype == np.int64 and (counts >= 0).all() and (counts.sum(axis=1) == copies).all()
+    assert counts.shape == (d, samples)
+    assert counts.dtype == np.int64 and (counts >= 0).all() and (counts.sum(axis=0) == copies).all()
     compositions = np.array(enumerate_occupations(d, copies))
     assert len(compositions) == math.comb(copies + d - 1, d - 1)
-    observed = (counts[:, None, :] == compositions[None, :, :]).all(axis=2).sum(axis=0)
+    observed = (counts.T[:, None, :] == compositions[None, :, :]).all(axis=2).sum(axis=0)
     assert observed.sum() == samples
     assert scipy.stats.chisquare(observed).pvalue > 1e-3
 
@@ -165,17 +173,17 @@ def test_haar_counts_are_uniform_over_compositions(d, copies):
 def test_haar_counts_probabilities_follow_the_haar_eigenbasis_law(d, copies):
     samples = 100_000
     p, _ = sample_haar_counts(d, copies, samples, derive_stream(24, d * 100 + copies))
-    assert p.shape == (samples, d)
-    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-15
+    assert p.shape == (d, samples)
+    assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-15
     # Dirichlet(1, ..., 1) moments whatever the counts, each within 5 standard errors
     i, j = np.triu_indices(d, 1)
     for values, want in (
         (p, 1.0 / d),
         (p * p, 2.0 / (d * (d + 1))),
-        (p[:, i] * p[:, j], 1.0 / (d * (d + 1))),
+        (p[i] * p[j], 1.0 / (d * (d + 1))),
     ):
-        se = values.std(axis=0, ddof=1) / math.sqrt(samples)
-        assert (np.abs(values.mean(axis=0) - want) < 5 * se).all()
+        se = values.std(axis=1, ddof=1) / math.sqrt(samples)
+        assert (np.abs(values.mean(axis=1) - want) < 5 * se).all()
 
 
 @pytest.mark.parametrize("d, copies", SIDES)
@@ -184,9 +192,10 @@ def test_haar_counts_posterior_mean(d, copies):
     # estimate with one default datum per eigenvalue
     samples = 100_000
     p, counts = sample_haar_counts(d, copies, samples, derive_stream(27, d * 100 + copies))
+    assert p.shape == counts.shape == (d, samples)
     residual = p - (1.0 + counts) / (copies + d)
-    se = residual.std(axis=0, ddof=1) / math.sqrt(samples)
-    assert (np.abs(residual.mean(axis=0)) < 5 * se).all()
+    se = residual.std(axis=1, ddof=1) / math.sqrt(samples)
+    assert (np.abs(residual.mean(axis=1)) < 5 * se).all()
 
 
 @pytest.mark.parametrize("d, copies", SIDES)
@@ -198,6 +207,7 @@ def test_haar_counts_match_the_forward_draw(d, copies):
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     obs = make_observable((raw + raw.conj().T) / 2)
     p, counts = sample_haar_counts(d, copies, samples, derive_stream(28, d * 100 + copies))
+    p, counts = p.T, counts.T
     stream = derive_stream(29, d * 100 + copies)
     forward_p = outcome_distribution(sample_haar_amplitudes(d, samples, stream), obs)
     forward_counts = stream.multinomial(copies, forward_p / forward_p.sum(axis=1, keepdims=True))
@@ -209,6 +219,45 @@ def test_haar_counts_match_the_forward_draw(d, copies):
     forward_joint = (forward_counts[:, :, None] * forward_p[:, None, :]).reshape(samples, -1)
     se = np.hypot(joint.std(axis=0, ddof=1), forward_joint.std(axis=0, ddof=1)) / math.sqrt(samples)
     assert (np.abs(joint.mean(axis=0) - forward_joint.mean(axis=0)) < 5 * se).all()
+
+
+# --- sorting a composition's slots ---
+
+@pytest.mark.parametrize("k", range(1, _NETWORK_MAX + 4))
+def test_sort_network_equals_numpy_sort(k):
+    rng = np.random.default_rng(k)
+    rows = np.empty((k + 1, 3000), dtype=np.uint64)
+    rows[:k] = rng.integers(0, 2**64, (k, 3000), dtype=np.uint64)
+    # a third of the columns near 2**63, where N = 2**63 - 1 puts the slots, with ties
+    rows[:k, :1000] = rng.integers(2**63 - 3, 2**63 + 3, (k, 1000), dtype=np.uint64)
+    want = np.sort(rows[:k], axis=0)
+    got = _sort_network(rows)
+    assert got.dtype == np.uint64 and got.shape == (k, 3000)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(1, _NETWORK_MAX + 1))
+def test_sort_network_sorts_every_zero_one_column(k):
+    # a comparator network that sorts every 0-1 input sorts every input
+    # (Knuth, TAOCP vol. 3, 5.3.4, the zero-one principle)
+    columns = np.arange(2**k, dtype=np.uint64)
+    rows = np.empty((k + 1, columns.size), dtype=np.uint64)
+    rows[:k] = (columns >> np.arange(k, dtype=np.uint64)[:, None]) & np.uint64(1)
+    ones = rows[:k].sum(axis=0)
+    got = _sort_network(rows)
+    assert np.array_equal(got, np.arange(k)[:, None] >= k - ones)
+
+
+@pytest.mark.parametrize("k", [1, _NETWORK_MAX, _NETWORK_MAX + 1])
+def test_uniform_subsets_are_sorted_subsets_on_both_sides_of_the_network(k):
+    slots = 2 * k + 3
+    rows = _uniform_subsets(slots, k, 5000, derive_stream(37, k))
+    assert rows.shape == (k, 5000) and rows.dtype == np.uint64
+    assert (rows[1:] > rows[:-1]).all() and (rows < slots).all()
+    # each slot is chosen with probability k / slots, within 5 standard errors
+    hits = np.bincount(rows.reshape(-1).astype(np.int64), minlength=slots)
+    want = 5000 * k / slots
+    assert (np.abs(hits - want) < 5 * math.sqrt(want * (1 - k / slots))).all()
 
 
 # --- radial laws ---
