@@ -29,8 +29,6 @@ from .hermitian import (
     PureState,
     expectation,
     make_observable,
-    mixed_qubit_expectation,
-    mixed_qubit_outcome_distribution,
     observable_to_json,
     outcome_distribution,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "haar_average_tensor_power",
     "load_observable",
     "make_observable",
-    "mixed_qubit_expectation",
-    "mixed_qubit_outcome_distribution",
     "observable_to_json",
     "occupation_basis_vector",
     "outcome_distribution",

@@ -160,6 +160,8 @@ def _cmd_analytic(args) -> int:
     n2 = config.n2
     if n2 is not None:
         report["n2"] = n2
+    # the mixed-qubit estimator is defined at one copy only
+    if n2 is not None and n == 1:
         report["delta_mixed"] = analytic_delta_mixed_qubit(obs, n2)
         report["omega_mixed_by_outcome"] = estimate_from_sums(
             EstimatorKind.OPTIMAL_MIXED_QUBIT, obs.eigenvalues, 1, obs, n2

@@ -330,13 +330,6 @@ def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
     return analytic_delta_av(obs, config.copies)
 
 
-def _analytic_probe_mean(config: ExperimentConfig, obs: Observable, truth: float) -> float:
-    if config.estimator is EstimatorKind.SAMPLE_AVERAGE:
-        return truth
-    n = config.copies
-    return float(estimate_from_sums(config.estimator, n * truth, n, obs, config.n2))
-
-
 # the last draw as (key, (truths, sums)), read-only, or None; see _draw
 _last_draw = None
 
@@ -426,7 +419,8 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
         empirical_mse=empirical_mse,
         analytic_mse=_analytic_mse(config, obs),
         empirical_bias_at_probe=probe_mean - truth,
-        analytic_bias_at_probe=_analytic_probe_mean(config, obs, truth) - truth,
+        # the sample average is unbiased at every state
+        analytic_bias_at_probe=0.0 if config.estimator is EstimatorKind.SAMPLE_AVERAGE else e - truth,
         standard_error=standard_error,
         wall_time=time.perf_counter() - started,
     )

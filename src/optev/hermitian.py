@@ -54,19 +54,6 @@ class Observable:
         m = self.matrix
         return float((m.real * m.real + m.imag * m.imag).sum())
 
-    @cached_property
-    def pauli_vector(self) -> np.ndarray:
-        """tau with Omega = (tr Omega + tau.sigma) / 2; qubit observables only."""
-        if self.dim != 2:
-            raise ValueError(f"Pauli coefficients require d=2, got d={self.dim}")
-        a = self.matrix
-        return frozen(np.array([2.0 * a[0, 1].real, -2.0 * a[0, 1].imag, (a[0, 0] - a[1, 1]).real]))
-
-    @cached_property
-    def top_bloch_vector(self) -> np.ndarray:
-        """Bloch vector of the top eigenvector; the bottom one's is its negative."""
-        return frozen(PureState(self.eigenvectors[:, 0]).bloch_vector())
-
 
 def make_observable(entries) -> Observable:
     """Validate a Hermitian matrix and attach its eigendecomposition.
@@ -122,19 +109,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def bloch_vector(self) -> np.ndarray:
-        """(x, y, z) Bloch coordinates; qubit states only."""
-        if self.dim != 2:
-            raise ValueError(f"Bloch vector requires d=2, got d={self.dim}")
-        a, b = self.amplitudes
-        return np.array(
-            [
-                2.0 * (a.conjugate() * b).real,
-                2.0 * (a.conjugate() * b).imag,
-                abs(a) ** 2 - abs(b) ** 2,
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class MixedQubitState:
@@ -167,23 +141,6 @@ def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np
 def expectation(state: "PureState | np.ndarray", obs: Observable):
     """<phi|Omega|phi> evaluated as sum_i Omega_i |<i|phi>|^2, per amplitude row."""
     return outcome_distribution(state, obs) @ obs.eigenvalues
-
-
-def mixed_qubit_expectation(state: "MixedQubitState | np.ndarray", obs: Observable):
-    """tr[rho Omega] = (tr Omega + n.tau)/2 for a state or Bloch rows (..., 3)."""
-    bloch = state.bloch if isinstance(state, MixedQubitState) else state
-    return 0.5 * (obs.trace + bloch @ obs.pauli_vector)
-
-
-def mixed_qubit_outcome_distribution(state: "MixedQubitState | np.ndarray", obs: Observable) -> np.ndarray:
-    """Probabilities p_i = <i|rho|i> of eigenbasis outcomes, rows (..., 2).
-
-    The top outcome has (1 + n.m)/2 with m the top eigenvector's Bloch
-    vector, clipped to [0, 1] against rounding at |n| = 1.
-    """
-    bloch = state.bloch if isinstance(state, MixedQubitState) else state
-    p_top = np.clip(0.5 * (1.0 + bloch @ obs.top_bloch_vector), 0.0, 1.0)
-    return np.stack([p_top, 1.0 - p_top], axis=-1)
 
 
 def _matrix_entry(entry) -> complex:

@@ -228,10 +228,6 @@ def sample_haar_counts(
     return p, counts
 
 
-# largest subset size sorted by the compare-exchange network; numpy's sort is faster above it
-_NETWORK_MAX = 16
-
-
 def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator) -> np.ndarray:
     """``count`` uniform k-subsets of range(slots), one uint64 column each,
     sorted down the column: shape (k, count).
@@ -239,9 +235,8 @@ def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator
     Floyd's algorithm: for j = slots - k, ..., slots - 1 in turn, draw t
     uniform in [0, j] and take t, or j if t is already taken; one integer
     per column and step.  Slots are uint64, which holds N + d - 1 for every
-    N below 2**63 at any d below 2**63.  Up to ``_NETWORK_MAX`` rows, the
-    columns are sorted by :func:`_sort_network` on whole rows; above it, by
-    numpy's sort of the transposed rows.
+    N below 2**63 at any d below 2**63.  The columns are sorted by
+    :func:`_sort_network` on whole rows.
     """
     # one spare row for the network
     chosen = np.empty((k + 1, count), dtype=np.uint64)
@@ -249,11 +244,7 @@ def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator
         chosen[i] = stream.integers(0, j + 1, size=count, dtype=np.uint64)
         if i:
             np.copyto(chosen[i], np.uint64(j), where=(chosen[:i] == chosen[i]).any(axis=0))
-    if k <= _NETWORK_MAX:
-        return _sort_network(chosen)
-    rows = np.ascontiguousarray(chosen[:k].T)
-    rows.sort(axis=1)
-    return np.ascontiguousarray(rows.T)
+    return _sort_network(chosen)
 
 
 def _sort_network(rows: np.ndarray) -> np.ndarray:

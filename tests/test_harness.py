@@ -34,8 +34,6 @@ from optev import (
     expectation,
     load_observable,
     make_observable,
-    mixed_qubit_expectation,
-    mixed_qubit_outcome_distribution,
     observable_to_json,
     rows_to_csv,
     run_experiment,
@@ -282,15 +280,13 @@ def test_hot_loop_matches_public_operations_bloch(matrix):
     assert np.array_equal(sums, counts @ obs.eigenvalues)
     if obs.eigenvalues[0] == obs.eigenvalues[1]:
         assert np.all(truths == 0.5 * obs.trace)
-    # the state with Bloch vector s m has the block's truth and top-outcome probability
-    bloch = s[:, None] * obs.top_bloch_vector
-    assert np.abs(truths - mixed_qubit_expectation(bloch, obs)).max() < 1e-14
-    assert np.abs(0.5 * (1.0 + s) - mixed_qubit_outcome_distribution(bloch, obs)[:, 0]).max() < 1e-15
-    # against the density-matrix oracle rho = (1 + n.sigma)/2, state by state
-    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
-    for n, truth in zip(bloch, truths):
-        rho = (np.eye(2) + sum(x * sigma for x, sigma in zip(n, pauli))) / 2
+    # the state with Bloch vector s m is rho = (1 - s)/2 1 + s |v0><v0|, v0 the
+    # top eigenvector: against it, state by state, the block's truth and top-outcome probability
+    v0 = obs.eigenvectors[:, 0]
+    for x, truth in zip(s, truths):
+        rho = 0.5 * (1.0 - x) * np.eye(2) + x * np.outer(v0, v0.conj())
         assert abs(truth - np.trace(rho @ obs.matrix).real) < 1e-14
+        assert abs(0.5 * (1.0 + x) - np.vdot(v0, rho @ v0).real) < 1e-15
     estimates = estimate_from_sums(config.estimator, sums, 1, obs, law.second_moment())
     slow = list((estimates - truths) ** 2)
     mean, se = _mean_and_se(slow)
@@ -747,6 +743,17 @@ def test_cli_analytic_mixed_section(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["delta_mixed"] == pytest.approx(0.16, abs=1e-12)
     assert report["omega_mixed_by_outcome"][0] == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_cli_analytic_reports_the_mixed_estimator_only_at_one_copy(capsys, copies):
+    # the mixed-qubit estimator is defined at N = 1 only
+    code = main(["analytic", "--observable", "pauli-z", "--n2", "0.5", "--copies", str(copies)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n2"] == pytest.approx(0.5, abs=1e-15)
+    mixed = {"delta_mixed", "omega_mixed_by_outcome"}
+    assert mixed <= report.keys() if copies == 1 else not mixed & report.keys()
 
 
 def test_cli_simulate_writes_csv(tmp_path, capsys):

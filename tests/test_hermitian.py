@@ -14,23 +14,10 @@ from optev import (
     build_projector_permutation,
     expectation,
     make_observable,
-    mixed_qubit_expectation,
-    mixed_qubit_outcome_distribution,
     observable_to_json,
     outcome_distribution,
 )
 from optev.hermitian import observable_from_json
-
-# the oracle for a Bloch vector n: rho = (1 + n.sigma)/2
-PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-)
-
-
-def density_matrix(bloch):
-    return (np.eye(2) + sum(n * sigma for n, sigma in zip(bloch, PAULI))) / 2
 
 
 def random_hermitian(d, rng):
@@ -166,63 +153,11 @@ def test_outcomes_match_projector_oracle():
         assert abs(float(p @ obs.eigenvalues) - expectation(state, obs)) < 1e-12
 
 
-# --- mixed qubit states ---
-
-def test_mixed_expectation_pole():
-    obs = make_observable([[1, 0], [0, -1]])
-    assert abs(mixed_qubit_expectation(MixedQubitState(np.array([0, 0, 1.0])), obs) - 1.0) < 1e-12
-
-
-def test_mixed_expectation_maximally_mixed_is_half_trace():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        obs = make_observable(random_hermitian(2, rng))
-        value = mixed_qubit_expectation(MixedQubitState(np.zeros(3)), obs)
-        assert abs(value - obs.trace / 2) < 1e-12
-
-
-def test_mixed_expectation_linear_in_bloch():
-    obs = make_observable([[1, 0], [0, -1]])
-    value = mixed_qubit_expectation(MixedQubitState(np.array([0, 0, 0.5])), obs)
-    assert abs(value - 0.5) < 1e-12
-
-
-def test_mixed_outcomes_match_density_matrix():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        obs = make_observable(random_hermitian(2, rng))
-        n = rng.standard_normal(3)
-        n *= rng.random() / np.linalg.norm(n)
-        p = mixed_qubit_outcome_distribution(MixedQubitState(n), obs)
-        rho = density_matrix(n)
-        for i in range(2):
-            v = obs.eigenvectors[:, i]
-            assert abs(p[i] - float(np.vdot(v, rho @ v).real)) < 1e-12
-        assert abs(p.sum() - 1.0) < 1e-12
-
-
-def test_mixed_rejects_wrong_dim():
-    obs3 = make_observable(np.diag([1.0, 0.0, -1.0]))
-    with pytest.raises(ValueError):
-        mixed_qubit_expectation(MixedQubitState(np.zeros(3)), obs3)
-
-
 # --- state containers ---
 
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))
-
-
-def test_bloch_vector_of_plus_state():
-    plus = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert np.abs(plus.bloch_vector() - [1.0, 0.0, 0.0]).max() < 1e-12
-
-
-def test_bloch_vector_needs_qubit():
-    state = PureState(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        state.bloch_vector()
 
 
 def test_mixed_state_rejects_long_bloch_vector():
@@ -288,7 +223,7 @@ def test_stored_arrays_are_read_only_copies_of_the_input():
         assert given.flags.writeable
         assert not np.shares_memory(given, kept)
         assert not kept.flags.writeable
-    for kept in (obs.eigenvalues, obs.eigenvectors, obs.pauli_vector, obs.top_bloch_vector):
+    for kept in (obs.eigenvalues, obs.eigenvectors):
         assert not kept.flags.writeable
     for construct in (build_projector_permutation, build_projector_occupation):
         assert not construct(2, 3).matrix.flags.writeable

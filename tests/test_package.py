@@ -99,8 +99,6 @@ def test_public_surface_is_the_documented_api():
         "haar_average_tensor_power",
         "load_observable",
         "make_observable",
-        "mixed_qubit_expectation",
-        "mixed_qubit_outcome_distribution",
         "observable_to_json",
         "occupation_basis_vector",
         "outcome_distribution",

@@ -1,17 +1,19 @@
-"""Hypothesis property tests: config and observable round trips, the qubit
-eigenvalue gap as the Bloch dot, the estimators' shift-and-scale
+"""Hypothesis property tests: config and observable round trips, the
+Bloch block's truth and outcome law against the density matrix, the
+optimal estimate as a posterior mean, the estimators' shift-and-scale
 covariance, and a CLI that fails only with a one-line error or a usage
 message, whatever flags it is given."""
 
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from optev import EstimatorKind, ExperimentConfig, RadialLaw, make_observable
+from optev import EstimatorKind, ExperimentConfig, RadialLaw, estimate_optimal, make_observable
 from optev.cli import main
 from optev.estimators import estimate_from_sums
 from optev.hermitian import observable_from_json, observable_to_json
@@ -78,14 +80,31 @@ def test_observable_json_round_trip_is_exact(matrix):
 qubit_entries = st.floats(-10.0, 10.0)
 
 
-@given(qubit_entries, qubit_entries, qubit_entries, qubit_entries)
-def test_qubit_eigenvalue_gap_is_the_bloch_dot(a, b, re, im):
-    # the Monte Carlo Bloch block takes m.tau, the top eigenvector's Bloch
-    # vector dotted with the observable's, as w0 - w1: tau is parallel to m
-    # and |tau| is the eigenvalue gap
+@given(qubit_entries, qubit_entries, qubit_entries, qubit_entries, st.floats(-1.0, 1.0))
+def test_bloch_block_truth_and_top_outcome_match_the_density_matrix(a, b, re, im, s):
+    # the Monte Carlo Bloch block reads only the Bloch component s along the
+    # top eigenvector v0's Bloch vector, i.e. the state rho = (1 - s)/2 1 + s |v0><v0|
     obs = make_observable([[a, complex(re, -im)], [complex(re, im), b]])
     w0, w1 = obs.eigenvalues
-    assert abs((w0 - w1) - obs.top_bloch_vector @ obs.pauli_vector) <= 1e-14 * max(1.0, abs(w0) + abs(w1))
+    v0 = obs.eigenvectors[:, 0]
+    rho = 0.5 * (1.0 - s) * np.eye(2) + s * np.outer(v0, v0.conj())
+    truth = np.trace(rho @ obs.matrix).real
+    assert abs(truth - 0.5 * (obs.trace + s * (w0 - w1))) <= 1e-14 * max(1.0, abs(w0) + abs(w1))
+    assert abs(np.vdot(v0, rho @ v0).real - 0.5 * (1.0 + s)) <= 1e-14
+
+
+@given(st.lists(entries, min_size=2, max_size=6), st.integers(1, 1000), st.data())
+def test_optimal_estimate_is_the_posterior_mean(eigenvalues, copies, data):
+    # p | c ~ Dirichlet(1 + c) has mean (1 + c_i) / (N + d), so the posterior
+    # mean of w.p is the optimal estimate: the N outcomes and one default
+    # datum per eigenvalue
+    obs = make_observable(np.diag(eigenvalues))
+    d, w = obs.dim, obs.eigenvalues
+    cuts = sorted(data.draw(st.lists(st.integers(0, copies), min_size=d - 1, max_size=d - 1)))
+    c = np.diff([0, *cuts, copies])
+    terms = [(1 + int(ci)) * float(wi) / (copies + d) for ci, wi in zip(c, w)]
+    got = estimate_optimal(c, obs)
+    assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
 
 
 coefficients = st.floats(-1e3, 1e3)

@@ -19,7 +19,6 @@ from optev import (
 )
 from optev.harness import BLOCK
 from optev.sampling import (
-    _NETWORK_MAX,
     _sort_network,
     _uniform_subsets,
     sample_bloch_components,
@@ -223,7 +222,7 @@ def test_haar_counts_match_the_forward_draw(d, copies):
 
 # --- sorting a composition's slots ---
 
-@pytest.mark.parametrize("k", range(1, _NETWORK_MAX + 4))
+@pytest.mark.parametrize("k", [*range(1, 71), 128])
 def test_sort_network_equals_numpy_sort(k):
     rng = np.random.default_rng(k)
     rows = np.empty((k + 1, 3000), dtype=np.uint64)
@@ -236,7 +235,8 @@ def test_sort_network_equals_numpy_sort(k):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("k", range(1, _NETWORK_MAX + 1))
+# 2**k columns each, so k stops at 16
+@pytest.mark.parametrize("k", range(1, 17))
 def test_sort_network_sorts_every_zero_one_column(k):
     # a comparator network that sorts every 0-1 input sorts every input
     # (Knuth, TAOCP vol. 3, 5.3.4, the zero-one principle)
@@ -248,8 +248,8 @@ def test_sort_network_sorts_every_zero_one_column(k):
     assert np.array_equal(got, np.arange(k)[:, None] >= k - ones)
 
 
-@pytest.mark.parametrize("k", [1, _NETWORK_MAX, _NETWORK_MAX + 1])
-def test_uniform_subsets_are_sorted_subsets_on_both_sides_of_the_network(k):
+@pytest.mark.parametrize("k", [1, 16, 17, 64])
+def test_uniform_subsets_are_sorted_uniform_subsets(k):
     slots = 2 * k + 3
     rows = _uniform_subsets(slots, k, 5000, derive_stream(37, k))
     assert rows.shape == (k, 5000) and rows.dtype == np.uint64
