@@ -17,11 +17,12 @@ Bloch component s along the top eigenvector's Bloch vector m
 eigenvalue is seen with probability (1 + s)/2, one uniform per trial for
 one copy and one binomial draw per trial for more.
 Blocks never depend on the worker count and results are reduced afterwards
-with an exact sum equal to ``math.fsum``, so output is byte-identical for
-any worker count.  No BLAS call lies between the eigendecomposition and the
-CSV, so given the eigenvalues, the output is also the same on every CPU and
-BLAS kernel.  The bias at the fixed probe (the top eigenvector, where every
-outcome is the top eigenvalue, its truth) is exact, not drawn.
+with an exact sum equal to ``math.fsum`` (two extraction levels a chunk, every
+level only where a bound B on the rest leaves the rounding of total -+ B open),
+so output is byte-identical for any worker count.  No BLAS call lies between
+the eigendecomposition and the CSV, so given the eigenvalues, the output is
+also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
+top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
 
 A Haar run with ``workers > 1`` maps its blocks, one task each, over
 min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own;
@@ -281,38 +282,53 @@ _CHUNK = 2**13
 _NEGATIVE_ZERO_SUM = math.fsum([-0.0])
 
 
-def _exact_sum(values: np.ndarray) -> float:
+def _exact_sum(values: np.ndarray, full: bool = False) -> float:
     """The correctly rounded sum of a float array: ``math.fsum(values.tolist())``.
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 189
     (2008)) over chunks of n <= ``_CHUNK`` values below 2**e in magnitude: for
     sigma = 2**s, s = e + bit_length(n) + 1, q = (x + sigma) - sigma is an exact
     multiple of 2**(s - 53) and the q's total lies below 2**(s - 1), so
-    ``q.sum()`` is exact in any order; the exact remainders x - q go round until
-    all are zero.  Level sums join one int in units of 2**-1074, divided once.
+    ``q.sum()`` is exact in any order; |x - q| <= 2**(s - 53) sets the second sigma.
+    Level sums join one int T in units of 2**-1074; after two levels a chunk adds
+    n 2**(s - 53) to a bound B, and unless T - B and T + B round alike a ``full``
+    pass repeats levels until every remainder is zero.
     s >= -1022 (at -1021, 2**-1074 ties to even and never shrinks); a chunk with
     no sigma (s > 1022) is summed as Python ints.  A zero total is fsum's signed
     zero, non-finite input goes to fsum, and where fsum's partials overflow the total is returned.
     """
-    total = 0
+    total = bound = 0
     for start in range(0, values.size, _CHUNK):
         rest = values[start : start + _CHUNK]
         top = max(rest.max(), -rest.min())
         if not math.isfinite(top):
             return math.fsum(values.tolist())
         bits = rest.size.bit_length() + 1
-        if math.frexp(top)[1] + bits > 1022:
+        s = math.frexp(top)[1] + bits
+        if s > 1022:
             total += sum((num << 1074) // den for num, den in map(float.as_integer_ratio, rest.tolist()))
             continue
         level, remainder = np.empty(rest.size), np.empty(rest.size)
+        depth = 0
         while top:
-            sigma = 2.0 ** max(math.frexp(top)[1] + bits, -1022)
-            np.add(rest, sigma, out=level)
-            level -= sigma
-            rest = np.subtract(rest, level, out=remainder)
+            s = max(s, -1022)
+            np.add(rest, 2.0**s, out=level)
+            level -= 2.0**s
             num, den = float(level.sum()).as_integer_ratio()
             total += (num << 1074) // den
-            top = max(rest.max(), -rest.min())
+            depth += 1
+            if depth == 2 and not full:
+                # sigma = 2**-1022 leaves no remainder
+                bound += rest.size << (s + 1021) if s > -1022 else 0
+                break
+            rest = np.subtract(rest, level, out=remainder)
+            top = max(rest.max(), -rest.min()) if full else top
+            s = math.frexp(top)[1] + bits if full else s + bits - 53
+    # T - B <= exact total <= T + B and rounding is monotone: where both ends are
+    # at most the largest float and round alike, the total rounds as T does (not to 0)
+    low, high = total - bound, total + bound
+    if bound and not (max(-low, high) <= (2**53 - 1) << 2045 and low / (1 << 1074) == high / (1 << 1074)):
+        return _exact_sum(values, full=True)
     if total == 0:
         # only negative zeros can sum to fsum's -0.0: any other value that
         # cancels to 0 includes a positive one
@@ -440,16 +456,21 @@ def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultR
     Rows come out ordered by dim, then copies, with the optimal estimator
     before the sample average; every cell reuses the base master seed.  The
     sample average's run finds the optimal run's draw in ``_draw``'s memo.
-    A Bloch base or a grid value that is not an integer raises ConfigError.
+    A Bloch base, a grid value that is not an integer, or an observable whose
+    d is not every requested d raises ConfigError before any cell runs.
     """
     if base.is_bloch:
         raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
     cell = replace(base, estimator=EstimatorKind.OPTIMAL_PURE, ensemble=HAAR_ENSEMBLE)
     dims = sorted({replace(cell, dim=_integral(v)).dim for v in dim_values})
     copies = sorted({replace(cell, copies=_integral(v)).copies for v in copies_values})
+    observables = {d: load_observable(base.observable_source, dim=d) for d in dims}
+    for d, obs in observables.items():
+        if obs.dim != d:
+            source = base.observable_source
+            raise ConfigError(f"observable {source!r} has d={obs.dim} but the sweep asks for dim {dims}")
     rows = []
-    for d in dims:
-        obs = load_observable(base.observable_source, dim=d)
+    for d, obs in observables.items():
         for n in copies:
             config = replace(cell, dim=d, copies=n)
             rows.append(run_experiment(config, observable=obs))
@@ -458,9 +479,7 @@ def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultR
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def rows_to_csv(rows: list[ResultRow], include_timing: bool = False) -> str:

@@ -120,3 +120,61 @@ def test_reads_its_input_without_changing_it():
     before = values.tobytes()
     _exact_sum(values)
     assert values.tobytes() == before
+
+
+# --- the early stop after two levels ---
+
+@pytest.fixture
+def full_passes(monkeypatch):
+    """One entry per call of ``_exact_sum``: whether it ran the full extraction."""
+    calls = []
+    real = harness._exact_sum
+
+    def spy(values, full=False):
+        calls.append(full)
+        return real(values, full)
+
+    monkeypatch.setattr(harness, "_exact_sum", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1.0, 2**-53],
+        [1.0, 2**-53, 2**-200],
+        [1.0, 2**-53, -(2**-200)],
+        [1.0, 2**-53, 2**-1074],
+        [1e300, -1e300, 1e-300],
+    ],
+    ids=["tie", "tie-above", "tie-below", "tie-subnormal-above", "cancel-to-tiny"],
+)
+def test_two_levels_that_cannot_decide_fall_back_to_the_full_extraction(full_passes, xs):
+    # a half-ulp tie, or a total far below the first values, is left open by
+    # the bound on the second level's remainders
+    assert outcome(harness._exact_sum, np.array(xs)) == outcome(correctly_rounded, xs)
+    assert full_passes == [False, True]
+
+
+def test_squared_errors_are_decided_after_two_levels(full_passes):
+    errors = np.random.default_rng(4).standard_normal(20_000) ** 2
+    assert repr(harness._exact_sum(errors)) == repr(math.fsum(errors.tolist()))
+    assert full_passes == [False]
+
+
+@st.composite
+def near_ties(draw):
+    """A value, pieces of plus or minus half its ulp, and one tail far below
+    them, shuffled: totals on or next to a rounding boundary."""
+    exponent = draw(st.integers(-1000, 971))
+    value = math.ldexp(draw(st.integers(2**52, 2**53 - 1)) * draw(st.sampled_from([1, -1])), exponent)
+    pieces = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4))
+    tail = math.ldexp(draw(st.integers(-(2**53) + 1, 2**53 - 1)), draw(st.integers(-1074, exponent - 56)))
+    return draw(st.permutations([value, tail] + [math.ldexp(sign, exponent - 1) for sign in pieces]))
+
+
+@given(near_ties(), st.sampled_from([_CHUNK, 1, 2, 3]))
+def test_equals_fsum_on_near_ties(xs, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_CHUNK", chunk)
+        assert_equals_fsum(xs)

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -558,6 +559,24 @@ def test_sweep_takes_numpy_integers():
     assert [(row.config.dim, row.config.copies) for row in rows] == [(3, 1), (3, 1), (3, 4), (3, 4)]
     assert all(type(row.config.dim) is int and type(row.config.copies) is int for row in rows)
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(base, copies_values=[4, 1], dim_values=[3]))
+
+
+
+@pytest.mark.parametrize("source, d", [("pauli-z", 2), ("diag(1,0.5,-2)", 3)])
+def test_sweep_rejects_an_observable_of_another_d_before_any_cell(monkeypatch, capsys, source, d):
+    def no_draw(config, obs):
+        raise AssertionError(f"a cell ran at d={config.dim}")
+
+    monkeypatch.setattr(harness, "_draw", no_draw)
+    base = ExperimentConfig(trials=10, observable_source=source)
+    message = rf"observable '{re.escape(source)}' has d={d} but the sweep asks for dim \[2, 3\]"
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(base, copies_values=[1, 8], dim_values=[3, 2])
+    argv = ["sweep", "--observable", source, "--dim", "2,3", "--copies", "1,8", "--trials", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"optev: error: {message}\n", captured.err)
 
 
 # --- draw memo ---
