@@ -55,7 +55,7 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     if command == "verify":
         sub.add_argument("--level", choices=["fast", "full"], default="fast")
         return
-    sub.add_argument("--dim", help="Hilbert space dimension d (sweep: comma list)")
+    sub.add_argument("--dim", help="Hilbert space dimension d")
     sub.add_argument("--copies", help="number of copies N (sweep: comma list)")
     sub.add_argument("--observable", help="builtin name, diag(...), or JSON file path")
     if command != "sweep":
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     for name, helptext in (
         ("analytic", "print closed-form estimates and errors for a configuration"),
         ("simulate", "run one seeded Monte Carlo experiment, emit a CSV row"),
-        ("sweep", "run both pure-state estimators over a (dim, copies) grid"),
+        ("sweep", "run both pure-state estimators at one dim for a list of copies"),
         ("verify", "run the exact identity suite"),
     ):
         _add_flags(commands.add_parser(name, help=helptext), name)
@@ -104,14 +104,13 @@ def _single_int(text: str, flag: str) -> int:
     return values[0]
 
 
-def _config_from_args(args, grid_flags: bool = False) -> ExperimentConfig:
+def _config_from_args(args, copies_list: bool = False) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     flags = {name: value for name, value in vars(args).items() if value is not None}
     overrides = {}
-    if not grid_flags:
-        for name in ("dim", "copies"):
-            if name in flags:
-                overrides[name] = _single_int(flags[name], f"--{name}")
+    for name in ("dim",) if copies_list else ("dim", "copies"):
+        if name in flags:
+            overrides[name] = _single_int(flags[name], f"--{name}")
     renamed = {"seed": "master_seed", "observable": "observable_source"}
     for flag in ("trials", "seed", "estimator", "observable", "workers"):
         if flag in flags:
@@ -178,10 +177,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args, grid_flags=True)
-    dims = _parse_int_list(args.dim, "--dim") if args.dim is not None else [config.dim]
+    config = _config_from_args(args, copies_list=True)
     copies = _parse_int_list(args.copies, "--copies") if args.copies is not None else [config.copies]
-    rows = run_sweep(config, copies_values=copies, dim_values=dims)
+    rows = run_sweep(config, copies_values=copies)
     _emit(rows_to_csv(rows, include_timing=args.timing), args.out)
     return EXIT_OK
 

@@ -211,16 +211,14 @@ class ExperimentConfig:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
         kwargs = dict(payload)
         ensemble = kwargs.get("ensemble", HAAR_ENSEMBLE)
-        if isinstance(ensemble, dict):
-            if set(ensemble.keys()) != {"bloch"}:
-                raise ConfigError(f"ensemble object must be {{'bloch': law}}, got {ensemble!r}")
-            try:
-                kwargs["ensemble"] = RadialLaw.from_dict(ensemble["bloch"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif ensemble != HAAR_ENSEMBLE:
-            raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a bloch law object, got {ensemble!r}")
+        # a ConfigError raised in here is a ValueError, re-raised with its message
         try:
+            if isinstance(ensemble, dict):
+                if set(ensemble.keys()) != {"bloch"}:
+                    raise ConfigError(f"ensemble object must be {{'bloch': law}}, got {ensemble!r}")
+                kwargs["ensemble"] = RadialLaw.from_dict(ensemble["bloch"])
+            elif ensemble != HAAR_ENSEMBLE:
+                raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a bloch law object, got {ensemble!r}")
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -450,31 +448,24 @@ def _integral(value):
         return value
 
 
-def run_sweep(base: ExperimentConfig, copies_values, dim_values) -> list[ResultRow]:
-    """Both pure-ensemble estimators on every (dim, copies) cell.
+def run_sweep(base: ExperimentConfig, copies_values) -> list[ResultRow]:
+    """Both pure-ensemble estimators at ``base.dim``, for every N in ``copies_values``.
 
-    Rows come out ordered by dim, then copies, with the optimal estimator
-    before the sample average; every cell reuses the base master seed.  The
-    sample average's run finds the optimal run's draw in ``_draw``'s memo.
-    A Bloch base, a grid value that is not an integer, or an observable whose
-    d is not every requested d raises ConfigError before any cell runs.
+    Rows come out ordered by copies, with the optimal estimator before the
+    sample average; every cell reuses the base master seed.  The sample
+    average's run finds the optimal run's draw in ``_draw``'s memo.  A Bloch
+    base or a copies value that is not an integer raises ConfigError before
+    any cell runs; an observable whose d is not ``base.dim`` raises it in
+    ``_draw``, before any block is drawn.
     """
     if base.is_bloch:
         raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
-    cell = replace(base, estimator=EstimatorKind.OPTIMAL_PURE, ensemble=HAAR_ENSEMBLE)
-    dims = sorted({replace(cell, dim=_integral(v)).dim for v in dim_values})
-    copies = sorted({replace(cell, copies=_integral(v)).copies for v in copies_values})
-    observables = {d: load_observable(base.observable_source, dim=d) for d in dims}
-    for d, obs in observables.items():
-        if obs.dim != d:
-            source = base.observable_source
-            raise ConfigError(f"observable {source!r} has d={obs.dim} but the sweep asks for dim {dims}")
+    copies = sorted({replace(base, copies=_integral(v)).copies for v in copies_values})
+    obs = load_observable(base.observable_source, dim=base.dim)
     rows = []
-    for d, obs in observables.items():
-        for n in copies:
-            config = replace(cell, dim=d, copies=n)
-            rows.append(run_experiment(config, observable=obs))
-            rows.append(run_experiment(replace(config, estimator=EstimatorKind.SAMPLE_AVERAGE), observable=obs))
+    for n in copies:
+        for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE):
+            rows.append(run_experiment(replace(base, copies=n, estimator=kind), observable=obs))
     return rows
 
 

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .estimators import estimate_from_sums
 from .hermitian import Observable, frozen, make_observable
 from .sampling import sample_haar_amplitudes
 
@@ -35,17 +36,11 @@ def symmetric_dimension(d: int, n: int) -> int:
     return value
 
 
-def _check_guard(d: int, n: int) -> None:
-    if d**n > DIMENSION_GUARD:
-        raise ValueError(
-            f"d**n = {d**n} exceeds the dense-construction guard {DIMENSION_GUARD}"
-        )
-
-
 def _check_dense(d: int, n: int) -> None:
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    _check_guard(d, n)
+    if d**n > DIMENSION_GUARD:
+        raise ValueError(f"d**n = {d**n} exceeds the dense-construction guard {DIMENSION_GUARD}")
 
 
 def _digit_table(d: int, n: int) -> np.ndarray:
@@ -155,7 +150,7 @@ def embed_one_body(obs: Observable, position: int, copies: int) -> np.ndarray:
     if not 1 <= position <= copies:
         raise ValueError(f"position must lie in [1, {copies}], got {position}")
     d = obs.dim
-    _check_guard(d, copies)
+    _check_dense(d, copies)
     left = np.eye(d ** (position - 1))
     right = np.eye(d ** (copies - position))
     return np.kron(np.kron(left, obs.matrix), right)
@@ -271,7 +266,7 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
     # eigenprojectors of a random observable and omega_a the sample averages
     obs = random_observable(d, stream)
     vkron, outcomes = product_eigenbasis(obs, copies)
-    averaged = outcomes.mean(axis=1)
+    averaged = estimate_from_sums("sample-average", outcomes.sum(axis=1), copies, obs)
     weighted = (vkron * averaged) @ vkron.conj().T
     deviation_op = s @ (weighted - omega_hat_av(obs, copies)) @ s
     converse = float(np.abs(deviation_op).max())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import analytic_delta_av, analytic_delta_opt, analytic_second_moment
+from .estimators import analytic_delta_av, analytic_delta_opt, analytic_second_moment, estimate_from_sums
 from .hermitian import Observable
 from .sampling import derive_stream, sample_haar_amplitudes
 from .symmetric import (
@@ -146,8 +146,9 @@ def _operator_checks(d: int, n: int, observables: list[Observable]) -> list[Chec
         # expanded-versus-completed-square bookkeeping for the
         # product-eigenprojector strategy with the shrinkage estimates
         vkron, outcomes = product_eigenbasis(obs, n)
-        omega_opt_by_index = (tr + outcomes.sum(axis=1)) / (n + d)
-        omega_av_by_index = outcomes.mean(axis=1)
+        sums = outcomes.sum(axis=1)
+        omega_opt_by_index = estimate_from_sums("optimal-pure", sums, n, obs)
+        omega_av_by_index = estimate_from_sums("sample-average", sums, n, obs)
 
         q_s = np.einsum("ia,ij,ja->a", vkron.conj(), s_n, vkron).real
         s_hat = s_n @ hat
@@ -224,15 +225,16 @@ def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
 
     hat = omega_hat(obs, copies)
     hat_av = omega_hat_av(obs, copies)
+    sums = outcomes.sum(axis=1)
+    want_opt = estimate_from_sums("optimal-pure", sums, copies, obs)
+    want_av = estimate_from_sums("sample-average", sums, copies, obs)
     dev_opt = dev_av = 0.0
     for a in range(0, d**copies, max(1, d**copies // 16)):
         column = vkron[:, a]
         eig_opt = float((column.conj() @ hat @ column).real)
         eig_av = float((column.conj() @ hat_av @ column).real)
-        want_opt = (obs.trace + outcomes[a].sum()) / (copies + d)
-        want_av = outcomes[a].mean()
-        dev_opt = max(dev_opt, abs(eig_opt - want_opt))
-        dev_av = max(dev_av, abs(eig_av - want_av))
+        dev_opt = max(dev_opt, abs(eig_opt - want_opt[a]))
+        dev_av = max(dev_av, abs(eig_av - want_av[a]))
 
     stream = derive_stream(seed, 903_000 + 17 * d + copies)
     amps = sample_haar_amplitudes(d, 100, stream)

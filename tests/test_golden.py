@@ -90,7 +90,7 @@ CASES = (
 def golden_text(workers: int) -> str:
     rows = [run_experiment(replace(config, workers=workers), observable=obs) for config, obs in CASES]
     base = ExperimentConfig(trials=5, master_seed=120, observable_source="diag(2,-0.5,1)")
-    rows += run_sweep(base, copies_values=[1, 4], dim_values=[3])
+    rows += run_sweep(replace(base, dim=3), copies_values=[1, 4])
     return rows_to_csv(rows)
 
 

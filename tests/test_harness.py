@@ -5,7 +5,6 @@ import json
 import math
 import multiprocessing
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -478,7 +477,7 @@ def test_observable_dimension_mismatch_rejected():
 
 def test_sweep_grid_and_ratio():
     base = ExperimentConfig(dim=2, copies=1, trials=50_000, master_seed=16)
-    rows = run_sweep(base, copies_values=[1, 2, 4, 8], dim_values=[2])
+    rows = run_sweep(base, copies_values=[1, 2, 4, 8])
     assert len(rows) == 8
     by_cell = {}
     for row in rows:
@@ -501,7 +500,7 @@ def test_sweep_rejects_a_bloch_base(estimator):
     # replace the base's Bloch ensemble by the Haar one
     base = ExperimentConfig(trials=10, estimator=estimator, ensemble=RadialLaw.uniform_ball())
     with pytest.raises(ConfigError, match="names a Bloch ensemble"):
-        run_sweep(base, copies_values=[1], dim_values=[2])
+        run_sweep(base, copies_values=[1])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -509,11 +508,11 @@ def test_sweep_rows_equal_separate_runs(workers):
     # a sweep draws each cell once for both estimators; the rows must be those
     # of one run per estimator on a fresh draw, apart from the wall time
     base = ExperimentConfig(
-        trials=2 * BLOCK + 7, master_seed=31, observable_source="diag(1,0.5,-2)", workers=workers
+        dim=3, trials=2 * BLOCK + 7, master_seed=31, observable_source="diag(1,0.5,-2)", workers=workers
     )
-    rows = run_sweep(base, copies_values=[4, 1], dim_values=[3])
+    rows = run_sweep(base, copies_values=[4, 1])
     separate = [
-        fresh(replace(base, dim=3, copies=n, estimator=kind))
+        fresh(replace(base, copies=n, estimator=kind))
         for n in (1, 4)
         for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE)
     ]
@@ -525,58 +524,51 @@ def test_sweep_rows_equal_separate_runs(workers):
 
 def test_sweep_analytic_ratio_corners():
     base = ExperimentConfig(dim=4, copies=4, trials=50, master_seed=18, observable_source="diag(1,2,3,4)")
-    (opt_row, av_row) = run_sweep(base, copies_values=[4], dim_values=[4])
+    (opt_row, av_row) = run_sweep(base, copies_values=[4])
     assert opt_row.analytic_mse / av_row.analytic_mse == pytest.approx(0.5, rel=1e-14)
     base8 = ExperimentConfig(
         dim=8, copies=1, trials=50, master_seed=18, observable_source="diag(1,2,3,4,5,6,7,8)"
     )
-    (opt_row, av_row) = run_sweep(base8, copies_values=[1], dim_values=[8])
+    (opt_row, av_row) = run_sweep(base8, copies_values=[1])
     assert opt_row.analytic_mse / av_row.analytic_mse == pytest.approx(1 / 9, rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "copies, dims",
-    [
-        ([1.9], [2]),
-        ([1], [2.7]),
-        ([True], [2]),
-        ([1], [True]),
-        ([1, True], [2]),
-        ([np.float64(2.0)], [2]),
-        ([1], [np.True_]),
-        ([1], ["3"]),
-    ],
-)
-def test_sweep_rejects_non_integer_grid_values(copies, dims):
+@pytest.mark.parametrize("copies", [[1.9], [True], [1, True], [np.float64(2.0)]])
+def test_sweep_rejects_non_integer_copies(copies):
     base = ExperimentConfig(trials=10, master_seed=19)
     with pytest.raises(ConfigError, match="must be an integer"):
-        run_sweep(base, copies_values=copies, dim_values=dims)
+        run_sweep(base, copies_values=copies)
+
+
+# a sweep's d is its base config's, so the config is what rejects a bad one
+@pytest.mark.parametrize("dim", [2.7, True, np.True_, "3"])
+def test_sweep_base_rejects_a_non_integer_dim(dim):
+    with pytest.raises(ConfigError, match="dim must be an integer"):
+        ExperimentConfig(trials=10, master_seed=19, dim=dim)
 
 
 def test_sweep_takes_numpy_integers():
-    base = ExperimentConfig(trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
-    rows = run_sweep(base, copies_values=[np.int64(4), 1], dim_values=[np.int64(3)])
+    base = ExperimentConfig(dim=3, trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
+    rows = run_sweep(base, copies_values=[np.int64(4), 1])
     assert [(row.config.dim, row.config.copies) for row in rows] == [(3, 1), (3, 1), (3, 4), (3, 4)]
-    assert all(type(row.config.dim) is int and type(row.config.copies) is int for row in rows)
-    assert rows_to_csv(rows) == rows_to_csv(run_sweep(base, copies_values=[4, 1], dim_values=[3]))
+    assert all(type(row.config.copies) is int for row in rows)
+    assert rows_to_csv(rows) == rows_to_csv(run_sweep(base, copies_values=[4, 1]))
 
 
+@pytest.mark.parametrize("source, d, dim", [("pauli-z", 2, 3), ("diag(1,0.5,-2)", 3, 2)])
+def test_sweep_rejects_an_observable_of_another_d_before_any_block(monkeypatch, capsys, source, d, dim):
+    def no_block(config, obs, truths, sums, k):
+        raise AssertionError(f"a block was drawn at d={config.dim}")
 
-@pytest.mark.parametrize("source, d", [("pauli-z", 2), ("diag(1,0.5,-2)", 3)])
-def test_sweep_rejects_an_observable_of_another_d_before_any_cell(monkeypatch, capsys, source, d):
-    def no_draw(config, obs):
-        raise AssertionError(f"a cell ran at d={config.dim}")
-
-    monkeypatch.setattr(harness, "_draw", no_draw)
-    base = ExperimentConfig(trials=10, observable_source=source)
-    message = rf"observable '{re.escape(source)}' has d={d} but the sweep asks for dim \[2, 3\]"
+    monkeypatch.setattr(harness, "_draw_block", no_block)
+    message = f"observable has d={d} but config says dim={dim}"
     with pytest.raises(ConfigError, match=message):
-        run_sweep(base, copies_values=[1, 8], dim_values=[3, 2])
-    argv = ["sweep", "--observable", source, "--dim", "2,3", "--copies", "1,8", "--trials", "10"]
+        run_sweep(ExperimentConfig(dim=dim, trials=10, observable_source=source), copies_values=[1, 8])
+    argv = ["sweep", "--observable", source, "--dim", str(dim), "--copies", "1,8", "--trials", "10"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(f"optev: error: {message}\n", captured.err)
+    assert captured.err == f"optev: error: {message}\n"
 
 
 # --- draw memo ---
@@ -618,8 +610,8 @@ def test_second_estimator_on_the_same_draw_inputs_draws_once(draws):
 
 
 def test_sweep_draws_each_cell_once(draws):
-    base = ExperimentConfig(trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
-    rows = run_sweep(base, copies_values=[1, 2, 4], dim_values=[3])
+    base = ExperimentConfig(dim=3, trials=10, master_seed=19, observable_source="diag(1,0.5,-2)")
+    rows = run_sweep(base, copies_values=[1, 2, 4])
     assert len(rows) == 6 and len(draws) == 3
 
 
@@ -872,6 +864,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["simulate"], {"ensemble": {"bloch": {"kind": "two-point", "radius": 0.5, "weight": [1]}}}),
         (["simulate", "--copies", str(2**63)], None),
         (["sweep", "--dim", ""], None),
+        # a sweep runs at one d
+        (["sweep", "--dim", "2,3"], None),
+        (["sweep", "--dim", "2.7"], None),
         (["sweep", "--copies", ""], None),
         # d = 10^8 asks for a 71 PiB matrix, far past the 128 TiB of address space
         # 64-bit Linux maps for a process by default, so the allocation fails at

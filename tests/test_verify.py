@@ -70,6 +70,21 @@ def test_asymmetric_projector_fails_commute_and_self_adjointness(monkeypatch):
         assert selected and all(not r.passed for r in selected), check
 
 
+def test_shifted_estimator_fails_the_estimate_checks(monkeypatch):
+    # the suite checks the eigenvalues against the estimator the package
+    # ships, so an estimator off by 1e-9 must not pass
+    estimate = verify.estimate_from_sums
+
+    def shifted(*args, **kwargs):
+        return estimate(*args, **kwargs) + 1e-9
+
+    monkeypatch.setattr(verify, "estimate_from_sums", shifted)
+    reports = run_verify(level="fast", seed=0)
+    for check in ("shrinkage-eigenvalue-is-optimal-estimate", "average-eigenvalue-is-sample-average"):
+        selected = [r for r in reports if r.check == check]
+        assert selected and all(not r.passed for r in selected), check
+
+
 def test_projector_checks_hold_at_most_three_projectors():
     # no copy on freezing, and the occupation projector is freed before the
     # check temporaries are made
