@@ -12,14 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .estimators import (
-    EstimatorKind,
-    analytic_delta_av,
-    analytic_delta_mixed_qubit,
-    analytic_delta_opt,
-    analytic_second_moment,
-    estimate_from_sums,
-)
+from .estimators import EstimatorKind, analytic_mse, ensemble_moments, estimate_from_sums
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -98,10 +91,10 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _single_int(text: str, flag: str) -> int:
-    values = _parse_int_list(text, flag)
-    if len(values) != 1:
-        raise ConfigError(f"{flag} expects a single integer here, got {text!r}")
-    return values[0]
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} expects a single integer, got {text!r}") from exc
 
 
 def _config_from_args(args, copies_list: bool = False) -> ExperimentConfig:
@@ -137,8 +130,7 @@ def _cmd_analytic(args) -> int:
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
     n, d = config.copies, config.dim
-    opt = analytic_delta_opt(obs, n)
-    av = analytic_delta_av(obs, n)
+    mu, v_t, _ = ensemble_moments(obs)
     report = {
         "dim": d,
         "copies": n,
@@ -146,10 +138,10 @@ def _cmd_analytic(args) -> int:
         "trace": obs.trace,
         "trace_square": obs.trace_square,
         "eigenvalues": [float(v) for v in obs.eigenvalues],
-        "delta_opt": opt,
-        "delta_av": av,
+        "delta_opt": analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, n),
+        "delta_av": analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, n),
         "ratio_av_over_opt": (n + d) / n,
-        "second_moment": analytic_second_moment(obs),
+        "second_moment": mu * mu + v_t,
         # optimal estimate when all N outcomes hit eigenvalue i; for N = 1
         # this is the per-outcome estimate
         "omega_opt_by_outcome": estimate_from_sums(
@@ -161,7 +153,7 @@ def _cmd_analytic(args) -> int:
         report["n2"] = n2
     # the mixed-qubit estimator is defined at one copy only
     if n2 is not None and n == 1:
-        report["delta_mixed"] = analytic_delta_mixed_qubit(obs, n2)
+        report["delta_mixed"] = analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, 1, n2)
         report["omega_mixed_by_outcome"] = estimate_from_sums(
             EstimatorKind.OPTIMAL_MIXED_QUBIT, obs.eigenvalues, 1, obs, n2
         ).tolist()

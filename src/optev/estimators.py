@@ -15,7 +15,7 @@ import enum
 
 import numpy as np
 
-from .hermitian import Observable, PureState, expectation, outcome_distribution
+from .hermitian import Observable, PureState, outcome_distribution
 
 
 class EstimatorKind(str, enum.Enum):
@@ -117,6 +117,43 @@ def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
     return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, value_sum, 1, obs, n2))
 
 
+def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, float, float]:
+    """(mu, V_t, V_w) of the Haar ensemble, or of a Bloch law with second moment n2.
+
+    mu = E[t] and V_t = Var(t) for t = tr[rho Omega]; V_w = E[Var_p(Omega)],
+    the mean variance of one outcome's eigenvalue.  With
+    c = d tr Omega^2 - (tr Omega)^2, Haar gives
+    (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the Bloch law, on a qubit
+    observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
+    """
+    d = obs.dim
+    c = d * obs.trace_square - obs.trace**2
+    if n2 is None:
+        return obs.trace / d, c / (d * d * (d + 1)), c / (d * (d + 1))
+    return obs.trace / 2.0, c * n2 / 12.0, c * (3.0 - n2) / 12.0
+
+
+def analytic_mse(kind: EstimatorKind | str, obs: Observable, copies: int, n2: float | None = None) -> float:
+    """Ensemble-averaged squared error of an estimate (alpha + beta S)/gamma.
+
+    S = sum_i c_i Omega_i is, given the state, a sum of N independent
+    eigenvalue draws, so with pi = beta N - gamma and ``ensemble_moments``
+    the error is (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2) / gamma^2.
+    The Haar ensemble is n2 = None.  beta and gamma stay ints for the two
+    pure-state estimators, so pi is exactly 0 or -d.
+    """
+    mu, v_t, v_w = ensemble_moments(obs, n2)
+    kind = EstimatorKind(kind)
+    if kind is EstimatorKind.SAMPLE_AVERAGE:
+        alpha, beta, gamma = 0.0, 1, copies
+    elif kind is EstimatorKind.OPTIMAL_PURE:
+        alpha, beta, gamma = obs.trace, 1, copies + obs.dim
+    else:
+        alpha, beta, gamma = (3.0 - n2) / 2.0 * obs.trace, n2, 3
+    pi = beta * copies - gamma
+    return (beta**2 * copies * v_w + pi**2 * v_t + (alpha + pi * mu) ** 2) / gamma**2
+
+
 def analytic_delta_opt(obs: Observable, copies: int) -> float:
     """Minimal ensemble-averaged squared error of the optimal estimator.
 
@@ -124,8 +161,7 @@ def analytic_delta_opt(obs: Observable, copies: int) -> float:
     is a multiple of the identity.
     """
     check_copies(copies)
-    d = obs.dim
-    return (d * obs.trace_square - obs.trace**2) / (d * (d + 1) * (copies + d))
+    return analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, copies)
 
 
 def analytic_delta_av(obs: Observable, copies: int) -> float:
@@ -135,28 +171,7 @@ def analytic_delta_av(obs: Observable, copies: int) -> float:
     (N+d)/N.
     """
     check_copies(copies)
-    d = obs.dim
-    return (d * obs.trace_square - obs.trace**2) / (d * (d + 1) * copies)
-
-
-def analytic_bias_mean(state: PureState, obs: Observable, copies: int) -> float:
-    """Exact conditional mean of the optimal estimate at fixed state.
-
-    (tr Omega + N tr[rho Omega]) / (N + d); approaches tr[rho Omega] only as
-    N grows.
-    """
-    check_copies(copies)
-    expected_sum = copies * expectation(state, obs)
-    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, expected_sum, copies, obs))
-
-
-def analytic_second_moment(obs: Observable) -> float:
-    """Hypersphere-ensemble second moment of tr[rho Omega].
-
-    ((tr Omega)^2 + tr Omega^2) / (d (d+1)).
-    """
-    d = obs.dim
-    return (obs.trace**2 + obs.trace_square) / (d * (d + 1))
+    return analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, copies)
 
 
 def analytic_delta_mixed_qubit(obs: Observable, n2: float) -> float:
@@ -169,6 +184,4 @@ def analytic_delta_mixed_qubit(obs: Observable, n2: float) -> float:
     if obs.dim != 2:
         raise ValueError(f"mixed-qubit error formula requires d=2, got d={obs.dim}")
     _check_n2(n2)
-    # grouped as n2 (3 - n2) / 36 so the n2 = 1 value equals the one-copy
-    # pure optimum to the last bit
-    return n2 * (3.0 - n2) / 36.0 * (2.0 * obs.trace_square - obs.trace**2)
+    return analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, 1, n2)

@@ -56,13 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    EstimatorKind,
-    analytic_delta_av,
-    analytic_delta_mixed_qubit,
-    analytic_delta_opt,
-    estimate_from_sums,
-)
+from .estimators import EstimatorKind, analytic_mse, estimate_from_sums
 from .hermitian import (
     Observable,
     PureState,
@@ -239,7 +233,7 @@ class ResultRow:
 
     config: ExperimentConfig
     empirical_mse: float
-    analytic_mse: float | None
+    analytic_mse: float
     empirical_bias_at_probe: float
     analytic_bias_at_probe: float
     standard_error: float
@@ -334,16 +328,6 @@ def _exact_sum(values: np.ndarray, full: bool = False) -> float:
     return total / (1 << 1074)
 
 
-def _analytic_mse(config: ExperimentConfig, obs: Observable) -> float | None:
-    if config.estimator is EstimatorKind.OPTIMAL_MIXED_QUBIT:  # valid on Bloch ensembles only
-        return analytic_delta_mixed_qubit(obs, config.n2)
-    if config.is_bloch:
-        return None
-    if config.estimator is EstimatorKind.OPTIMAL_PURE:
-        return analytic_delta_opt(obs, config.copies)
-    return analytic_delta_av(obs, config.copies)
-
-
 # the last draw as (key, (truths, sums)), read-only, or None; see _draw
 _last_draw = None
 
@@ -431,7 +415,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     return ResultRow(
         config=config,
         empirical_mse=empirical_mse,
-        analytic_mse=_analytic_mse(config, obs),
+        analytic_mse=analytic_mse(config.estimator, obs, n, config.n2),
         empirical_bias_at_probe=probe_mean - truth,
         # the sample average is unbiased at every state
         analytic_bias_at_probe=0.0 if config.estimator is EstimatorKind.SAMPLE_AVERAGE else e - truth,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import analytic_delta_av, analytic_delta_opt, analytic_second_moment, estimate_from_sums
+from .estimators import analytic_delta_av, analytic_delta_opt, ensemble_moments, estimate_from_sums
 from .hermitian import Observable
 from .sampling import derive_stream, sample_haar_amplitudes
 from .symmetric import (
@@ -159,7 +159,8 @@ def _operator_checks(d: int, n: int, observables: list[Observable]) -> list[Chec
         second_direct = float(
             np.trace(s_2 @ embed_one_body(obs, 1, 2) @ embed_one_body(obs, 2, 2)).real
         ) / d_2
-        dev_second = max(dev_second, abs(second_direct - analytic_second_moment(obs)))
+        mu, v_t, _ = ensemble_moments(obs)
+        dev_second = max(dev_second, abs(second_direct - (mu * mu + v_t)))
 
         def expanded_total(omega: np.ndarray) -> float:
             term1 = float(omega**2 @ q_s) / d_n

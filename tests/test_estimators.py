@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from optev import (
@@ -23,7 +25,7 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import analytic_bias_mean, analytic_second_moment, estimate_from_sums
+from optev.estimators import analytic_mse, ensemble_moments, estimate_from_sums
 from optev.symmetric import omega_hat
 
 
@@ -89,7 +91,6 @@ def test_copies_must_be_an_int_in_range(copies):
     calls = (
         lambda: analytic_delta_opt(SIGMA_Z, copies),
         lambda: analytic_delta_av(SIGMA_Z, copies),
-        lambda: analytic_bias_mean(state, SIGMA_Z, copies),
         lambda: simulate_measurements(state, SIGMA_Z, copies, derive_stream(4, 0)),
     )
     for call in calls:
@@ -258,13 +259,13 @@ def test_delta_ratio_is_copies_plus_dim_over_copies():
 
 def test_bias_mean_deterministic_case():
     state = PureState(np.array([1.0, 0.0]))
-    assert analytic_bias_mean(state, SIGMA_Z, 1) == 1 / 3
+    assert estimate_from_sums(EstimatorKind.OPTIMAL_PURE, 1 * expectation(state, SIGMA_Z), 1, SIGMA_Z) == 1 / 3
 
 
 def test_bias_mean_identity_observable():
     obs = make_observable(np.eye(3))
     state = PureState(np.array([0.0, 1.0, 0.0], dtype=complex))
-    assert analytic_bias_mean(state, obs, 7) == 1.0
+    assert estimate_from_sums(EstimatorKind.OPTIMAL_PURE, 7 * expectation(state, obs), 7, obs) == 1.0
 
 
 def test_sample_average_unbiased_at_fixed_state():
@@ -290,7 +291,8 @@ def test_bias_mean_matches_monte_carlo():
     counts = derive_stream(42, 0).multinomial(copies, np.broadcast_to(p / p.sum(), (trials, 3)))
     estimates = (obs.trace + counts @ obs.eigenvalues) / (copies + 3)
     sigma = float(estimates.std(ddof=1)) / math.sqrt(trials)
-    assert abs(float(estimates.mean()) - analytic_bias_mean(state, obs, copies)) < 3 * sigma
+    mean = estimate_from_sums(EstimatorKind.OPTIMAL_PURE, copies * expectation(state, obs), copies, obs)
+    assert abs(float(estimates.mean()) - mean) < 3 * sigma
 
 
 @pytest.mark.parametrize("d, copies", [(2, 1), (2, 3), (3, 2), (4, 4)])
@@ -312,18 +314,25 @@ def test_exact_count_distribution_matches_closed_forms(d, copies):
     average = estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, sums, copies, obs)
     variance = float(p @ (w - t) ** 2)
     assert abs(pmf.sum() - 1.0) < 1e-12
-    assert abs(pmf @ optimal - analytic_bias_mean(state, obs, copies)) < 1e-12
+    mean = estimate_from_sums(EstimatorKind.OPTIMAL_PURE, copies * t, copies, obs)
+    assert abs(pmf @ optimal - mean) < 1e-12
     assert abs(pmf @ (average - t) ** 2 - variance / copies) < 1e-12
     want = (copies * variance + (obs.trace - d * t) ** 2) / (copies + d) ** 2
     assert abs(pmf @ (optimal - t) ** 2 - want) < 1e-12
 
 
+def second_moment(obs):
+    """E[t^2] over Haar states, mu^2 + V_t."""
+    mu, v_t, _ = ensemble_moments(obs)
+    return mu * mu + v_t
+
+
 def test_second_moment_values():
-    assert analytic_second_moment(SIGMA_Z) == 1 / 3
+    assert second_moment(SIGMA_Z) == 1 / 3
     obs_id = make_observable(np.eye(5))
-    assert analytic_second_moment(obs_id) == 1.0
+    assert second_moment(obs_id) == 1.0
     obs = make_observable(np.diag([1.0, 0.0]))
-    assert analytic_second_moment(obs) == 1 / 3
+    assert second_moment(obs) == 1 / 3
 
 
 def test_second_moment_haar_monte_carlo():
@@ -339,6 +348,13 @@ def test_delta_mixed_consistency_points():
     assert analytic_delta_mixed_qubit(SIGMA_Z, 0.0) == 0.0
 
 
+def test_delta_mixed_at_n2_one_is_the_one_copy_pure_optimum_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        obs = random_observable(2, rng)
+        assert analytic_delta_mixed_qubit(obs, 1.0) == analytic_delta_opt(obs, 1)
+
+
 def test_delta_mixed_matches_brute_force_minimum():
     rng = np.random.default_rng(10)
     for n2 in (0.2, 0.36, 0.6, 1.0):
@@ -351,6 +367,28 @@ def test_delta_mixed_matches_brute_force_minimum():
 def test_delta_mixed_sigma_z_value():
     # (0.6/12) * (1 - 0.2) * 4
     assert analytic_delta_mixed_qubit(SIGMA_Z, 0.6) == pytest.approx(0.16, abs=1e-15)
+
+
+@st.composite
+def spectra(draw):
+    d = draw(st.integers(2, 5))
+    return draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d))
+
+
+@given(spectra(), st.integers(1, 6), st.sampled_from([EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE]))
+def test_haar_mse_is_the_exact_sum_over_compositions(eigenvalues, copies, kind):
+    # under Haar the counts c are uniform over the compositions of N and
+    # p | c ~ Dirichlet(1 + c), so given c the error is (est - m)^2 + Var(t | c)
+    obs = make_observable(np.diag(eigenvalues))
+    d, w = obs.dim, obs.eigenvalues
+    compositions = np.array(enumerate_occupations(d, copies))
+    estimates = estimate_from_sums(kind, compositions @ w, copies, obs)
+    alpha, alpha0 = 1 + compositions, copies + d
+    m = alpha @ w / alpha0
+    variance = (alpha @ w**2 / alpha0 - m * m) / (alpha0 + 1)
+    want = math.fsum((estimates - m) ** 2 + variance) / len(compositions)
+    scale = float(np.max(w**2))
+    assert analytic_mse(kind, obs, copies) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
 
 
 # --- invariants ---

@@ -1,6 +1,7 @@
 """Tests for harness.py and cli.py: configs, runner, CSV, determinism."""
 
 import concurrent.futures
+import csv
 import json
 import math
 import multiprocessing
@@ -205,19 +206,21 @@ def test_analytic_column_uses_the_estimator_formulas():
     assert row_av.analytic_mse == analytic_delta_av(obs, 3)
 
 
-def test_no_closed_form_leaves_analytic_empty():
-    config = ExperimentConfig(
-        dim=2,
-        copies=1,
-        trials=50,
-        master_seed=2,
-        estimator="sample-average",
-        ensemble=RadialLaw.uniform_ball(),
-    )
-    row = run_experiment(config)
-    assert row.analytic_mse is None
-    line = rows_to_csv([row]).splitlines()[1]
-    assert line.split(",")[CSV_COLUMNS.index("analytic_mse")] == ""
+def test_bloch_rows_of_the_pure_estimators_match_their_closed_form():
+    # every row has a closed form, on Bloch laws too, at any N
+    obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    laws = (RadialLaw.uniform_ball(), RadialLaw.two_point(0.8, 0.5), RadialLaw.fixed_radius(0.6))
+    for i, law in enumerate(laws):
+        for copies in (1, 3, 8):
+            for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE):
+                config = ExperimentConfig(
+                    dim=2, copies=copies, trials=200_000, master_seed=2600 + i, estimator=kind, ensemble=law
+                )
+                row = run_experiment(config, observable=obs)
+                z = (row.empirical_mse - row.analytic_mse) / row.standard_error
+                assert abs(z) <= 4.0, (law, copies, kind, z)
+                cells = list(csv.reader(rows_to_csv([row]).splitlines()))[1]
+                assert cells[CSV_COLUMNS.index("analytic_mse")] == repr(row.analytic_mse)
 
 
 def _mean_and_se(values):
@@ -867,6 +870,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         # a sweep runs at one d
         (["sweep", "--dim", "2,3"], None),
         (["sweep", "--dim", "2.7"], None),
+        (["simulate", "--copies", "2.5"], None),
         (["sweep", "--copies", ""], None),
         # d = 10^8 asks for a 71 PiB matrix, far past the 128 TiB of address space
         # 64-bit Linux maps for a process by default, so the allocation fails at
@@ -886,6 +890,8 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
     assert captured.out == ""
     assert captured.err.startswith("optev: error: ")
     assert captured.err.count("\n") == 1
+    if argv[1:3] in (["--dim", "2.7"], ["--copies", "2.5"]):
+        assert captured.err == f"optev: error: {argv[1]} expects a single integer, got '{argv[2]}'\n"
 
 
 def _run_script(args, script, **options):
