@@ -129,17 +129,18 @@ def _cmd_analytic(args) -> int:
     obs = load_observable(config.observable_source, dim=config.dim)
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
-    n, d = config.copies, config.dim
-    mu, v_t, _ = ensemble_moments(obs)
+    n, d, n2 = config.copies, config.dim, config.ensemble.second_moment()
+    mu, v_t, _ = ensemble_moments(obs, n2)
     report = {
         "dim": d,
         "copies": n,
         "observable": config.observable_source,
+        "ensemble": config.ensemble.label(),
         "trace": obs.trace,
         "trace_square": obs.trace_square,
         "eigenvalues": [float(v) for v in obs.eigenvalues],
-        "delta_opt": analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, n),
-        "delta_av": analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, n),
+        "delta_opt": analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, n, n2),
+        "delta_av": analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, n, n2),
         "ratio_av_over_opt": (n + d) / n,
         "second_moment": mu * mu + v_t,
         # optimal estimate when all N outcomes hit eigenvalue i; for N = 1
@@ -148,8 +149,8 @@ def _cmd_analytic(args) -> int:
             EstimatorKind.OPTIMAL_PURE, n * obs.eigenvalues, n, obs
         ).tolist(),
     }
-    n2 = config.n2
     if n2 is not None:
+        del report["ratio_av_over_opt"]  # (N + d)/N is Haar's closed form
         report["n2"] = n2
     # the mixed-qubit estimator is defined at one copy only
     if n2 is not None and n == 1:

@@ -121,13 +121,15 @@ def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, f
     """(mu, V_t, V_w) of the Haar ensemble, or of a Bloch law with second moment n2.
 
     mu = E[t] and V_t = Var(t) for t = tr[rho Omega]; V_w = E[Var_p(Omega)],
-    the mean variance of one outcome's eigenvalue.  With
-    c = d tr Omega^2 - (tr Omega)^2, Haar gives
+    the mean variance of one outcome's eigenvalue.  With c = d tr Omega^2 -
+    (tr Omega)^2, summed as d |Omega - (tr Omega/d) 1|^2 from the entries so
+    that nothing cancels, Haar gives
     (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the Bloch law, on a qubit
     observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
     """
     d = obs.dim
-    c = d * obs.trace_square - obs.trace**2
+    centred = obs.matrix - obs.trace / d * np.eye(d)
+    c = d * float((centred.real * centred.real + centred.imag * centred.imag).sum())
     if n2 is None:
         return obs.trace / d, c / (d * d * (d + 1)), c / (d * (d + 1))
     return obs.trace / 2.0, c * n2 / 12.0, c * (3.0 - n2) / 12.0

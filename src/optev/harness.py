@@ -3,19 +3,11 @@
 An experiment draws M ensemble trials in blocks of ``BLOCK`` trials; the
 block starting at trial k draws all of its randomness from the stream keyed
 by (master_seed, k) and records each trial's truth and sum of observed
-eigenvalues.  A Haar block draws each trial's outcome counts first, uniform
-over the compositions of N into d parts, and then the state's outcome
-probabilities in the observable's eigenbasis from Dirichlet(1 + counts)
-(:func:`optev.sampling.sample_haar_counts`); that is the joint law of
-Dirichlet(1, ..., 1) probabilities and multinomial counts, with no
-amplitude and no multinomial draw.  Both come as (d, trials) arrays, one
-row per outcome, and the truths sum_i w_i p_i and sums sum_i w_i c_i add
-those rows first to last, elementwise, with no BLAS call.  A Bloch block draws only each state's
-Bloch component s along the top eigenvector's Bloch vector m
-(:func:`optev.sampling.sample_bloch_components`); the state's truth,
-(tr Omega + s (w0 - w1))/2, and outcome law depend on s alone, so the top
-eigenvalue is seen with probability (1 + s)/2, one uniform per trial for
-one copy and one binomial draw per trial for more.
+eigenvalues.  The config's ensemble object draws the block
+(:mod:`optev.sampling`), so every ensemble takes one path: a Haar block
+draws outcome counts and then eigenbasis probabilities, with no amplitude
+and no multinomial draw, a Bloch block only each state's Bloch component
+along the top eigenvector's.
 Blocks never depend on the worker count and results are reduced afterwards
 with an exact sum equal to ``math.fsum`` (two extraction levels a chunk, every
 level only where a bound B on the rest leaves the rounding of total -+ B open),
@@ -24,11 +16,10 @@ the eigendecomposition and the CSV, so given the eigenvalues, the output is
 also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
 
-A Haar run with ``workers > 1`` maps its blocks, one task each, over
-min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own;
-its numpy calls release the GIL.  A Bloch block is a few calls on ``BLOCK``
-numbers, which threads would only slow, so Bloch runs always draw in the
-calling thread.  No run starts a process.
+A run with ``workers > 1`` on a ``threaded`` ensemble (Haar, whose numpy
+calls release the GIL) maps its blocks, one task each, over
+min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own.
+Bloch runs always draw in the calling thread.  No run starts a process.
 
 The estimator is in no stream key, so ``_draw`` keeps its last draw,
 read-only, keyed by every value the draw reads: master seed, N, M, the
@@ -65,9 +56,7 @@ from .hermitian import (
     observable_from_json,
     outcome_distribution,
 )
-from .sampling import RadialLaw, derive_stream, sample_bloch_components, sample_haar_counts
-
-HAAR_ENSEMBLE = "haar-pure"
+from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
 BLOCK = 4096
@@ -150,39 +139,28 @@ class ExperimentConfig:
     trials: int = 100_000
     master_seed: int = 0
     estimator: EstimatorKind = EstimatorKind.OPTIMAL_PURE
-    ensemble: "str | RadialLaw" = HAAR_ENSEMBLE
+    ensemble: "HaarPure | RadialLaw" = HAAR_PURE
     observable_source: str = "pauli-z"
     workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
+        if isinstance(self.ensemble, str) and self.ensemble == HAAR_PURE.label():
+            object.__setattr__(self, "ensemble", HAAR_PURE)
         for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
             _check_int(name, getattr(self, name), low)
         # the Bloch outcome draw, Generator.binomial, takes a signed 64-bit
         # count; the Haar draw's N + d - 1 slots are uint64
         _check_int("copies", self.copies, 1, bits=63)
-        if self.is_bloch:
-            if not isinstance(self.ensemble, RadialLaw):
-                raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a RadialLaw, got {self.ensemble!r}")
-            if self.dim != 2:
-                raise ConfigError("the Bloch ensemble is qubit-only (dim must be 2)")
+        if not isinstance(self.ensemble, (HaarPure, RadialLaw)):
+            raise ConfigError(f"ensemble must be 'haar-pure' or a Bloch law, got {self.ensemble!r}")
+        if self.ensemble.qubit_only and self.dim != 2:
+            raise ConfigError("the Bloch ensemble is qubit-only (dim must be 2)")
         if self.estimator is EstimatorKind.OPTIMAL_MIXED_QUBIT:
-            if not self.is_bloch:
+            if self.ensemble.second_moment() is None:
                 raise ConfigError("the mixed-qubit estimator needs a Bloch ensemble to define n2")
-            if self.dim != 2 or self.copies != 1:
-                raise ConfigError("the mixed-qubit estimator requires dim=2 and copies=1")
-
-    @property
-    def is_bloch(self) -> bool:
-        return not (isinstance(self.ensemble, str) and self.ensemble == HAAR_ENSEMBLE)
-
-    @property
-    def n2(self) -> float | None:
-        return self.ensemble.second_moment() if self.is_bloch else None
-
-    @property
-    def ensemble_label(self) -> str:
-        return f"bloch({self.ensemble.label()})" if self.is_bloch else HAAR_ENSEMBLE
+            if self.copies != 1:
+                raise ConfigError("the mixed-qubit estimator requires copies=1")
 
     def to_dict(self) -> dict:
         return {
@@ -191,7 +169,7 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "estimator": self.estimator.value,
-            "ensemble": {"bloch": self.ensemble.to_dict()} if self.is_bloch else HAAR_ENSEMBLE,
+            "ensemble": self.ensemble.to_json(),
             "observable_source": self.observable_source,
             "workers": self.workers,
         }
@@ -204,15 +182,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
         kwargs = dict(payload)
-        ensemble = kwargs.get("ensemble", HAAR_ENSEMBLE)
+        ensemble = kwargs.get("ensemble")
         # a ConfigError raised in here is a ValueError, re-raised with its message
         try:
             if isinstance(ensemble, dict):
                 if set(ensemble.keys()) != {"bloch"}:
                     raise ConfigError(f"ensemble object must be {{'bloch': law}}, got {ensemble!r}")
                 kwargs["ensemble"] = RadialLaw.from_dict(ensemble["bloch"])
-            elif ensemble != HAAR_ENSEMBLE:
-                raise ConfigError(f"ensemble must be {HAAR_ENSEMBLE!r} or a bloch law object, got {ensemble!r}")
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -242,29 +218,8 @@ class ResultRow:
 
 def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, sums: np.ndarray, k: int) -> None:
     """Write the truths and sums of observed eigenvalues of the block starting at trial k into their slices."""
-    n, w = config.copies, obs.eigenvalues
-    generator = derive_stream(config.master_seed, k)
-    size = min(BLOCK, config.trials - k)
-    block = slice(k, k + size)
-    if not config.is_bloch:
-        p, counts = sample_haar_counts(config.dim, n, size, generator)
-        # sum_i w_i p_i and sum_i w_i c_i: numpy adds the outcome rows first
-        # to last, a fixed order, so no BLAS kernel changes the bits
-        p *= w[:, None]
-        p.sum(axis=0, out=truths[block])
-        (counts * w[:, None]).sum(axis=0, out=sums[block])
-        return
-    s = sample_bloch_components(config.ensemble, size, generator)
-    # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
-    truths[block] = 0.5 * (obs.trace + s * (w[0] - w[1]))
-    # in [0, 1] exactly, since |s| <= 1
-    p_top = 0.5 * (1.0 + s)
-    if n == 1:
-        top = (generator.random(size) < p_top).view(np.int8)
-    else:
-        top = generator.binomial(n, p_top)
-    # the count vector [top, n - top] dotted with the two eigenvalues
-    sums[block] = top * w[0] + (n - top) * w[1]
+    block = slice(k, min(k + BLOCK, config.trials))
+    config.ensemble.draw(obs, config.copies, derive_stream(config.master_seed, k), truths[block], sums[block])
 
 
 # values per chunk of the exact sum: its 64 KiB buffers stay below malloc's mmap threshold
@@ -362,7 +317,7 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
     truths, sums = np.empty(m), np.empty(m)
     starts = range(0, m, BLOCK)
     block = partial(_draw_block, config, obs, truths, sums)
-    threads = 1 if config.is_bloch else min(config.workers, len(starts))
+    threads = min(config.workers, len(starts)) if config.ensemble.threaded else 1
     if threads > 1:
         # more threads than CPUs would only queue
         threads = min(threads, os.cpu_count() or 1)
@@ -394,8 +349,8 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     started = time.perf_counter()
     obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
     truths, sums = _draw(config, obs)
-    m, n = config.trials, config.copies
-    errors = estimate_from_sums(config.estimator, sums, n, obs, config.n2)
+    m, n, n2 = config.trials, config.copies, config.ensemble.second_moment()
+    errors = estimate_from_sums(config.estimator, sums, n, obs, n2)
     errors -= truths
     errors *= errors
     empirical_mse = _exact_sum(errors) / m
@@ -409,13 +364,13 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     if not abs(outcome_distribution(PureState(obs.eigenvectors[:, 0]), obs)[0] - 1.0) <= 1e-12:
         raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
     truth = float(obs.eigenvalues[0])
-    e = float(estimate_from_sums(config.estimator, n * truth, n, obs, config.n2))
+    e = float(estimate_from_sums(config.estimator, n * truth, n, obs, n2))
     # the correctly rounded M*e, as math.fsum([e] * M) is, since M < 2**53
     probe_mean = (m * e) / m
     return ResultRow(
         config=config,
         empirical_mse=empirical_mse,
-        analytic_mse=analytic_mse(config.estimator, obs, n, config.n2),
+        analytic_mse=analytic_mse(config.estimator, obs, n, n2),
         empirical_bias_at_probe=probe_mean - truth,
         # the sample average is unbiased at every state
         analytic_bias_at_probe=0.0 if config.estimator is EstimatorKind.SAMPLE_AVERAGE else e - truth,
@@ -442,7 +397,7 @@ def run_sweep(base: ExperimentConfig, copies_values) -> list[ResultRow]:
     any cell runs; an observable whose d is not ``base.dim`` raises it in
     ``_draw``, before any block is drawn.
     """
-    if base.is_bloch:
+    if base.ensemble != HAAR_PURE:
         raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
     copies = sorted({replace(base, copies=_integral(v)).copies for v in copies_values})
     obs = load_observable(base.observable_source, dim=base.dim)
@@ -472,8 +427,8 @@ def rows_to_csv(rows: list[ResultRow], include_timing: bool = False) -> str:
                 config.trials,
                 config.master_seed,
                 config.estimator.value,
-                config.ensemble_label,
-                _format_cell(config.n2),
+                config.ensemble.label(),
+                _format_cell(config.ensemble.second_moment()),
                 _format_cell(row.empirical_mse),
                 _format_cell(row.standard_error),
                 _format_cell(row.analytic_mse),

@@ -1,4 +1,4 @@
-"""Deterministic keyed random streams and state-ensemble samplers.
+"""Deterministic keyed random streams and the state ensembles.
 
 A stream is a plain ``numpy.random.Generator`` over SFC64, seeded by the
 trial_index-th spawned child of ``SeedSequence(master_seed)``, both reduced
@@ -7,17 +7,21 @@ that pair, so results never depend on worker count or scheduling order.
 The harness keys one stream per block of trials, by the index of the
 block's first trial.
 
+Each ensemble is one frozen object, :data:`HAAR_PURE` or a :class:`RadialLaw`
+(a qubit Bloch-ball law), owning its CSV label, config-JSON form, Bloch
+second moment (None for Haar) and block draw of truths and value sums.
+
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :func:`sample_haar_counts` draws only the outcome
 probabilities in an observable's eigenbasis together with the outcome counts
-of N measurements, counts first, which is all the harness's pure-state
-kernel needs.  It works in (d, count) layout, one contiguous row per
-outcome: a composition's chosen slots are sorted by a compare-exchange
-network of ``np.minimum`` and ``np.maximum`` over whole rows, and sums over
-outcomes add rows first to last.  Isotropic Bloch-ball states are drawn
+of N measurements, counts first, which is all :meth:`HaarPure.draw` needs.
+It works in (d, count) layout, one contiguous row per outcome: a
+composition's chosen slots are sorted by a compare-exchange network of
+``np.minimum`` and ``np.maximum`` over whole rows, and sums over outcomes
+add rows first to last.  Isotropic Bloch-ball states are drawn
 the same two ways: :func:`sample_bloch_vectors` draws whole Bloch vectors,
-:func:`sample_bloch_components` only their components along one axis, which
-is all a qubit observable sees of them.
+:meth:`RadialLaw.draw` only their components along one axis, which is all
+a qubit observable sees of them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import check_copies
-from .hermitian import MixedQubitState, PureState
+from .hermitian import MixedQubitState, Observable, PureState
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,8 +56,41 @@ def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
+class HaarPure:
+    """The unitary-invariant pure-state ensemble, the paper's prior; use :data:`HAAR_PURE`."""
+
+    qubit_only = False
+    threaded = True  # a block's numpy calls release the GIL
+
+    def label(self) -> str:
+        return "haar-pure"
+
+    def to_json(self) -> str:
+        return "haar-pure"
+
+    def second_moment(self) -> None:
+        return None
+
+    def draw(self, obs: Observable, copies: int, generator: np.random.Generator, truths, sums) -> None:
+        """Write ``truths.size`` trials' truths sum_i w_i p_i and value sums sum_i w_i c_i
+        into ``truths`` and ``sums``, adding outcome rows first to last: no BLAS call."""
+        p, counts = sample_haar_counts(obs.dim, copies, truths.size, generator)
+        p *= obs.eigenvalues[:, None]
+        p.sum(axis=0, out=truths)
+        (counts * obs.eigenvalues[:, None]).sum(axis=0, out=sums)
+
+
+HAAR_PURE = HaarPure()
+
+# the parameters each radial-law kind reads, in the order its CSV label names them
+_LAW_PARAMETERS = {
+    "pure-surface": (), "uniform-ball": (), "fixed-radius": ("radius",), "two-point": ("radius", "weight")
+}
+
+
+@dataclass(frozen=True)
 class RadialLaw:
-    """Radial distribution of an isotropic Bloch-ball ensemble.
+    """Isotropic Bloch-ball ensemble on a qubit, given by the law of the Bloch length.
 
     Kinds and their second moments <n^2>:
       pure-surface  -> 1
@@ -62,12 +99,15 @@ class RadialLaw:
       two-point     -> weight * radius^2   (radius with prob. weight, else 0)
     """
 
+    qubit_only = True
+    threaded = False  # a block is a few short numpy calls, which threads would only slow
+
     kind: str
     radius: float = 1.0
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("pure-surface", "uniform-ball", "fixed-radius", "two-point"):
+        if self.kind not in _LAW_PARAMETERS:
             raise ValueError(f"unknown radial law kind: {self.kind!r}")
         if not 0.0 <= self.radius <= 1.0:
             raise ValueError(f"radial law implies |n| outside [0, 1]: radius={self.radius!r}")
@@ -110,29 +150,47 @@ class RadialLaw:
             return generator.random(size) ** (1.0 / 3.0)
         return np.where(generator.random(size) < self.weight, self.radius, 0.0)
 
+    def draw(self, obs: Observable, copies: int, generator: np.random.Generator, truths, sums) -> None:
+        """Like :meth:`HaarPure.draw`, from each state's Bloch component s along the top
+        eigenvector's Bloch vector m, on which truth and outcome law depend alone.
+
+        A uniform direction's component along a fixed axis is uniform on [-1, 1]
+        (Archimedes' hat-box theorem), so s = radius * (2u - 1), all uniforms u first,
+        then all radii.  The top eigenvalue is seen with probability (1 + s)/2: one
+        uniform per trial for one copy, one binomial draw for more.
+        """
+        size, w = truths.size, obs.eigenvalues
+        s = 2.0 * generator.random(size) - 1.0
+        s *= self.sample_radius(generator, size)
+        # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
+        truths[...] = 0.5 * (obs.trace + s * (w[0] - w[1]))
+        # in [0, 1] exactly, since |s| <= 1
+        p_top = 0.5 * (1.0 + s)
+        if copies == 1:
+            top = (generator.random(size) < p_top).view(np.int8)
+        else:
+            top = generator.binomial(copies, p_top)
+        # the count vector [top, N - top] dotted with the two eigenvalues
+        sums[...] = top * w[0] + (copies - top) * w[1]
+
     def label(self) -> str:
-        """Canonical text form used in CSV output."""
-        if self.kind == "fixed-radius":
-            return f"fixed-radius(r={self.radius!r})"
-        if self.kind == "two-point":
-            return f"two-point(r={self.radius!r},w={self.weight!r})"
-        return self.kind
+        """``bloch(kind)``, or ``bloch(kind(r=...,w=...))`` naming the kind's parameters."""
+        law = self.to_dict()
+        kind = law.pop("kind")
+        params = ",".join(f"{name[0]}={value!r}" for name, value in law.items())
+        return f"bloch({kind}({params}))" if params else f"bloch({kind})"
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "fixed-radius":
-            out["radius"] = self.radius
-        elif self.kind == "two-point":
-            out["radius"] = self.radius
-            out["weight"] = self.weight
-        return out
+        return {"kind": self.kind, **{name: getattr(self, name) for name in _LAW_PARAMETERS[self.kind]}}
+
+    def to_json(self) -> dict:
+        return {"bloch": self.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RadialLaw":
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"radial law must be an object with a 'kind', got {payload!r}")
-        known = {"kind", "radius", "weight"}
-        unknown = payload.keys() - known
+        unknown = payload.keys() - {"kind", "radius", "weight"}
         if unknown:
             raise ValueError(f"radial law has unknown keys: {sorted(unknown)}")
         numbers = {}
@@ -303,17 +361,3 @@ def sample_bloch_vectors(law: RadialLaw, count: int, stream: np.random.Generator
     """
     u = stream.standard_normal((count, 3))
     return (law.sample_radius(stream, count) / np.linalg.norm(u, axis=1))[:, None] * u
-
-
-def sample_bloch_components(law: RadialLaw, count: int, stream: np.random.Generator) -> np.ndarray:
-    """Batch of isotropic Bloch vectors' components along one fixed axis, shape (count,).
-
-    A uniform direction's component along any fixed unit axis is uniform on
-    [-1, 1] (Archimedes' hat-box theorem), and the radius is independent of
-    the direction, so each value is ``radius * (2u - 1)``.  All ``count``
-    uniforms are drawn first, then all radii, as in
-    :func:`sample_bloch_vectors`.
-    """
-    s = 2.0 * stream.random(count) - 1.0
-    s *= law.sample_radius(stream, count)
-    return s

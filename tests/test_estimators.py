@@ -1,6 +1,7 @@
 """Tests for estimators.py: simulation, estimates, closed-form errors."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,6 +334,27 @@ def test_second_moment_values():
     assert second_moment(obs_id) == 1.0
     obs = make_observable(np.diag([1.0, 0.0]))
     assert second_moment(obs) == 1 / 3
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([1000.0, 1000.001, 999.9995]),
+        [[1000.0, 1e-3 + 2e-3j], [1e-3 - 2e-3j, 1000.0005]],
+    ],
+    ids=["diagonal", "off-diagonal"],
+)
+def test_delta_opt_keeps_its_digits_near_a_multiple_of_the_identity(matrix):
+    # d tr Omega^2 and (tr Omega)^2 agree to about 10 of their 16 digits here,
+    # so their difference keeps only the rest; the oracle sums exact fractions
+    # of the very float entries the observable holds
+    obs, copies = make_observable(matrix), 2
+    d = obs.dim
+    entries = [(Fraction(z.real), Fraction(z.imag)) for z in obs.matrix.reshape(-1)]
+    trace = sum(Fraction(obs.matrix[i, i].real) for i in range(d))
+    c = d * sum(re * re + im * im for re, im in entries) - trace * trace
+    want = c / (d * (d + 1) * (copies + d))
+    assert abs(Fraction(analytic_delta_opt(obs, copies)) - want) <= Fraction(1, 10**12) * want
 
 
 def test_second_moment_haar_monte_carlo():

@@ -41,9 +41,9 @@ from optev import (
 )
 from optev import harness
 from optev.cli import main
-from optev.estimators import estimate_from_sums
+from optev.estimators import analytic_mse, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _draw_block, load_config, run_sweep
-from optev.sampling import sample_bloch_components, sample_haar_counts
+from optev.sampling import HAAR_PURE, sample_haar_counts
 
 
 def fresh(config, observable=None):
@@ -125,7 +125,22 @@ def test_config_round_trip():
     )
     again = ExperimentConfig.from_dict(config.to_dict())
     assert again == config
-    assert again.n2 == pytest.approx(0.6)
+    assert again.ensemble.second_moment() == pytest.approx(0.6)
+
+
+def test_haar_pure_text_and_object_give_one_config(draws):
+    # the string form is stored as the one HAAR_PURE object, so the three
+    # configs are equal and the second run finds the first run's kept draw
+    configs = [
+        ExperimentConfig(trials=50),
+        ExperimentConfig(trials=50, ensemble="haar-pure"),
+        ExperimentConfig.from_dict({"trials": 50, "ensemble": "haar-pure"}),
+    ]
+    assert configs[0] == configs[1] == configs[2]
+    assert all(config.ensemble is HAAR_PURE for config in configs)
+    first = run_experiment(configs[0])
+    assert _text(run_experiment(configs[2])) == _text(first)
+    assert draws == [True]
 
 
 def test_config_validation():
@@ -274,9 +289,13 @@ def test_hot_loop_matches_public_operations_bloch(matrix):
     )
     obs = make_observable(matrix)
     row = run_experiment(config, observable=obs)
-    # block 0's stream: the components s first, then one outcome uniform per trial
+    # block 0's stream: the components s first, then one outcome uniform per
+    # trial.  On pauli-z each truth is s itself, bit for bit
+    s = np.empty(config.trials)
+    law.draw(load_observable("pauli-z"), 1, derive_stream(config.master_seed, 0), s, np.empty(config.trials))
     stream = derive_stream(config.master_seed, 0)
-    s = sample_bloch_components(law, config.trials, stream)
+    stream.random(config.trials)
+    law.sample_radius(stream, config.trials)
     top = stream.random(config.trials) < 0.5 * (1.0 + s)
     counts = np.stack([top, ~top], axis=1).astype(np.int64)
     truths, sums = run_trials(config, obs)
@@ -426,7 +445,7 @@ def test_many_workers_start_no_process_and_give_the_serial_row(monkeypatch, ense
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda n: made.append(n) or ThreadPoolExecutor(n))
     config = ExperimentConfig(dim=2, copies=1, trials=3 * BLOCK, master_seed=21, workers=64, ensemble=ensemble)
     text = rows_to_csv([run_experiment(config)])
-    assert made == ([] if config.is_bloch else [2])
+    assert made == ([2] if config.ensemble.threaded else [])
     assert multiprocessing.active_children() == []
     assert text == rows_to_csv([run_experiment(replace(config, workers=1))])
 
@@ -757,6 +776,24 @@ def test_cli_analytic_mixed_section(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["delta_mixed"] == pytest.approx(0.16, abs=1e-12)
     assert report["omega_mixed_by_outcome"][0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_cli_analytic_reports_the_configs_ensemble(capsys):
+    # a Bloch law's errors and second moment, not Haar's; (N + d)/N is Haar's alone
+    code = main(["analytic", "--observable", "pauli-z", "--n2", "0.6", "--copies", "3"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    obs, law = load_observable("pauli-z"), RadialLaw.fixed_radius(math.sqrt(0.6))
+    row = fresh(ExperimentConfig(copies=3, trials=20, ensemble=law))
+    assert report["ensemble"] == law.label() == "bloch(fixed-radius(r=0.7745966692414834))"
+    assert report["delta_opt"] == row.analytic_mse == pytest.approx(0.128, rel=1e-14)
+    assert report["delta_av"] == analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, 3, law.second_moment())
+    assert report["second_moment"] == pytest.approx(0.2, rel=1e-14)
+    assert "ratio_av_over_opt" not in report
+    assert main(["analytic", "--observable", "pauli-z", "--copies", "3"]) == 0
+    haar = json.loads(capsys.readouterr().out)
+    assert haar["ensemble"] == "haar-pure" and haar["ratio_av_over_opt"] == 5 / 3
+    assert haar["delta_opt"] == analytic_delta_opt(obs, 3) and haar["second_moment"] == 1 / 3
 
 
 @pytest.mark.parametrize("copies", [1, 3])

@@ -19,9 +19,9 @@ from optev import (
 )
 from optev.harness import BLOCK
 from optev.sampling import (
+    _LAW_PARAMETERS,
     _sort_network,
     _uniform_subsets,
-    sample_bloch_components,
     sample_bloch_vectors,
     sample_haar_counts,
 )
@@ -317,7 +317,9 @@ def test_bloch_direction_isotropy():
 )
 def test_bloch_components_follow_the_projected_bloch_law(law):
     samples = 100_000
-    s = sample_bloch_components(law, samples, derive_stream(35, 0))
+    # on pauli-z each truth is the component s itself, bit for bit
+    s = np.empty(samples)
+    law.draw(make_observable([[1.0, 0.0], [0.0, -1.0]]), 1, derive_stream(35, 0), s, np.empty(samples))
     assert s.shape == (samples,) and (np.abs(s) <= law.radius).all()
     # the same law as whole isotropic Bloch vectors projected on a fixed axis
     axis = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)
@@ -354,12 +356,9 @@ def test_radial_law_from_dict_rejects_non_numbers(payload):
 
 
 def test_radial_law_dict_round_trip():
-    for law in (
-        RadialLaw.pure_surface(),
-        RadialLaw.uniform_ball(),
-        RadialLaw.fixed_radius(0.25),
-        RadialLaw.two_point(0.9, 0.3),
-    ):
+    # every kind, each with the parameters it reads
+    for kind, params in _LAW_PARAMETERS.items():
+        law = RadialLaw(kind, **dict(zip(params, (0.25, 0.3))))
         assert RadialLaw.from_dict(law.to_dict()) == law
 
 
