@@ -12,6 +12,7 @@ together with all d eigenvalues of the observable, i.e.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -117,22 +118,27 @@ def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
     return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, value_sum, 1, obs, n2))
 
 
+def _scaled_moments(obs: Observable, n2: float | None) -> tuple[int, float, tuple[float, float, float]]:
+    """k, tr(2**k Omega) and the ``ensemble_moments`` of 2**k Omega, for k of ``Observable.spread``."""
+    k, trace, c = obs.spread
+    d = obs.dim
+    if n2 is None:
+        return k, trace, (trace / d, c / (d * d * (d + 1)), c / (d * (d + 1)))
+    return k, trace, (trace / 2.0, c * n2 / 12.0, c * (3.0 - n2) / 12.0)
+
+
 def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, float, float]:
     """(mu, V_t, V_w) of the Haar ensemble, or of a Bloch law with second moment n2.
 
     mu = E[t] and V_t = Var(t) for t = tr[rho Omega]; V_w = E[Var_p(Omega)],
     the mean variance of one outcome's eigenvalue.  With c = d tr Omega^2 -
     (tr Omega)^2, summed as d |Omega - (tr Omega/d) 1|^2 from the entries so
-    that nothing cancels, Haar gives
+    that nothing cancels (``Observable.spread``), Haar gives
     (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the Bloch law, on a qubit
     observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
     """
-    d = obs.dim
-    centred = obs.matrix - obs.trace / d * np.eye(d)
-    c = d * float((centred.real * centred.real + centred.imag * centred.imag).sum())
-    if n2 is None:
-        return obs.trace / d, c / (d * d * (d + 1)), c / (d * (d + 1))
-    return obs.trace / 2.0, c * n2 / 12.0, c * (3.0 - n2) / 12.0
+    k, _, (mu, v_t, v_w) = _scaled_moments(obs, n2)
+    return math.ldexp(mu, -k), math.ldexp(v_t, -2 * k), math.ldexp(v_w, -2 * k)
 
 
 def analytic_mse(kind: EstimatorKind | str, obs: Observable, copies: int, n2: float | None = None) -> float:
@@ -142,18 +148,20 @@ def analytic_mse(kind: EstimatorKind | str, obs: Observable, copies: int, n2: fl
     eigenvalue draws, so with pi = beta N - gamma and ``ensemble_moments``
     the error is (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2) / gamma^2.
     The Haar ensemble is n2 = None.  beta and gamma stay ints for the two
-    pure-state estimators, so pi is exactly 0 or -d.
+    pure-state estimators, so pi is exactly 0 or -d.  The error is of degree
+    2 in Omega: it is taken at ``Observable.spread``'s 2**k Omega and scaled
+    back by 4**-k once, so a tiny observable's squares never underflow.
     """
-    mu, v_t, v_w = ensemble_moments(obs, n2)
+    k, trace, (mu, v_t, v_w) = _scaled_moments(obs, n2)
     kind = EstimatorKind(kind)
     if kind is EstimatorKind.SAMPLE_AVERAGE:
         alpha, beta, gamma = 0.0, 1, copies
     elif kind is EstimatorKind.OPTIMAL_PURE:
-        alpha, beta, gamma = obs.trace, 1, copies + obs.dim
+        alpha, beta, gamma = trace, 1, copies + obs.dim
     else:
-        alpha, beta, gamma = (3.0 - n2) / 2.0 * obs.trace, n2, 3
+        alpha, beta, gamma = (3.0 - n2) / 2.0 * trace, n2, 3
     pi = beta * copies - gamma
-    return (beta**2 * copies * v_w + pi**2 * v_t + (alpha + pi * mu) ** 2) / gamma**2
+    return math.ldexp((beta**2 * copies * v_w + pi**2 * v_t + (alpha + pi * mu) ** 2) / gamma**2, -2 * k)
 
 
 def analytic_delta_opt(obs: Observable, copies: int) -> float:

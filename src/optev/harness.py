@@ -11,7 +11,10 @@ along the top eigenvector's.
 Blocks never depend on the worker count and results are reduced afterwards
 with an exact sum equal to ``math.fsum`` (two extraction levels a chunk, every
 level only where a bound B on the rest leaves the rounding of total -+ B open),
-so output is byte-identical for any worker count.  No BLAS call lies between
+so output is byte-identical for any worker count.  A block draws, and a
+reduce extracts, into buffers the working thread keeps
+(:func:`optev.sampling.scratch`), so neither allocates an array of its own
+size once the thread is warm.  No BLAS call lies between
 the eigendecomposition and the CSV, so given the eigenvalues, the output is
 also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
@@ -48,15 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import EstimatorKind, analytic_mse, estimate_from_sums
-from .hermitian import (
-    Observable,
-    PureState,
-    frozen,
-    make_observable,
-    observable_from_json,
-    outcome_distribution,
-)
-from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream
+from .hermitian import Observable, frozen, make_observable, observable_from_json
+from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream, scratch
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
 BLOCK = 4096
@@ -222,8 +218,9 @@ def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, s
     config.ensemble.draw(obs, config.copies, derive_stream(config.master_seed, k), truths[block], sums[block])
 
 
-# values per chunk of the exact sum: its 64 KiB buffers stay below malloc's mmap threshold
-_CHUNK = 2**13
+# values per chunk of the exact sum, so a 20 000-trial reduce is one chunk; its
+# two buffers, 256 KiB each, are the calling thread's kept scratch
+_CHUNK = 2**15
 
 # fsum's sum of negative zeros: -0.0 on Pythons whose fsum keeps the sign
 _NEGATIVE_ZERO_SUM = math.fsum([-0.0])
@@ -245,6 +242,8 @@ def _exact_sum(values: np.ndarray, full: bool = False) -> float:
     zero, non-finite input goes to fsum, and where fsum's partials overflow the total is returned.
     """
     total = bound = 0
+    size = min(values.size, _CHUNK)
+    levels, remainders = scratch("level", size), scratch("remainder", size)
     for start in range(0, values.size, _CHUNK):
         rest = values[start : start + _CHUNK]
         top = max(rest.max(), -rest.min())
@@ -255,7 +254,7 @@ def _exact_sum(values: np.ndarray, full: bool = False) -> float:
         if s > 1022:
             total += sum((num << 1074) // den for num, den in map(float.as_integer_ratio, rest.tolist()))
             continue
-        level, remainder = np.empty(rest.size), np.empty(rest.size)
+        level, remainder = levels[: rest.size], remainders[: rest.size]
         depth = 0
         while top:
             s = max(s, -1022)
@@ -361,7 +360,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     # every outcome at the top eigenvector is the top eigenvalue, which is
     # also its truth, so all M probe trials share one sum, N w_0: the drawn
     # path's sum of rows with counts [N, 0, ..., 0], bit for bit
-    if not abs(outcome_distribution(PureState(obs.eigenvectors[:, 0]), obs)[0] - 1.0) <= 1e-12:
+    if not obs.top_is_eigenstate:
         raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
     truth = float(obs.eigenvalues[0])
     e = float(estimate_from_sums(config.estimator, n * truth, n, obs, n2))

@@ -7,6 +7,7 @@ across threads without synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +54,32 @@ class Observable:
         # elementwise squares and sum, so no BLAS kernel changes its bits
         m = self.matrix
         return float((m.real * m.real + m.imag * m.imag).sum())
+
+    @cached_property
+    def spread(self) -> tuple[int, float, float]:
+        """(k, tr, c) of 2**k Omega, where c = d tr Omega^2 - (tr Omega)^2, summed
+        as d |Omega - (tr Omega/d) 1|^2 from the entries so that nothing cancels.
+
+        k = 0 unless every entry lies below 2**-256, where squares over d^3 and N
+        near the subnormals; then 2**k brings the largest to [1/2, 1) and the
+        closed forms, homogeneous in Omega, scale back once.  A power of two
+        scales every rounding alike, so where nothing underflows the scaled
+        forms are the unscaled ones bit for bit.
+        """
+        d, m, k = self.dim, self.matrix, 0
+        largest = float(np.abs(m).max())
+        if 0.0 < largest < 2.0**-256:
+            k = -math.frexp(largest)[1]
+            # exact: real and imaginary parts each times 2**k
+            m = np.ldexp(m.view(np.float64), k).view(np.complex128)
+        trace = float(m.trace().real) if k else self.trace
+        centred = m - trace / d * np.eye(d)
+        return k, trace, d * float((centred.real * centred.real + centred.imag * centred.imag).sum())
+
+    @cached_property
+    def top_is_eigenstate(self) -> bool:
+        """Whether the top eigenvector gives outcome 0 with probability 1, to 1e-12."""
+        return abs(outcome_distribution(PureState(self.eigenvectors[:, 0]), self)[0] - 1.0) <= 1e-12
 
 
 def make_observable(entries) -> Observable:

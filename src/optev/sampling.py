@@ -18,16 +18,21 @@ of N measurements, counts first, which is all :meth:`HaarPure.draw` needs.
 It works in (d, count) layout, one contiguous row per outcome: a
 composition's chosen slots are sorted by a compare-exchange network of
 ``np.minimum`` and ``np.maximum`` over whole rows, and sums over outcomes
-add rows first to last.  Isotropic Bloch-ball states are drawn
-the same two ways: :func:`sample_bloch_vectors` draws whole Bloch vectors,
-:meth:`RadialLaw.draw` only their components along one axis, which is all
-a qubit observable sees of them.
+add rows first to last.  A Haar block's probabilities, counts, slot rows
+and sorted slots live in :func:`scratch` buffers that the drawing thread
+keeps, so a block allocates no array of its own size; only
+:func:`sample_haar_counts` hands its caller fresh arrays.  Isotropic
+Bloch-ball states are drawn the same two ways: :func:`sample_bloch_vectors`
+draws whole Bloch vectors, :meth:`RadialLaw.draw` only their components
+along one axis, which is all a qubit observable sees of them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,27 @@ from .estimators import check_copies
 from .hermitian import MixedQubitState, Observable, PureState
 
 _MASK64 = (1 << 64) - 1
+
+# each thread's scratch buffers, by name; see scratch
+_kept = threading.local()
+
+
+def scratch(name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+    """This thread's kept buffer ``name`` as a C-ordered ``shape`` array of ``dtype``,
+    contents undefined.
+
+    A buffer only grows, to the largest request its thread has made, and lives
+    as long as the thread, so the hot path's temporaries cost no malloc and no
+    page fault once warm.  The array stays valid until the same thread asks
+    for ``name`` again: a caller never hands one on.
+    """
+    try:
+        return np.ndarray(shape, dtype, getattr(_kept, name))
+    except (AttributeError, TypeError):
+        # no buffer of that name yet in this thread, or one too small for shape
+        buffer = np.empty(math.prod(shape) * np.dtype(dtype).itemsize, dtype=np.uint8)
+        setattr(_kept, name, buffer)
+        return np.ndarray(shape, dtype, buffer)
 
 
 def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -73,11 +99,15 @@ class HaarPure:
 
     def draw(self, obs: Observable, copies: int, generator: np.random.Generator, truths, sums) -> None:
         """Write ``truths.size`` trials' truths sum_i w_i p_i and value sums sum_i w_i c_i
-        into ``truths`` and ``sums``, adding outcome rows first to last: no BLAS call."""
-        p, counts = sample_haar_counts(obs.dim, copies, truths.size, generator)
-        p *= obs.eigenvalues[:, None]
+        into ``truths`` and ``sums``, adding outcome rows first to last: no BLAS call.
+        The products are formed in p's kept buffer, the sums' after the truths'."""
+        w = obs.eigenvalues[:, None]
+        p, counts = scratch("p", obs.dim, truths.size), scratch("counts", obs.dim, truths.size, dtype=np.int64)
+        _draw_haar_counts(copies, generator, p, counts)
+        p *= w
         p.sum(axis=0, out=truths)
-        (counts * obs.eigenvalues[:, None]).sum(axis=0, out=sums)
+        np.multiply(counts, w, out=p)
+        p.sum(axis=0, out=sums)
 
 
 HAAR_PURE = HaarPure()
@@ -190,18 +220,22 @@ class RadialLaw:
     def from_dict(cls, payload: dict) -> "RadialLaw":
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ValueError(f"radial law must be an object with a 'kind', got {payload!r}")
-        unknown = payload.keys() - {"kind", "radius", "weight"}
+        kind = payload["kind"]
+        if not isinstance(kind, str) or kind not in _LAW_PARAMETERS:
+            raise ValueError(f"unknown radial law kind: {kind!r}")
+        # a key the kind does not read would be dropped by to_dict
+        unknown = payload.keys() - {"kind", *_LAW_PARAMETERS[kind]}
         if unknown:
-            raise ValueError(f"radial law has unknown keys: {sorted(unknown)}")
+            raise ValueError(f"radial law {kind} has unknown keys: {sorted(unknown)}")
         numbers = {}
-        for name in ("radius", "weight"):
+        for name in _LAW_PARAMETERS[kind]:
             value = payload.get(name, 1.0)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"radial law {name} must be a number, got {value!r}")
             # a value outside [0, 1] reaches the range check as given, so an
             # int too large for a float is rejected instead of overflowing
             numbers[name] = float(value) if 0.0 <= value <= 1.0 else value
-        return cls(kind=payload["kind"], **numbers)
+        return cls(kind=kind, **numbers)
 
 
 def sample_haar_pure(d: int, stream: np.random.Generator) -> PureState:
@@ -253,42 +287,54 @@ def sample_haar_counts(
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     check_copies(copies)
+    p, counts = np.empty((d, count)), np.empty((d, count), dtype=np.int64)
+    _draw_haar_counts(copies, stream, p, counts)
+    return p, counts
+
+
+def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, counts: np.ndarray) -> None:
+    """:func:`sample_haar_counts` into ``p`` and ``counts``, (d, count) float64 and
+    int64, with every other array this thread's :func:`scratch`."""
+    d, count = p.shape
     slots = copies + d - 1
     if copies <= d:
         # stars up to N = d, one more than the d - 1 bars: an exponential
         # costs about a quarter of a gamma
-        part = _uniform_subsets(slots, copies, count, stream).view(np.int64)
+        part = scratch("part", copies, count, dtype=np.uint64)
+        _uniform_subsets(slots, stream, part)
+        part = part.view(np.int64)
         part -= np.arange(copies)[:, None]
         # flat indices into the (d, count) rows
         part *= count
         part += np.arange(count)
-        p = stream.standard_exponential((d, count))
-        flat = p.reshape(-1)
+        stream.standard_exponential(out=p)
+        flat, extra = p.reshape(-1), scratch("extra", count)
         # one star of every state at a time, so no index repeats within a step
         for star in part:
-            flat[star] += stream.standard_exponential(count)
-        counts = np.bincount(part.reshape(-1), minlength=p.size).reshape(d, count)
+            flat[star] += stream.standard_exponential(out=extra)
+        counts.fill(0)
+        np.add.at(counts.reshape(-1), part.reshape(-1), 1)
     else:
-        bars = _uniform_subsets(slots, d - 1, count, stream)
         # part i holds the stars between bar i - 1 and bar i, where bar -1
-        # is at slot -1 and bar d - 1 at slot N + d - 1
-        counts = np.empty((d, count), dtype=np.uint64)
-        counts[:-1] = bars
-        counts[-1] = slots
-        counts[1:] -= bars
-        del bars
-        counts[1:] -= np.uint64(1)
-        counts = counts.view(np.int64)
-        p = counts + 1.0
+        # is at slot -1 and bar d - 1 at slot N + d - 1: the bars go to the
+        # first d - 1 rows, then each row from the last loses the one above
+        bars = counts.view(np.uint64)
+        _uniform_subsets(slots, stream, bars[:-1])
+        bars[-1] = slots
+        for i in range(d - 1, 0, -1):
+            bars[i] -= bars[i - 1]
+        bars[1:] -= np.uint64(1)
+        np.add(counts, 1.0, out=p)
         stream.standard_gamma(p, out=p)
     # numpy adds the rows of a C-ordered array's outer axis one at a time, in order
-    p /= p.sum(axis=0)
-    return p, counts
+    total = scratch("total", count)
+    p.sum(axis=0, out=total)
+    p /= total
 
 
-def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator) -> np.ndarray:
-    """``count`` uniform k-subsets of range(slots), one uint64 column each,
-    sorted down the column: shape (k, count).
+def _uniform_subsets(slots: int, stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``out``, of shape (k, count), filled with ``count`` uniform k-subsets of
+    range(slots), one uint64 column each, sorted down the column.
 
     Floyd's algorithm: for j = slots - k, ..., slots - 1 in turn, draw t
     uniform in [0, j] and take t, or j if t is already taken; one integer
@@ -296,30 +342,33 @@ def _uniform_subsets(slots: int, k: int, count: int, stream: np.random.Generator
     N below 2**63 at any d below 2**63.  The columns are sorted by
     :func:`_sort_network` on whole rows.
     """
+    k, count = out.shape
     # one spare row for the network
-    chosen = np.empty((k + 1, count), dtype=np.uint64)
+    chosen = scratch("chosen", k + 1, count, dtype=np.uint64)
     for i, j in enumerate(range(slots - k, slots)):
         chosen[i] = stream.integers(0, j + 1, size=count, dtype=np.uint64)
         if i:
             np.copyto(chosen[i], np.uint64(j), where=(chosen[:i] == chosen[i]).any(axis=0))
-    return _sort_network(chosen)
+    return _sort_network(chosen, out)
 
 
-def _sort_network(rows: np.ndarray) -> np.ndarray:
-    """The first k of k + 1 rows, each column sorted ascending, as a (k, columns) array.
+def _sort_network(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, of shape (k, columns), filled with the first k of k + 1 rows, each
+    column sorted ascending.
 
     Batcher's odd-even merge sort (Knuth, TAOCP vol. 3, 5.3.4) as
     compare-exchanges of whole rows: ``np.minimum`` into the spare row and
     ``np.maximum`` in place, after which the spare holds the lower item and
     the old lower row is the spare, so no row is copied until the one
-    gather at the end.  The contents of ``rows`` are overwritten.
+    gather into ``out`` at the end.  The contents of ``rows`` are overwritten.
     """
     steps, order = _network_schedule(rows.shape[0] - 1)
     views = list(rows)
     for low, high, spare in steps:
         np.minimum(views[low], views[high], out=views[spare])
         np.maximum(views[low], views[high], out=views[high])
-    return rows[: len(order)] if order == tuple(range(len(order))) else rows[list(order)]
+    # mode="clip" checks no index, so take writes out directly, unbuffered
+    return np.take(rows, order, axis=0, out=out, mode="clip")
 
 
 @functools.cache

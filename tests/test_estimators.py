@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -398,19 +398,44 @@ def spectra(draw):
 
 
 @given(spectra(), st.integers(1, 6), st.sampled_from([EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE]))
+# squares of the entries are subnormal: a^2/18 must round once, to 1.249e-320
+@example([0.0, 4.7411365881273884e-160], 1, EstimatorKind.OPTIMAL_PURE)
 def test_haar_mse_is_the_exact_sum_over_compositions(eigenvalues, copies, kind):
     # under Haar the counts c are uniform over the compositions of N and
-    # p | c ~ Dirichlet(1 + c), so given c the error is (est - m)^2 + Var(t | c)
+    # p | c ~ Dirichlet(1 + c), so given c the error is (est - m)^2 + Var(t | c);
+    # summed in exact rationals, which round once, even in the subnormal range
     obs = make_observable(np.diag(eigenvalues))
     d, w = obs.dim, obs.eigenvalues
-    compositions = np.array(enumerate_occupations(d, copies))
-    estimates = estimate_from_sums(kind, compositions @ w, copies, obs)
-    alpha, alpha0 = 1 + compositions, copies + d
-    m = alpha @ w / alpha0
-    variance = (alpha @ w**2 / alpha0 - m * m) / (alpha0 + 1)
-    want = math.fsum((estimates - m) ** 2 + variance) / len(compositions)
+    compositions = enumerate_occupations(d, copies)
+    estimates = estimate_from_sums(kind, np.array(compositions) @ w, copies, obs)
+    exact_w, alpha0 = [Fraction(x) for x in w.tolist()], copies + d
+    total = Fraction(0)
+    for counts, estimate in zip(compositions, estimates.tolist()):
+        m = sum((1 + c) * x for c, x in zip(counts, exact_w)) / alpha0
+        variance = (sum((1 + c) * x * x for c, x in zip(counts, exact_w)) / alpha0 - m * m) / (alpha0 + 1)
+        total += (Fraction(estimate) - m) ** 2 + variance
+    want = float(total / len(compositions))
     scale = float(np.max(w**2))
     assert analytic_mse(kind, obs, copies) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("exponent", [-300, -520, -530])
+def test_closed_forms_of_a_tiny_observable_are_the_scaled_ones(exponent):
+    # 2**e Omega is taken at a power of two near 1 and scaled back once, so
+    # every closed form is the one of Omega scaled by 2**e or 4**e, rounded
+    # once even where that lands among the subnormals
+    obs = random_observable(3, np.random.default_rng(13))
+    tiny = make_observable(np.ldexp(obs.matrix.real, exponent) + 1j * np.ldexp(obs.matrix.imag, exponent))
+    for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE):
+        assert analytic_mse(kind, tiny, 4) == math.ldexp(analytic_mse(kind, obs, 4), 2 * exponent)
+    mu, v_t, v_w = ensemble_moments(obs)
+    want = math.ldexp(mu, exponent), math.ldexp(v_t, 2 * exponent), math.ldexp(v_w, 2 * exponent)
+    assert ensemble_moments(tiny) == want
+    qubit = make_observable([[0.5, 0.25 - 1j], [0.25 + 1j, -2.0]])
+    tiny_qubit = make_observable(np.ldexp(qubit.matrix.real, exponent) + 1j * np.ldexp(qubit.matrix.imag, exponent))
+    for n2 in (0.0, 0.6, 1.0):
+        want = analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, qubit, 1, n2)
+        assert analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, tiny_qubit, 1, n2) == math.ldexp(want, 2 * exponent)
 
 
 # --- invariants ---

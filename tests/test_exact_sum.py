@@ -1,6 +1,7 @@
 """Property tests for the harness's exact reduce: it must equal math.fsum bit for bit."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from optev import harness
+from optev import harness, sampling
 from optev.harness import _CHUNK, BLOCK, _exact_sum
 
 
@@ -113,6 +114,23 @@ def test_equals_fsum_across_small_chunks(xs, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_CHUNK", chunk)
         assert_equals_fsum(xs)
+
+
+def test_kept_buffers_grow_for_a_larger_chunk(monkeypatch):
+    # the level and remainder buffers are the thread's kept scratch, sized by
+    # the first sum to the smaller of its length and the chunk; a fresh
+    # thread starts with none, so a larger chunk later must grow them
+    rng = np.random.default_rng(5)
+    values = np.ldexp(rng.standard_normal(4 * _CHUNK + 9), rng.integers(-60, 60, 4 * _CHUNK + 9))
+
+    def in_thread():
+        assert_equals_fsum(values[:100].tolist())
+        monkeypatch.setattr(harness, "_CHUNK", 2 * _CHUNK)
+        assert_equals_fsum(values.tolist())
+        return sampling._kept.level.size, sampling._kept.remainder.size
+
+    with ThreadPoolExecutor(1) as thread:
+        assert thread.submit(in_thread).result(timeout=60) == (2 * _CHUNK * 8, 2 * _CHUNK * 8)
 
 
 def test_reads_its_input_without_changing_it():

@@ -489,6 +489,30 @@ def test_threads_sharing_runs_get_serial_output(monkeypatch):
         assert rows_to_csv([row]) == rows_to_csv([run_experiment(replace(config, workers=1))])
 
 
+def _alone(config):
+    """The CSV row of ``config`` drawn in a fresh thread, whose kept scratch
+    buffers start empty, with the draw memo emptied first."""
+    with ThreadPoolExecutor(1) as thread:
+        return thread.submit(lambda: rows_to_csv([fresh(config)])).result(timeout=120)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interleaved_runs_give_the_rows_of_each_run_alone(workers):
+    # each drawing thread keeps its scratch buffers from run to run, sized by
+    # the largest draw so far: runs at other (d, N) in between, the stars
+    # side at (8, 8) and (4, 1) and the bars side at (8, 64), leave no trace
+    # in a row; 10 000 trials are two full blocks and a short one
+    eight, four = "diag(4,3,2,1,0,-1,-2,-3)", "diag(3,1,0,-2)"
+    configs = [
+        ExperimentConfig(dim=d, copies=n, trials=10_000, master_seed=31, observable_source=source, workers=workers)
+        for d, n, source in ((8, 8, eight), (8, 64, eight), (4, 1, four))
+    ]
+    want = {config: _alone(config) for config in configs}
+    for config in configs + configs[::-1] + configs:
+        harness._last_draw = None
+        assert rows_to_csv([run_experiment(config)]) == want[config]
+
+
 def test_observable_dimension_mismatch_rejected():
     config = ExperimentConfig(dim=3, copies=1, trials=10, master_seed=0)  # pauli-z is d=2
     with pytest.raises(ConfigError, match="dim"):
@@ -902,6 +926,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["verify"], b"\x80\x81\xff"),
         (["simulate"], {"ensemble": {"bloch": {"kind": "fixed-radius", "radius": None}}}),
         (["simulate"], {"ensemble": {"bloch": {"kind": "two-point", "radius": 0.5, "weight": [1]}}}),
+        (["simulate"], {"ensemble": {"bloch": {"kind": "pure-surface", "radius": 0.5}}}),
+        (["simulate"], {"ensemble": {"bloch": {"kind": "fixed-radius", "radius": 0.5, "weight": 0.5}}}),
         (["simulate", "--copies", str(2**63)], None),
         (["sweep", "--dim", ""], None),
         # a sweep runs at one d

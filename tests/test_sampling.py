@@ -220,6 +220,17 @@ def test_haar_counts_match_the_forward_draw(d, copies):
     assert (np.abs(joint.mean(axis=0) - forward_joint.mean(axis=0)) < 5 * se).all()
 
 
+def test_haar_counts_are_the_callers_own():
+    # a later draw at another (d, N), on either side, reuses this thread's kept
+    # scratch but never an array handed out before
+    p, counts = sample_haar_counts(8, 8, 3000, derive_stream(38, 0))
+    kept = p.copy(), counts.copy()
+    for d, copies in ((8, 64), (8, 8), (4, 1), (2, 3)):
+        sample_haar_counts(d, copies, 3000, derive_stream(38, d * 100 + copies))
+    assert np.array_equal(p, kept[0]) and np.array_equal(counts, kept[1])
+    assert p.flags.owndata and counts.flags.owndata
+
+
 # --- sorting a composition's slots ---
 
 @pytest.mark.parametrize("k", [*range(1, 71), 128])
@@ -230,7 +241,7 @@ def test_sort_network_equals_numpy_sort(k):
     # a third of the columns near 2**63, where N = 2**63 - 1 puts the slots, with ties
     rows[:k, :1000] = rng.integers(2**63 - 3, 2**63 + 3, (k, 1000), dtype=np.uint64)
     want = np.sort(rows[:k], axis=0)
-    got = _sort_network(rows)
+    got = _sort_network(rows, np.empty((k, 3000), dtype=np.uint64))
     assert got.dtype == np.uint64 and got.shape == (k, 3000)
     assert np.array_equal(got, want)
 
@@ -244,14 +255,14 @@ def test_sort_network_sorts_every_zero_one_column(k):
     rows = np.empty((k + 1, columns.size), dtype=np.uint64)
     rows[:k] = (columns >> np.arange(k, dtype=np.uint64)[:, None]) & np.uint64(1)
     ones = rows[:k].sum(axis=0)
-    got = _sort_network(rows)
+    got = _sort_network(rows, np.empty((k, columns.size), dtype=np.uint64))
     assert np.array_equal(got, np.arange(k)[:, None] >= k - ones)
 
 
 @pytest.mark.parametrize("k", [1, 16, 17, 64])
 def test_uniform_subsets_are_sorted_uniform_subsets(k):
     slots = 2 * k + 3
-    rows = _uniform_subsets(slots, k, 5000, derive_stream(37, k))
+    rows = _uniform_subsets(slots, derive_stream(37, k), np.empty((k, 5000), dtype=np.uint64))
     assert rows.shape == (k, 5000) and rows.dtype == np.uint64
     assert (rows[1:] > rows[:-1]).all() and (rows < slots).all()
     # each slot is chosen with probability k / slots, within 5 standard errors
@@ -360,6 +371,16 @@ def test_radial_law_dict_round_trip():
     for kind, params in _LAW_PARAMETERS.items():
         law = RadialLaw(kind, **dict(zip(params, (0.25, 0.3))))
         assert RadialLaw.from_dict(law.to_dict()) == law
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, params in _LAW_PARAMETERS.items() for name in ("radius", "weight") if name not in params],
+)
+def test_radial_law_from_dict_rejects_a_parameter_its_kind_does_not_read(kind, name):
+    # to_dict would drop it, so the law could not round-trip
+    with pytest.raises(ValueError, match=f"radial law {kind} has unknown keys: \\['{name}'\\]"):
+        RadialLaw.from_dict({"kind": kind, name: 0.5})
 
 
 def test_sampling_is_reproducible():
