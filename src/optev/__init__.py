@@ -24,7 +24,6 @@ from .harness import (
     run_experiment,
 )
 from .hermitian import (
-    MixedQubitState,
     Observable,
     PureState,
     expectation,
@@ -56,7 +55,6 @@ __all__ = [
     "ConfigError",
     "EstimatorKind",
     "ExperimentConfig",
-    "MixedQubitState",
     "Observable",
     "PureState",
     "RadialLaw",

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .hermitian import Observable, PureState, outcome_distribution
+from .hermitian import Observable, PureState, eigenvalue_sum, outcome_distribution
 
 
 class EstimatorKind(str, enum.Enum):
@@ -74,13 +74,14 @@ def _check_n2(n2: float) -> None:
 
 
 def _value_sum(counts, obs: Observable) -> tuple[float, int]:
-    """Sum of the observed eigenvalues and the number of outcomes behind ``counts``."""
+    """Sum of the observed eigenvalues, by :func:`optev.hermitian.eigenvalue_sum` as
+    in the harness, and the number of outcomes behind ``counts``."""
     c = np.asarray(counts)
     if c.shape != (obs.dim,) or not np.issubdtype(c.dtype, np.integer):
         raise ValueError(f"counts must be {obs.dim} integers, got {c.dtype} of shape {c.shape}")
     if (c < 0).any() or c.sum() < 1:
         raise ValueError(f"counts must be non-negative with a total of at least 1, got {c.tolist()}")
-    return c @ obs.eigenvalues, int(c.sum())
+    return eigenvalue_sum(c, obs.eigenvalues), int(c.sum())
 
 
 def estimate_sample_average(counts, obs: Observable) -> float:

@@ -1,4 +1,4 @@
-"""Hermitian observables and quantum state containers.
+"""Hermitian observables, pure states, and the one rule for eigenvalue sums.
 
 Everything here is small and dense: matrices are validated eagerly,
 eigendecomposed once, and kept immutable so instances can be shared
@@ -137,22 +137,6 @@ class PureState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
-class MixedQubitState:
-    """Qubit density matrix (1 + n.sigma)/2 parameterized by its Bloch vector."""
-
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        n = np.array(self.bloch, dtype=float)
-        if n.shape != (3,):
-            raise ValueError(f"Bloch vector must have shape (3,), got {n.shape}")
-        length = float(np.hypot.reduce(n))  # no overflow warning for huge entries
-        if not length <= 1.0 + NORM_TOL:
-            raise ValueError(f"Bloch vector lies outside the unit ball: |n| = {length!r}")
-        object.__setattr__(self, "bloch", frozen(n))
-
-
 def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np.ndarray:
     """Probabilities p_i = |<i|phi>|^2 of the projective eigenbasis outcomes.
 
@@ -165,9 +149,42 @@ def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np
     return overlaps.real**2 + overlaps.imag**2
 
 
+def eigenvalue_sum(x, w=None, out=None, products=None):
+    """sum_i w_i x_i over axis 0 of a (d, ...) array, or sum_i x_i with no ``w``.
+
+    The one rule for every truth sum_i w_i p_i and value sum sum_i w_i c_i:
+    each product is rounded once, into ``products`` if given (it may be ``x``
+    itself), and the d rows are added first to last from +0.0, so no BLAS
+    call and no pairwise reduction sets a bit, and a zero total is +0.0.
+    numpy adds the rows of a C-ordered array one at a time, in order, when
+    each holds more than one value; a lone column, a 1-D ``x`` or another
+    layout it would reduce pairwise, so those rows are added here one by one.
+    Returns a float64 scalar for a 1-D ``x``, else ``out`` if given or a new array.
+    """
+    if w is None:
+        x = np.asarray(x, dtype=float)
+    else:
+        x = np.multiply(x, np.reshape(w, (-1,) + (1,) * (np.ndim(x) - 1)), out=products)
+    if x.ndim == 1:
+        # Python floats add as float64 does, without numpy's cost per call
+        total = 0.0
+        for value in x.tolist():
+            total += value
+        return np.float64(total)
+    if x.size > len(x) and x.flags.c_contiguous:
+        return x.sum(axis=0, out=out)
+    if out is None:
+        out = np.zeros(x.shape[1:])
+    else:
+        out.fill(0.0)
+    for row in x:
+        out += row
+    return out
+
+
 def expectation(state: "PureState | np.ndarray", obs: Observable):
-    """<phi|Omega|phi> evaluated as sum_i Omega_i |<i|phi>|^2, per amplitude row."""
-    return outcome_distribution(state, obs) @ obs.eigenvalues
+    """<phi|Omega|phi> evaluated as sum_i Omega_i |<i|phi>|^2 by :func:`eigenvalue_sum`, per amplitude row."""
+    return eigenvalue_sum(np.moveaxis(outcome_distribution(state, obs), -1, 0), obs.eigenvalues)
 
 
 def _matrix_entry(entry) -> complex:

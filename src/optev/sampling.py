@@ -12,19 +12,19 @@ Each ensemble is one frozen object, :data:`HAAR_PURE` or a :class:`RadialLaw`
 second moment (None for Haar) and block draw of truths and value sums.
 
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
-amplitudes themselves; :func:`sample_haar_counts` draws only the outcome
-probabilities in an observable's eigenbasis together with the outcome counts
-of N measurements, counts first, which is all :meth:`HaarPure.draw` needs.
-It works in (d, count) layout, one contiguous row per outcome: a
-composition's chosen slots are sorted by a compare-exchange network of
-``np.minimum`` and ``np.maximum`` over whole rows, and sums over outcomes
-add rows first to last.  A Haar block's probabilities, counts, slot rows
-and sorted slots live in :func:`scratch` buffers that the drawing thread
-keeps, so a block allocates no array of its own size; only
-:func:`sample_haar_counts` hands its caller fresh arrays.  Isotropic
-Bloch-ball states are drawn the same two ways: :func:`sample_bloch_vectors`
-draws whole Bloch vectors, :meth:`RadialLaw.draw` only their components
-along one axis, which is all a qubit observable sees of them.
+amplitudes themselves; :meth:`HaarPure.draw` only the outcome probabilities
+in an observable's eigenbasis together with the outcome counts of N
+measurements, counts first (:func:`_draw_haar_counts`).  It works in
+(d, count) layout, one contiguous row per outcome: a composition's chosen
+slots are sorted by a compare-exchange network of ``np.minimum`` and
+``np.maximum`` over whole rows, and sums over outcomes add rows first to
+last (:func:`optev.hermitian.eigenvalue_sum`).  A Haar block's
+probabilities, counts, slot rows and sorted slots live in :func:`scratch`
+buffers that the drawing thread keeps, so a block allocates no array of its
+own size.  Isotropic Bloch-ball states are drawn the same two ways:
+:func:`sample_bloch_vectors` draws whole Bloch vectors, :meth:`RadialLaw.draw`
+only their components along one axis, which is all a qubit observable sees
+of them.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import check_copies
-from .hermitian import MixedQubitState, Observable, PureState
+from .hermitian import Observable, PureState, eigenvalue_sum, frozen
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,15 +98,12 @@ class HaarPure:
 
     def draw(self, obs: Observable, copies: int, generator: np.random.Generator, truths, sums) -> None:
         """Write ``truths.size`` trials' truths sum_i w_i p_i and value sums sum_i w_i c_i
-        into ``truths`` and ``sums``, adding outcome rows first to last: no BLAS call.
-        The products are formed in p's kept buffer, the sums' after the truths'."""
-        w = obs.eigenvalues[:, None]
+        into ``truths`` and ``sums`` by :func:`optev.hermitian.eigenvalue_sum`.  The
+        products are formed in p's kept buffer, the sums' after the truths'."""
         p, counts = scratch("p", obs.dim, truths.size), scratch("counts", obs.dim, truths.size, dtype=np.int64)
         _draw_haar_counts(copies, generator, p, counts)
-        p *= w
-        p.sum(axis=0, out=truths)
-        np.multiply(counts, w, out=p)
-        p.sum(axis=0, out=sums)
+        eigenvalue_sum(p, obs.eigenvalues, out=truths, products=p)
+        eigenvalue_sum(counts, obs.eigenvalues, out=sums, products=p)
 
 
 HAAR_PURE = HaarPure()
@@ -260,12 +256,11 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
     return amp
 
 
-def sample_haar_counts(
-    d: int, copies: int, count: int, stream: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, counts: np.ndarray) -> None:
     """Haar pure states' eigenbasis probabilities and the outcome counts of ``copies``
-    measurements of each, both of shape (d, count), drawn counts first: row i
-    holds outcome i of every state, so a sum over outcomes adds whole rows.
+    measurements of each, drawn counts first into ``p`` and ``counts``, (d, count)
+    float64 and int64, with every other array this thread's :func:`scratch`:
+    row i holds outcome i of every state, so a sum over outcomes adds whole rows.
 
     A Haar state's amplitudes are d i.i.d. standard complex Gaussians,
     normalized, so its probabilities p in any fixed basis are normalized
@@ -282,19 +277,6 @@ def sample_haar_counts(
     bars are drawn, and p is ``standard_gamma(c + 1.0)``.  Either way p is
     divided by the sum of its d rows, added first to last.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}")
-    check_copies(copies)
-    p, counts = np.empty((d, count)), np.empty((d, count), dtype=np.int64)
-    _draw_haar_counts(copies, stream, p, counts)
-    return p, counts
-
-
-def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, counts: np.ndarray) -> None:
-    """:func:`sample_haar_counts` into ``p`` and ``counts``, (d, count) float64 and
-    int64, with every other array this thread's :func:`scratch`."""
     d, count = p.shape
     slots = copies + d - 1
     if copies <= d:
@@ -326,10 +308,7 @@ def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, c
         bars[1:] -= np.uint64(1)
         np.add(counts, 1.0, out=p)
         stream.standard_gamma(p, out=p)
-    # numpy adds the rows of a C-ordered array's outer axis one at a time, in order
-    total = scratch("total", count)
-    p.sum(axis=0, out=total)
-    p /= total
+    p /= eigenvalue_sum(p, out=scratch("total", count))
 
 
 def _uniform_subsets(slots: int, stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -397,9 +376,9 @@ def _network_schedule(k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[i
     return tuple(steps), tuple(order[:k])
 
 
-def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> MixedQubitState:
-    """One isotropic Bloch-ball state: uniform direction, radius from the law."""
-    return MixedQubitState(sample_bloch_vectors(law, 1, stream)[0])
+def sample_bloch_mixed(law: RadialLaw, stream: np.random.Generator) -> np.ndarray:
+    """One isotropic Bloch-ball state's read-only (3,) Bloch vector: uniform direction, radius from the law."""
+    return frozen(sample_bloch_vectors(law, 1, stream)[0])
 
 
 def sample_bloch_vectors(law: RadialLaw, count: int, stream: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .estimators import estimate_from_sums
-from .hermitian import Observable, frozen, make_observable
+from .hermitian import Observable, eigenvalue_sum, frozen, make_observable
 from .sampling import sample_haar_amplitudes
 
 DIMENSION_GUARD = 4096
@@ -43,16 +43,9 @@ def _check_dense(d: int, n: int) -> None:
         raise ValueError(f"d**n = {d**n} exceeds the dense-construction guard {DIMENSION_GUARD}")
 
 
-def _digit_table(d: int, n: int) -> np.ndarray:
-    """Row x holds the base-d digits (i_1, ..., i_n) of basis index x."""
-    idx = np.arange(d**n)
-    shifts = d ** np.arange(n - 1, -1, -1)
-    return (idx[:, None] // shifts[None, :]) % d
-
-
 def _occupation_table(d: int, n: int) -> np.ndarray:
-    """Row x holds how many digits of basis index x equal each level 0..d-1."""
-    digits = _digit_table(d, n)
+    """Row x holds how many of the n base-d digits of basis index x equal each level 0..d-1."""
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n) % d
     return np.stack([(digits == v).sum(axis=1) for v in range(d)], axis=1)
 
 
@@ -63,9 +56,10 @@ def random_observable(d: int, generator: np.random.Generator) -> Observable:
 
 
 def product_eigenbasis(obs: Observable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker eigenvector columns of the n-fold power and each column's n eigenvalues."""
+    """Kronecker eigenvector columns of the n-fold power and, as a (d, d**n) array,
+    each column's occupation counts: how many of its n slots hold each eigenvector."""
     vectors = reduce(np.kron, [obs.eigenvectors] * n)
-    return vectors, obs.eigenvalues[_digit_table(obs.dim, n)]
+    return vectors, _occupation_table(obs.dim, n).T
 
 
 @dataclass(frozen=True)
@@ -265,8 +259,8 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
     # sample-average POVM: sum_a omega_a E_a with E_a the product
     # eigenprojectors of a random observable and omega_a the sample averages
     obs = random_observable(d, stream)
-    vkron, outcomes = product_eigenbasis(obs, copies)
-    averaged = estimate_from_sums("sample-average", outcomes.sum(axis=1), copies, obs)
+    vkron, occupations = product_eigenbasis(obs, copies)
+    averaged = estimate_from_sums("sample-average", eigenvalue_sum(occupations, obs.eigenvalues), copies, obs)
     weighted = (vkron * averaged) @ vkron.conj().T
     deviation_op = s @ (weighted - omega_hat_av(obs, copies)) @ s
     converse = float(np.abs(deviation_op).max())

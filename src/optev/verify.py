@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import analytic_delta_av, analytic_delta_opt, ensemble_moments, estimate_from_sums
-from .hermitian import Observable
+from .hermitian import Observable, eigenvalue_sum
 from .sampling import derive_stream, sample_haar_amplitudes
 from .symmetric import (
     build_projector_occupation,
@@ -145,8 +145,8 @@ def _operator_checks(d: int, n: int, observables: list[Observable]) -> list[Chec
 
         # expanded-versus-completed-square bookkeeping for the
         # product-eigenprojector strategy with the shrinkage estimates
-        vkron, outcomes = product_eigenbasis(obs, n)
-        sums = outcomes.sum(axis=1)
+        vkron, occupations = product_eigenbasis(obs, n)
+        sums = eigenvalue_sum(occupations, obs.eigenvalues)
         omega_opt_by_index = estimate_from_sums("optimal-pure", sums, n, obs)
         omega_av_by_index = estimate_from_sums("sample-average", sums, n, obs)
 
@@ -222,11 +222,11 @@ def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
     params = {"d": d, "N": copies}
     generator = derive_stream(seed, 902_000 + 17 * d + copies)
     obs = random_observable(d, generator)
-    vkron, outcomes = product_eigenbasis(obs, copies)
+    vkron, occupations = product_eigenbasis(obs, copies)
 
     hat = omega_hat(obs, copies)
     hat_av = omega_hat_av(obs, copies)
-    sums = outcomes.sum(axis=1)
+    sums = eigenvalue_sum(occupations, obs.eigenvalues)
     want_opt = estimate_from_sums("optimal-pure", sums, copies, obs)
     want_av = estimate_from_sums("sample-average", sums, copies, obs)
     dev_opt = dev_av = 0.0

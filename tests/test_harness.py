@@ -39,17 +39,24 @@ from optev import (
     rows_to_csv,
     run_experiment,
 )
-from optev import harness
+from optev import harness, hermitian
 from optev.cli import main
 from optev.estimators import analytic_mse, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _draw_block, load_config, run_sweep
-from optev.sampling import HAAR_PURE, sample_haar_counts
+from optev.sampling import HAAR_PURE, _draw_haar_counts
 
 
 def fresh(config, observable=None):
     """``run_experiment`` on a fresh draw: the draw memo is emptied first."""
     harness._last_draw = None
     return run_experiment(config, observable=observable)
+
+
+def haar_counts(d, copies, count, stream):
+    """Probabilities and counts of ``count`` Haar states, (d, count) arrays the test owns."""
+    p, counts = np.empty((d, count)), np.empty((d, count), dtype=np.int64)
+    _draw_haar_counts(copies, stream, p, counts)
+    return p, counts
 
 
 def run_trials(config, obs):
@@ -172,7 +179,7 @@ def test_largest_copies_runs(d):
     assert all(math.isfinite(value) for value in (row.empirical_mse, row.standard_error, row.analytic_mse))
     assert math.isfinite(row.empirical_bias_at_probe)
     # the block's own draw: N + d - 1 slots exceed 2**63 - 1 at d = 8
-    p, counts = sample_haar_counts(d, config.copies, config.trials, derive_stream(config.master_seed, 0))
+    p, counts = haar_counts(d, config.copies, config.trials, derive_stream(config.master_seed, 0))
     assert (counts >= 0).all() and (counts.sum(axis=0) == config.copies).all()
     assert np.isfinite(p).all()
 
@@ -251,7 +258,7 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     assert config.trials <= BLOCK  # one block, keyed by its first trial
     obs = load_observable("diag(3,0,-3)")
     row = run_experiment(config)
-    p, counts = sample_haar_counts(config.dim, config.copies, config.trials, derive_stream(config.master_seed, 0))
+    p, counts = haar_counts(config.dim, config.copies, config.trials, derive_stream(config.master_seed, 0))
     # sum_i w_i p_i and sum_i w_i c_i, one outcome row at a time from the first
     w = obs.eigenvalues
     truths, value_sums = w[0] * p[0], w[0] * counts[0]
@@ -269,6 +276,45 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     mean, se = _mean_and_se(slow)
     assert row.empirical_mse == mean == math.fsum(slow) / config.trials
     assert row.standard_error == se
+
+
+@pytest.mark.parametrize("d, copies", [(4, 8), (8, 64), (17, 8)])
+def test_public_estimates_and_expectation_equal_the_harness_bit_for_bit(monkeypatch, d, copies):
+    # one rule forms every eigenvalue sum: given a trial's counts, the public
+    # estimators give the harness's estimates, and given its p, expectation
+    # gives its truth
+    rng = np.random.default_rng(d)
+    obs = make_observable(np.diag(rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4, d)))
+    config = ExperimentConfig(dim=d, copies=copies, trials=2000, master_seed=30)
+    truths, sums = run_trials(config, obs)
+    p, counts = haar_counts(d, copies, config.trials, derive_stream(config.master_seed, 0))
+    for kind, estimate in (
+        (EstimatorKind.OPTIMAL_PURE, estimate_optimal),
+        (EstimatorKind.SAMPLE_AVERAGE, estimate_sample_average),
+    ):
+        assert [estimate(column, obs) for column in counts.T] == estimate_from_sums(kind, sums, copies, obs).tolist()
+    # expectation reads a state only through its outcome distribution
+    monkeypatch.setattr(hermitian, "outcome_distribution", lambda probabilities, observable: probabilities)
+    assert [expectation(column, obs) for column in p.T] == truths.tolist()
+
+
+@pytest.mark.parametrize("copies", [8, 64])
+def test_a_one_trial_block_adds_its_rows_first_to_last(copies):
+    # numpy would sum a lone (d, 1) column pairwise, which from d = 8 on
+    # is another order than the rows of a wider block
+    d = 8
+    rng = np.random.default_rng(copies)
+    obs = make_observable(np.diag(rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4, d)))
+    w = obs.eigenvalues.tolist()
+    for seed in range(10):
+        config = ExperimentConfig(dim=d, copies=copies, trials=BLOCK + 1, master_seed=seed)
+        truths, sums = run_trials(config, obs)
+        p, counts = haar_counts(d, copies, 1, derive_stream(seed, BLOCK))
+        truth = value_sum = 0.0
+        for i in range(d):
+            truth += w[i] * float(p[i, 0])
+            value_sum += w[i] * float(counts[i, 0])
+        assert (truths[-1], sums[-1]) == (truth, value_sum)
 
 
 @pytest.mark.parametrize(

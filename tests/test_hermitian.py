@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from optev import (
-    MixedQubitState,
     PureState,
     build_projector_occupation,
     build_projector_permutation,
@@ -17,7 +16,7 @@ from optev import (
     observable_to_json,
     outcome_distribution,
 )
-from optev.hermitian import observable_from_json
+from optev.hermitian import eigenvalue_sum, observable_from_json
 
 
 def random_hermitian(d, rng):
@@ -124,6 +123,45 @@ def test_expectation_dimension_mismatch():
         expectation(PureState(np.array([1.0, 0, 0])), obs)
 
 
+# --- the eigenvalue-sum rule ---
+
+def first_to_last(column, w):
+    """sum_i w_i x_i of one column in Python floats, from 0.0 in outcome order."""
+    total = 0.0
+    for x, weight in zip(column.tolist(), w.tolist()):
+        total += weight * float(x)
+    return total
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 4096])
+@pytest.mark.parametrize("d", [2, 3, 8, 17, 64])
+def test_eigenvalue_sum_adds_rows_first_to_last(d, columns):
+    rng = np.random.default_rng(100 * d + columns)
+    # magnitudes from 1e-8 to 1e8, so that another order of additions shows
+    w = rng.standard_normal(d) * 10.0 ** rng.integers(-8, 9, d)
+    p = rng.dirichlet(np.ones(d), columns).T.copy()
+    counts = rng.multinomial(64, np.full(d, 1.0 / d), columns).T.copy()
+    for x in (p, counts):
+        want = np.array([first_to_last(column, w) for column in x.T])
+        assert np.array_equal(eigenvalue_sum(x, w), want)
+        # into kept buffers, as a Haar block sums
+        out, products = np.empty(columns), np.empty((d, columns))
+        eigenvalue_sum(x, w, out=out, products=products)
+        assert np.array_equal(out, want)
+        # any layout, and one column at a time
+        assert np.array_equal(eigenvalue_sum(np.asfortranarray(x), w), want)
+        assert [eigenvalue_sum(column, w) for column in x.T] == want.tolist()
+    unweighted = np.array([first_to_last(column, np.ones(d)) for column in p.T])
+    assert np.array_equal(eigenvalue_sum(p), unweighted)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 2)])
+def test_eigenvalue_sum_of_negative_zeros_is_positive_zero(shape):
+    # every product is -0.0; the rows are added from +0.0
+    total = eigenvalue_sum(np.zeros(shape), np.array([-1.0, -2.0, -3.0]))
+    assert not np.signbit(total).any()
+
+
 # --- outcome_distribution ---
 
 def test_outcomes_eigenstate():
@@ -160,17 +198,11 @@ def test_pure_state_requires_normalization():
         PureState(np.array([1.0, 1.0]))
 
 
-def test_mixed_state_rejects_long_bloch_vector():
-    with pytest.raises(ValueError, match="unit ball"):
-        MixedQubitState(np.array([0.0, 0.0, 1.5]))
-
-
 @pytest.mark.parametrize(
     "make, entries, message",
     [
         (PureState, [math.nan, 1.0], "normalized"),
         (PureState, [1.0, complex(0.0, math.nan)], "normalized"),
-        (MixedQubitState, [0.0, math.nan, 0.0], "unit ball"),
     ],
 )
 def test_states_reject_nan(make, entries, message):
@@ -190,10 +222,6 @@ def test_states_reject_nan(make, entries, message):
         (PureState, [math.inf, -math.inf], "normalized"),
         (PureState, [1.0, complex(0.0, math.inf)], "normalized"),
         (PureState, [1e308, 1e308], "normalized"),
-        (MixedQubitState, [math.inf, 0.0, 0.0], "unit ball"),
-        (MixedQubitState, [0.0, 0.0, -math.inf], "unit ball"),
-        (MixedQubitState, [math.nan, math.inf, 0.0], "unit ball"),
-        (MixedQubitState, [1e308, 1e308, 0.0], "unit ball"),
     ],
 )
 def test_states_reject_infinite_zero_and_unnormalized_entries(make, entries, message):
@@ -213,12 +241,10 @@ def test_stored_arrays_are_read_only_copies_of_the_input():
     # freezing is in place, so each constructor must copy what the caller owns
     matrix = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
     amplitudes = np.array([0.6, 0.8j])
-    bloch = np.array([0.0, 0.6, 0.0])
     obs = make_observable(matrix)
     for given, kept in (
         (matrix, obs.matrix),
         (amplitudes, PureState(amplitudes).amplitudes),
-        (bloch, MixedQubitState(bloch).bloch),
     ):
         assert given.flags.writeable
         assert not np.shares_memory(given, kept)

@@ -79,7 +79,6 @@ def test_public_surface_is_the_documented_api():
         "ConfigError",
         "EstimatorKind",
         "ExperimentConfig",
-        "MixedQubitState",
         "Observable",
         "PureState",
         "RadialLaw",

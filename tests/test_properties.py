@@ -10,7 +10,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from optev import EstimatorKind, ExperimentConfig, RadialLaw, estimate_optimal, make_observable
@@ -93,46 +93,67 @@ def test_bloch_block_truth_and_top_outcome_match_the_density_matrix(a, b, re, im
     assert abs(np.vdot(v0, rho @ v0).real - 0.5 * (1.0 + s)) <= 1e-14
 
 
-@given(st.lists(entries, min_size=2, max_size=6), st.integers(1, 1000), st.data())
-def test_optimal_estimate_is_the_posterior_mean(eigenvalues, copies, data):
+@st.composite
+def spectra_and_counts(draw):
+    """Eigenvalues of a diagonal observable and a count vector of as many outcomes."""
+    eigenvalues = draw(st.lists(entries, min_size=2, max_size=6))
+    copies = draw(st.integers(1, 1000))
+    cuts = sorted(draw(st.lists(st.integers(0, copies), min_size=len(eigenvalues) - 1, max_size=len(eigenvalues) - 1)))
+    return eigenvalues, np.diff([0, *cuts, copies])
+
+
+# subnormal eigenvalues, where each term's division rounds 0.5 ulp(0) to 0
+@example(([5e-324, 5e-324], np.array([1, 1])))
+@given(spectra_and_counts())
+def test_optimal_estimate_is_the_posterior_mean(case):
     # p | c ~ Dirichlet(1 + c) has mean (1 + c_i) / (N + d), so the posterior
     # mean of w.p is the optimal estimate: the N outcomes and one default
     # datum per eigenvalue
+    eigenvalues, c = case
     obs = make_observable(np.diag(eigenvalues))
-    d, w = obs.dim, obs.eigenvalues
-    cuts = sorted(data.draw(st.lists(st.integers(0, copies), min_size=d - 1, max_size=d - 1)))
-    c = np.diff([0, *cuts, copies])
+    d, w, copies = obs.dim, obs.eigenvalues, int(c.sum())
     terms = [(1 + int(ci)) * float(wi) / (copies + d) for ci, wi in zip(c, w)]
     got = estimate_optimal(c, obs)
-    assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+    # the estimate and each term round once more in a division, which below
+    # the normal range errs by up to ulp(0)/2 whatever the relative bound says
+    assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms)) + d * math.ulp(0.0)
 
 
 coefficients = st.floats(-1e3, 1e3)
 
 
-@given(
-    st.sampled_from(list(EstimatorKind)),
-    st.data(),
-    coefficients,
-    coefficients,
-    unit,
-)
-def test_estimates_follow_a_shift_and_scale_of_the_observable(kind, data, a, b, n2):
-    # Omega -> a Omega + b 1 sends tr -> a tr + b d and sum -> a sum + b N,
-    # and every estimator's estimate -> a est + b
+@st.composite
+def estimator_inputs(draw):
+    """An estimator with a copy count, a diagonal it accepts and value sums of that many copies."""
+    kind = draw(st.sampled_from(list(EstimatorKind)))
     if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT:
         d, copies = 2, 1
     else:
-        d, copies = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 1000))
-    matrix = np.diag(data.draw(st.lists(entries, min_size=d, max_size=d)))
-    sums = np.array(data.draw(st.lists(st.floats(-1e6 * copies, 1e6 * copies), min_size=1, max_size=8)))
+        d, copies = draw(st.integers(2, 5)), draw(st.integers(1, 1000))
+    diagonal = draw(st.lists(entries, min_size=d, max_size=d))
+    sums = draw(st.lists(st.floats(-1e6 * copies, 1e6 * copies), min_size=1, max_size=8))
+    return kind, copies, diagonal, sums
+
+
+# a sum of ulp(0) over N = 2: est = 0.5 ulp(0) rounds to 0, the moved
+# estimate is exact, so they differ by |a| ulp(0) / 2
+@example((EstimatorKind.SAMPLE_AVERAGE, 2, [0.0, 0.0], [5e-324]), 2.0, 0.0, 0.0)
+@example((EstimatorKind.SAMPLE_AVERAGE, 2, [0.0, 0.0], [5e-324]), 1000.0, 0.0, 0.0)
+@given(estimator_inputs(), coefficients, coefficients, unit)
+def test_estimates_follow_a_shift_and_scale_of_the_observable(inputs, a, b, n2):
+    # Omega -> a Omega + b 1 sends tr -> a tr + b d and sum -> a sum + b N,
+    # and every estimator's estimate -> a est + b
+    kind, copies, diagonal, sums = inputs
+    d, matrix, sums = len(diagonal), np.diag(diagonal), np.array(sums)
     obs = make_observable(matrix)
     moved = make_observable(a * matrix + b * np.eye(d))
     est = estimate_from_sums(kind, sums, copies, obs, n2)
     got = estimate_from_sums(kind, a * sums + b * copies, copies, moved, n2)
-    # every term is rounded a few times at the scale of its inputs
+    # every term is rounded a few times at the scale of its inputs; below the
+    # normal range a product or quotient also errs by up to ulp(0)/2, and a
+    # times est carries est's such error |a|-fold
     scale = abs(a) * (np.abs(est) + abs(obs.trace) + np.abs(sums)) + abs(b) * (1 + d + copies)
-    assert (np.abs(got - (a * est + b)) <= 1e-12 * scale).all()
+    assert (np.abs(got - (a * est + b)) <= 1e-12 * scale + (abs(a) + 4) * math.ulp(0.0)).all()
 
 
 # --- CLI fuzz ---

@@ -20,11 +20,18 @@ from optev import (
 from optev.harness import BLOCK
 from optev.sampling import (
     _LAW_PARAMETERS,
+    _draw_haar_counts,
     _sort_network,
     _uniform_subsets,
     sample_bloch_vectors,
-    sample_haar_counts,
 )
+
+
+def haar_counts(d, copies, count, stream):
+    """Probabilities and counts of ``count`` Haar states, (d, count) arrays the test owns."""
+    p, counts = np.empty((d, count)), np.empty((d, count), dtype=np.int64)
+    _draw_haar_counts(copies, stream, p, counts)
+    return p, counts
 
 
 # --- stream derivation ---
@@ -139,14 +146,6 @@ def test_unitary_invariance_proxy_kolmogorov_smirnov():
 def test_haar_rejects_small_dimension():
     with pytest.raises(ValueError):
         sample_haar_pure(1, derive_stream(0, 0))
-    with pytest.raises(ValueError):
-        sample_haar_counts(1, 1, 5, derive_stream(0, 0))
-
-
-@pytest.mark.parametrize("copies", [0, 2**63, 2.0, True])
-def test_haar_counts_rejects_bad_copies(copies):
-    with pytest.raises(ValueError, match=r"copies must be an integer in \[1, 2\*\*63\)"):
-        sample_haar_counts(2, copies, 5, derive_stream(0, 0))
 
 
 # N <= d draws the N stars of the N + d - 1 slots, N > d the d - 1 bars
@@ -158,7 +157,7 @@ def test_haar_counts_are_uniform_over_compositions(d, copies):
     # Dirichlet(1)-multinomial: each of the C(N+d-1, d-1) compositions of N
     # into d parts has the same probability
     samples = 60_000
-    _, counts = sample_haar_counts(d, copies, samples, derive_stream(26, d * 100 + copies))
+    _, counts = haar_counts(d, copies, samples, derive_stream(26, d * 100 + copies))
     assert counts.shape == (d, samples)
     assert counts.dtype == np.int64 and (counts >= 0).all() and (counts.sum(axis=0) == copies).all()
     compositions = np.array(enumerate_occupations(d, copies))
@@ -171,7 +170,7 @@ def test_haar_counts_are_uniform_over_compositions(d, copies):
 @pytest.mark.parametrize("d, copies", SIDES)
 def test_haar_counts_probabilities_follow_the_haar_eigenbasis_law(d, copies):
     samples = 100_000
-    p, _ = sample_haar_counts(d, copies, samples, derive_stream(24, d * 100 + copies))
+    p, _ = haar_counts(d, copies, samples, derive_stream(24, d * 100 + copies))
     assert p.shape == (d, samples)
     assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-15
     # Dirichlet(1, ..., 1) moments whatever the counts, each within 5 standard errors
@@ -190,7 +189,7 @@ def test_haar_counts_posterior_mean(d, copies):
     # p | c is Dirichlet(1 + c), whose mean (1 + c)/(N + d) is the paper's
     # estimate with one default datum per eigenvalue
     samples = 100_000
-    p, counts = sample_haar_counts(d, copies, samples, derive_stream(27, d * 100 + copies))
+    p, counts = haar_counts(d, copies, samples, derive_stream(27, d * 100 + copies))
     assert p.shape == counts.shape == (d, samples)
     residual = p - (1.0 + counts) / (copies + d)
     se = residual.std(axis=1, ddof=1) / math.sqrt(samples)
@@ -205,7 +204,7 @@ def test_haar_counts_match_the_forward_draw(d, copies):
     rng = np.random.default_rng(d * 100 + copies)
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     obs = make_observable((raw + raw.conj().T) / 2)
-    p, counts = sample_haar_counts(d, copies, samples, derive_stream(28, d * 100 + copies))
+    p, counts = haar_counts(d, copies, samples, derive_stream(28, d * 100 + copies))
     p, counts = p.T, counts.T
     stream = derive_stream(29, d * 100 + copies)
     forward_p = outcome_distribution(sample_haar_amplitudes(d, samples, stream), obs)
@@ -222,13 +221,12 @@ def test_haar_counts_match_the_forward_draw(d, copies):
 
 def test_haar_counts_are_the_callers_own():
     # a later draw at another (d, N), on either side, reuses this thread's kept
-    # scratch but never an array handed out before
-    p, counts = sample_haar_counts(8, 8, 3000, derive_stream(38, 0))
+    # scratch but never the arrays an earlier draw was handed
+    p, counts = haar_counts(8, 8, 3000, derive_stream(38, 0))
     kept = p.copy(), counts.copy()
     for d, copies in ((8, 64), (8, 8), (4, 1), (2, 3)):
-        sample_haar_counts(d, copies, 3000, derive_stream(38, d * 100 + copies))
+        haar_counts(d, copies, 3000, derive_stream(38, d * 100 + copies))
     assert np.array_equal(p, kept[0]) and np.array_equal(counts, kept[1])
-    assert p.flags.owndata and counts.flags.owndata
 
 
 # --- sorting a composition's slots ---
@@ -298,20 +296,19 @@ def test_empirical_second_moments(law, sigma):
 
 def test_bloch_surface_law_unit_length():
     for k in range(50):
-        state = sample_bloch_mixed(RadialLaw.pure_surface(), derive_stream(32, k))
-        assert abs(np.linalg.norm(state.bloch) - 1.0) < 1e-12
+        bloch = sample_bloch_mixed(RadialLaw.pure_surface(), derive_stream(32, k))
+        assert bloch.shape == (3,) and not bloch.flags.writeable
+        assert abs(np.linalg.norm(bloch) - 1.0) < 1e-12
 
 
 def test_bloch_zero_radius_law():
     for k in range(10):
-        state = sample_bloch_mixed(RadialLaw.fixed_radius(0.0), derive_stream(33, k))
-        assert np.array_equal(state.bloch, np.zeros(3))
+        bloch = sample_bloch_mixed(RadialLaw.fixed_radius(0.0), derive_stream(33, k))
+        assert np.array_equal(bloch, np.zeros(3))
 
 
 def test_bloch_direction_isotropy():
-    rows = np.stack(
-        [sample_bloch_mixed(RadialLaw.pure_surface(), derive_stream(34, k)).bloch for k in range(4000)]
-    )
+    rows = np.stack([sample_bloch_mixed(RadialLaw.pure_surface(), derive_stream(34, k)) for k in range(4000)])
     assert np.abs(rows.mean(axis=0)).max() < 4.0 / math.sqrt(3 * 4000) * 3
 
 
