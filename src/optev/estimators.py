@@ -79,9 +79,12 @@ def _value_sum(counts, obs: Observable) -> tuple[float, int]:
     c = np.asarray(counts)
     if c.shape != (obs.dim,) or not np.issubdtype(c.dtype, np.integer):
         raise ValueError(f"counts must be {obs.dim} integers, got {c.dtype} of shape {c.shape}")
-    if (c < 0).any() or c.sum() < 1:
-        raise ValueError(f"counts must be non-negative with a total of at least 1, got {c.tolist()}")
-    return eigenvalue_sum(c, obs.eigenvalues), int(c.sum())
+    if (c < 0).any():
+        raise ValueError(f"counts must be non-negative, got {c.tolist()}")
+    # summed as Python ints: numpy's integer sum wraps past 2**63 or 2**64
+    copies = sum(c.tolist())
+    check_copies(copies)
+    return eigenvalue_sum(c, obs.eigenvalues), copies
 
 
 def estimate_sample_average(counts, obs: Observable) -> float:

@@ -8,13 +8,12 @@ eigenvalues.  The config's ensemble object draws the block
 draws outcome counts and then eigenbasis probabilities, with no amplitude
 and no multinomial draw, a Bloch block only each state's Bloch component
 along the top eigenvector's.
-Blocks never depend on the worker count and results are reduced afterwards
-with an exact sum equal to ``math.fsum`` (two extraction levels a chunk, every
-level only where a bound B on the rest leaves the rounding of total -+ B open),
-so output is byte-identical for any worker count.  A block draws, and a
-reduce extracts, into buffers the working thread keeps
-(:func:`optev.sampling.scratch`), so neither allocates an array of its own
-size once the thread is warm.  No BLAS call lies between
+Blocks never depend on the worker count and write fixed slots of one array,
+which the calling thread then reduces with numpy's sum, one pass over the
+whole array in a fixed order, so output is byte-identical for any worker
+count.  A block draws into buffers the working thread keeps
+(:func:`optev.sampling.scratch`), so it allocates no array of its own size
+once the thread is warm.  No BLAS call lies between
 the eigendecomposition and the CSV, so given the eigenvalues, the output is
 also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
@@ -52,7 +51,7 @@ import numpy as np
 
 from .estimators import EstimatorKind, analytic_mse, estimate_from_sums
 from .hermitian import Observable, frozen, make_observable, observable_from_json
-from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream, scratch
+from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
 BLOCK = 4096
@@ -218,70 +217,6 @@ def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, s
     config.ensemble.draw(obs, config.copies, derive_stream(config.master_seed, k), truths[block], sums[block])
 
 
-# values per chunk of the exact sum, so a 20 000-trial reduce is one chunk; its
-# two buffers, 256 KiB each, are the calling thread's kept scratch
-_CHUNK = 2**15
-
-# fsum's sum of negative zeros: -0.0 on Pythons whose fsum keeps the sign
-_NEGATIVE_ZERO_SUM = math.fsum([-0.0])
-
-
-def _exact_sum(values: np.ndarray, full: bool = False) -> float:
-    """The correctly rounded sum of a float array: ``math.fsum(values.tolist())``.
-
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 189
-    (2008)) over chunks of n <= ``_CHUNK`` values below 2**e in magnitude: for
-    sigma = 2**s, s = e + bit_length(n) + 1, q = (x + sigma) - sigma is an exact
-    multiple of 2**(s - 53) and the q's total lies below 2**(s - 1), so
-    ``q.sum()`` is exact in any order; |x - q| <= 2**(s - 53) sets the second sigma.
-    Level sums join one int T in units of 2**-1074; after two levels a chunk adds
-    n 2**(s - 53) to a bound B, and unless T - B and T + B round alike a ``full``
-    pass repeats levels until every remainder is zero.
-    s >= -1022 (at -1021, 2**-1074 ties to even and never shrinks); a chunk with
-    no sigma (s > 1022) is summed as Python ints.  A zero total is fsum's signed
-    zero, non-finite input goes to fsum, and where fsum's partials overflow the total is returned.
-    """
-    total = bound = 0
-    size = min(values.size, _CHUNK)
-    levels, remainders = scratch("level", size), scratch("remainder", size)
-    for start in range(0, values.size, _CHUNK):
-        rest = values[start : start + _CHUNK]
-        top = max(rest.max(), -rest.min())
-        if not math.isfinite(top):
-            return math.fsum(values.tolist())
-        bits = rest.size.bit_length() + 1
-        s = math.frexp(top)[1] + bits
-        if s > 1022:
-            total += sum((num << 1074) // den for num, den in map(float.as_integer_ratio, rest.tolist()))
-            continue
-        level, remainder = levels[: rest.size], remainders[: rest.size]
-        depth = 0
-        while top:
-            s = max(s, -1022)
-            np.add(rest, 2.0**s, out=level)
-            level -= 2.0**s
-            num, den = float(level.sum()).as_integer_ratio()
-            total += (num << 1074) // den
-            depth += 1
-            if depth == 2 and not full:
-                # sigma = 2**-1022 leaves no remainder
-                bound += rest.size << (s + 1021) if s > -1022 else 0
-                break
-            rest = np.subtract(rest, level, out=remainder)
-            top = max(rest.max(), -rest.min()) if full else top
-            s = math.frexp(top)[1] + bits if full else s + bits - 53
-    # T - B <= exact total <= T + B and rounding is monotone: where both ends are
-    # at most the largest float and round alike, the total rounds as T does (not to 0)
-    low, high = total - bound, total + bound
-    if bound and not (max(-low, high) <= (2**53 - 1) << 2045 and low / (1 << 1074) == high / (1 << 1074)):
-        return _exact_sum(values, full=True)
-    if total == 0:
-        # only negative zeros can sum to fsum's -0.0: any other value that
-        # cancels to 0 includes a positive one
-        return _NEGATIVE_ZERO_SUM if values.size and np.signbit(values).all() else 0.0
-    return total / (1 << 1074)
-
-
 # the last draw as (key, (truths, sums)), read-only, or None; see _draw
 _last_draw = None
 
@@ -352,10 +287,10 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     errors = estimate_from_sums(config.estimator, sums, n, obs, n2)
     errors -= truths
     errors *= errors
-    empirical_mse = _exact_sum(errors) / m
+    empirical_mse = float(errors.sum()) / m
     errors -= empirical_mse
     errors *= errors
-    standard_error = math.sqrt(_exact_sum(errors) / (m - 1) / m) if m > 1 else 0.0
+    standard_error = math.sqrt(float(errors.sum()) / (m - 1) / m) if m > 1 else 0.0
 
     # every outcome at the top eigenvector is the top eigenvalue, which is
     # also its truth, so all M probe trials share one sum, N w_0: the drawn
@@ -364,7 +299,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
         raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
     truth = float(obs.eigenvalues[0])
     e = float(estimate_from_sums(config.estimator, n * truth, n, obs, n2))
-    # the correctly rounded M*e, as math.fsum([e] * M) is, since M < 2**53
+    # M*e is the correctly rounded sum of M copies of e, since M < 2**53
     probe_mean = (m * e) / m
     return ResultRow(
         config=config,

@@ -487,3 +487,24 @@ def test_count_validation():
         for estimate in estimators:
             with pytest.raises(ValueError):
                 estimate(np.array(bad))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # numpy's integer sums wrap: to 1, to -2 and to 0
+        np.array([2**64 - 1, 2], dtype=np.uint64),
+        np.array([2**63 - 1, 2**63 - 1], dtype=np.int64),
+        np.array([2**63 - 1, 2**63 - 1, 2], dtype=np.int64),
+    ],
+    ids=["uint64", "int64", "int64-three-outcomes"],
+)
+def test_a_count_total_past_2_to_the_63_is_rejected(counts):
+    obs = make_observable(np.diag([1.0, -1.0, 0.0][: counts.size]))
+    estimators = [estimate_sample_average, estimate_optimal]
+    if counts.size == 2:
+        estimators.append(lambda c, o: estimate_optimal_mixed_qubit(c, o, 0.5))
+    total = sum(counts.tolist())
+    for estimate in estimators:
+        with pytest.raises(ValueError, match=rf"copies must be an integer in \[1, 2\*\*63\), got {total}$"):
+            estimate(counts, obs)

@@ -246,9 +246,11 @@ def test_bloch_rows_of_the_pure_estimators_match_their_closed_form():
 
 
 def _mean_and_se(values):
-    mean = math.fsum(values) / len(values)
-    spread = math.fsum([(v - mean) * (v - mean) for v in values]) / (len(values) - 1)
-    return mean, math.sqrt(spread / len(values))
+    """The harness's reduce: numpy's sum of the float64 squared errors over M,
+    then of their squared deviations."""
+    mean = float(values.sum()) / values.size
+    spread = float(((values - mean) * (values - mean)).sum()) / (values.size - 1)
+    return mean, math.sqrt(spread / values.size)
 
 
 # N <= d draws the stars of a composition, N > d its bars
@@ -272,9 +274,9 @@ def test_hot_loop_matches_public_operations_bitwise(copies):
     for column, truth in zip(p.T, truths):
         assert abs(truth - expectation(PureState(obs.eigenvectors @ np.sqrt(column)), obs)) < 1e-14
     estimates = estimate_from_sums(config.estimator, value_sums, config.copies, obs)
-    slow = list((estimates - truths) ** 2)
+    slow = (estimates - truths) ** 2
     mean, se = _mean_and_se(slow)
-    assert row.empirical_mse == mean == math.fsum(slow) / config.trials
+    assert row.empirical_mse == mean == float(slow.sum()) / config.trials
     assert row.standard_error == se
 
 
@@ -356,9 +358,9 @@ def test_hot_loop_matches_public_operations_bloch(matrix):
         assert abs(truth - np.trace(rho @ obs.matrix).real) < 1e-14
         assert abs(0.5 * (1.0 + x) - np.vdot(v0, rho @ v0).real) < 1e-15
     estimates = estimate_from_sums(config.estimator, sums, 1, obs, law.second_moment())
-    slow = list((estimates - truths) ** 2)
+    slow = (estimates - truths) ** 2
     mean, se = _mean_and_se(slow)
-    assert row.empirical_mse == mean == math.fsum(slow) / config.trials
+    assert row.empirical_mse == mean == float(slow.sum()) / config.trials
     assert row.standard_error == se
 
 
@@ -478,6 +480,39 @@ def test_worker_chunking_matches_serial(trials):
     config = ExperimentConfig(dim=2, copies=1, trials=trials, master_seed=15)
     serial = rows_to_csv([run_experiment(config)])
     assert rows_to_csv([run_experiment(replace(config, workers=3))]) == serial
+
+
+def test_many_block_reduce_is_the_rule_at_every_worker_count():
+    # 3 BLOCK + 5 squared errors reach past numpy's 8192-value buffer; one
+    # thread sums the whole array, so the worker split never reaches the row
+    obs = load_observable("diag(1,-2)")
+    config = ExperimentConfig(dim=2, copies=3, trials=3 * BLOCK + 5, master_seed=47, observable_source="diag(1,-2)")
+    texts = []
+    for workers in (1, 2, 3):
+        run = replace(config, workers=workers)
+        row = fresh(run, obs)
+        truths, sums = harness._draw(run, obs)
+        errors = (estimate_from_sums(config.estimator, sums, config.copies, obs) - truths) ** 2
+        assert (row.empirical_mse, row.standard_error) == _mean_and_se(errors)
+        texts.append(_text(row))
+    assert texts == texts[:1] * 3
+
+
+@pytest.mark.parametrize("n", [5, 129, 4097, 20_000])
+def test_numpy_sum_does_not_depend_on_the_arrays_alignment(n):
+    # the premise of one fixed reduce order: numpy's sum takes no alignment
+    # peel, so where the errors array sits in memory changes no bit
+    rng = np.random.default_rng(n)
+    values = np.ldexp(rng.random(n), rng.integers(-40, 40, n))
+    raw = np.empty(8 * n + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    sums = set()
+    for offset in range(0, 64, 8):
+        view = raw[start + offset : start + offset + 8 * n].view(np.float64)
+        assert view.ctypes.data % 64 == offset
+        view[...] = values
+        sums.add(float(np.add.reduce(view)).hex())
+    assert len(sums) == 1
 
 
 # --- worker threads ---
@@ -744,12 +779,15 @@ def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws):
     assert a.trace != b.trace and math.nextafter(a.trace, b.trace) == b.trace
     config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
     run_experiment(config, observable=a)
+    a_truths = harness._last_draw[1][0]
     row = run_experiment(config, observable=b)
     assert draws == [True, True]
     truths, sums = harness._last_draw[1]
     fresh_truths, fresh_sums = run_trials(config, b)
     assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
-    assert _text(row) == _text(fresh(config, b)) != _text(fresh(config, a))
+    # each truth 0.5 (tr Omega + s (w0 - w1)) reads the trace, so a's draw is not b's
+    assert truths.tobytes() != a_truths.tobytes()
+    assert _text(row) == _text(fresh(config, b))
 
 
 def test_rotations_with_equal_eigenvalues_and_trace_share_a_draw(draws):
