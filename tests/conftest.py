@@ -3,8 +3,8 @@ draw that an earlier test left behind.
 
 ``--hypothesis-profile=thorough`` runs each property test 2000 times with
 no deadline; the estimators' shift-and-scale and posterior-mean bounds fail,
-if at all, on rare subnormal eigenvalues or sums, which the default 100
-examples seldom reach.
+if at all, on rare subnormal eigenvalues or sums, and the reduce's rounding
+bound on rare sizes and spreads, which the default 100 examples seldom reach.
 """
 
 import pytest

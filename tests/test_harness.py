@@ -498,7 +498,7 @@ def test_many_block_reduce_is_the_rule_at_every_worker_count():
     assert texts == texts[:1] * 3
 
 
-@pytest.mark.parametrize("n", [5, 129, 4097, 20_000])
+@pytest.mark.parametrize("n", [5, 129, 4097, 20_000, 1, 8, 128, 8193, 65_537])
 def test_numpy_sum_does_not_depend_on_the_arrays_alignment(n):
     # the premise of one fixed reduce order: numpy's sum takes no alignment
     # peel, so where the errors array sits in memory changes no bit
