@@ -12,7 +12,6 @@ together with all d eigenvalues of the observable, i.e.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def simulate_measurements(
 
 
 def estimate_from_sums(
-    kind: EstimatorKind | str, value_sums, copies: int, obs: Observable | None, n2: float | None = None
+    kind: EstimatorKind | str, value_sums, copies: int, obs: Observable | None, n2: float | None = None, out=None
 ) -> np.ndarray:
     """Estimates from sums of observed eigenvalues, one per entry of ``value_sums``.
 
@@ -44,17 +43,18 @@ def estimate_from_sums(
     the sample average is sum / N, the optimal estimate
     (tr Omega + sum) / (N + d), and the mixed-qubit estimate (N = 1)
     ((3 - n2)/2 tr Omega + n2 sum) / 3.  The sample average ignores ``obs``.
+    The estimates go into ``out`` if given, which may be ``value_sums`` itself.
     """
     kind = EstimatorKind(kind)
     sums = np.asarray(value_sums, dtype=float)
     if kind is EstimatorKind.SAMPLE_AVERAGE:
-        return sums / copies
+        return np.divide(sums, copies, out=out)
     if kind is EstimatorKind.OPTIMAL_PURE:
-        estimates = sums + obs.trace
+        estimates = np.add(sums, obs.trace, out=out)
         estimates /= copies + obs.dim
         return estimates
     # (3 - n2)/6 keeps the n2 = 0 case exactly equal to trace/2
-    estimates = n2 / 3.0 * sums
+    estimates = np.multiply(n2 / 3.0, sums, out=out)
     estimates += (3.0 - n2) / 6.0 * obs.trace
     return estimates
 
@@ -122,13 +122,23 @@ def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
     return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, value_sum, 1, obs, n2))
 
 
-def _scaled_moments(obs: Observable, n2: float | None) -> tuple[int, float, tuple[float, float, float]]:
-    """k, tr(2**k Omega) and the ``ensemble_moments`` of 2**k Omega, for k of ``Observable.spread``."""
-    k, trace, c = obs.spread
-    d = obs.dim
+def _affine_form(kind: EstimatorKind | str, copies: int, dim: int, n2: float | None) -> tuple[int, int, int]:
+    """Integers (alpha, beta, gamma): :func:`estimate_from_sums` is (alpha tr Omega + beta S)/gamma."""
+    kind = EstimatorKind(kind)
+    if kind is EstimatorKind.SAMPLE_AVERAGE:
+        return 0, 1, copies
+    if kind is EstimatorKind.OPTIMAL_PURE:
+        return 1, 1, copies + dim
+    a, b = float(n2).as_integer_ratio()
+    return 3 * b - a, 2 * a, 6 * b
+
+
+def _moment_form(dim: int, n2: float | None) -> tuple[int, int, int, int]:
+    """Integers (m, w, t, q): :func:`ensemble_moments` is (tr Omega/m, c t/q, c w/q)."""
     if n2 is None:
-        return k, trace, (trace / d, c / (d * d * (d + 1)), c / (d * (d + 1)))
-    return k, trace, (trace / 2.0, c * n2 / 12.0, c * (3.0 - n2) / 12.0)
+        return dim, dim, 1, dim * dim * (dim + 1)
+    a, b = float(n2).as_integer_ratio()
+    return 2, 3 * b - a, a, 12 * b
 
 
 def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, float, float]:
@@ -136,36 +146,33 @@ def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, f
 
     mu = E[t] and V_t = Var(t) for t = tr[rho Omega]; V_w = E[Var_p(Omega)],
     the mean variance of one outcome's eigenvalue.  With c = d tr Omega^2 -
-    (tr Omega)^2, summed as d |Omega - (tr Omega/d) 1|^2 from the entries so
-    that nothing cancels (``Observable.spread``), Haar gives
-    (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the Bloch law, on a qubit
-    observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
+    (tr Omega)^2, Haar gives (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the
+    Bloch law, on a qubit observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
+    Each is one integer over another, from ``Observable.exact_sums``, so it is
+    correctly rounded, subnormals included.
     """
-    k, _, (mu, v_t, v_w) = _scaled_moments(obs, n2)
-    return math.ldexp(mu, -k), math.ldexp(v_t, -2 * k), math.ldexp(v_w, -2 * k)
+    denominator, trace, square_sum = obs.exact_sums
+    m, w, t, q = _moment_form(obs.dim, n2)
+    c, scale = obs.dim * square_sum - trace * trace, denominator * denominator * q
+    return trace / (m * denominator), c * t / scale, c * w / scale
 
 
 def analytic_mse(kind: EstimatorKind | str, obs: Observable, copies: int, n2: float | None = None) -> float:
-    """Ensemble-averaged squared error of an estimate (alpha + beta S)/gamma.
+    """Ensemble-averaged squared error of an estimate (alpha tr Omega + beta S)/gamma.
 
     S = sum_i c_i Omega_i is, given the state, a sum of N independent
     eigenvalue draws, so with pi = beta N - gamma and ``ensemble_moments``
-    the error is (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2) / gamma^2.
-    The Haar ensemble is n2 = None.  beta and gamma stay ints for the two
-    pure-state estimators, so pi is exactly 0 or -d.  The error is of degree
-    2 in Omega: it is taken at ``Observable.spread``'s 2**k Omega and scaled
-    back by 4**-k once, so a tiny observable's squares never underflow.
+    the error is (beta^2 N V_w + pi^2 V_t + (alpha tr Omega + pi mu)^2) / gamma^2.
+    Every estimator is unbiased over its ensemble, alpha tr Omega + pi mu = 0,
+    which leaves one integer over another from ``Observable.exact_sums``,
+    correctly rounded.  The Haar ensemble is n2 = None.
     """
-    k, trace, (mu, v_t, v_w) = _scaled_moments(obs, n2)
-    kind = EstimatorKind(kind)
-    if kind is EstimatorKind.SAMPLE_AVERAGE:
-        alpha, beta, gamma = 0.0, 1, copies
-    elif kind is EstimatorKind.OPTIMAL_PURE:
-        alpha, beta, gamma = trace, 1, copies + obs.dim
-    else:
-        alpha, beta, gamma = (3.0 - n2) / 2.0 * trace, n2, 3
+    denominator, trace, square_sum = obs.exact_sums
+    _, w, t, q = _moment_form(obs.dim, n2)
+    _, beta, gamma = _affine_form(kind, copies, obs.dim, n2)
     pi = beta * copies - gamma
-    return math.ldexp((beta**2 * copies * v_w + pi**2 * v_t + (alpha + pi * mu) ** 2) / gamma**2, -2 * k)
+    c = obs.dim * square_sum - trace * trace
+    return c * (beta * beta * copies * w + pi * pi * t) / (denominator * denominator * q * gamma * gamma)
 
 
 def analytic_delta_opt(obs: Observable, copies: int) -> float:

@@ -10,10 +10,10 @@ and no multinomial draw, a Bloch block only each state's Bloch component
 along the top eigenvector's.
 Blocks never depend on the worker count and write fixed slots of one array,
 which the calling thread then reduces with numpy's sum, one pass over the
-whole array in a fixed order, so output is byte-identical for any worker
-count.  A block draws into buffers the working thread keeps
-(:func:`optev.sampling.scratch`), so it allocates no array of its own size
-once the thread is warm.  No BLAS call lies between
+whole array in a fixed order, in a buffer it keeps, so output is
+byte-identical for any worker count.  A block draws into buffers the
+working thread keeps (:func:`optev.sampling.scratch`), so it allocates no
+array of its own size once the thread is warm.  No BLAS call lies between
 the eigendecomposition and the CSV, so given the eigenvalues, the output is
 also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
@@ -51,7 +51,7 @@ import numpy as np
 
 from .estimators import EstimatorKind, analytic_mse, estimate_from_sums
 from .hermitian import Observable, frozen, make_observable, observable_from_json
-from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream
+from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream, scratch
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
 BLOCK = 4096
@@ -278,13 +278,14 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     """Run one seeded experiment: ensemble MSE pass plus the exact bias at the probe.
 
     The draw's truths and sums, 16 bytes per trial, stay in memory after this
-    returns, until a run with other draw inputs replaces them.
+    returns, until a run with other draw inputs replaces them; so does the
+    calling thread's reduce buffer, 8 bytes per trial, until the thread ends.
     """
     started = time.perf_counter()
     obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
     truths, sums = _draw(config, obs)
     m, n, n2 = config.trials, config.copies, config.ensemble.second_moment()
-    errors = estimate_from_sums(config.estimator, sums, n, obs, n2)
+    errors = estimate_from_sums(config.estimator, sums, n, obs, n2, out=scratch("errors", m))
     errors -= truths
     errors *= errors
     empirical_mse = float(errors.sum()) / m

@@ -7,7 +7,6 @@ across threads without synchronization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,32 +48,20 @@ class Observable:
         return float(self.matrix.trace().real)
 
     @cached_property
-    def trace_square(self) -> float:
-        # tr(M @ M) == Frobenius norm squared for Hermitian M, from numpy's own
-        # elementwise squares and sum, so no BLAS kernel changes its bits
-        m = self.matrix
-        return float((m.real * m.real + m.imag * m.imag).sum())
+    def exact_sums(self) -> tuple[int, int, int]:
+        """(D, T, S): tr Omega = T/D and sum_ij |Omega_ij|^2 = S/D^2 exactly, for D the largest
+        power-of-two denominator of the stored floats, so a closed form rounds once, in an int / int."""
+        ratios = [x.as_integer_ratio() for x in self.matrix.view(np.float64).ravel().tolist()]
+        denominator = max(q for _, q in ratios)
+        parts = [p * (denominator // q) for p, q in ratios]
+        # the real parts of the diagonal, every 2 (d + 1)th float of the row-major matrix
+        return denominator, sum(parts[:: 2 * (self.dim + 1)]), sum(p * p for p in parts)
 
     @cached_property
-    def spread(self) -> tuple[int, float, float]:
-        """(k, tr, c) of 2**k Omega, where c = d tr Omega^2 - (tr Omega)^2, summed
-        as d |Omega - (tr Omega/d) 1|^2 from the entries so that nothing cancels.
-
-        k = 0 unless every entry lies below 2**-256, where squares over d^3 and N
-        near the subnormals; then 2**k brings the largest to [1/2, 1) and the
-        closed forms, homogeneous in Omega, scale back once.  A power of two
-        scales every rounding alike, so where nothing underflows the scaled
-        forms are the unscaled ones bit for bit.
-        """
-        d, m, k = self.dim, self.matrix, 0
-        largest = float(np.abs(m).max())
-        if 0.0 < largest < 2.0**-256:
-            k = -math.frexp(largest)[1]
-            # exact: real and imaginary parts each times 2**k
-            m = np.ldexp(m.view(np.float64), k).view(np.complex128)
-        trace = float(m.trace().real) if k else self.trace
-        centred = m - trace / d * np.eye(d)
-        return k, trace, d * float((centred.real * centred.real + centred.imag * centred.imag).sum())
+    def trace_square(self) -> float:
+        """tr Omega^2, the sum of |Omega_ij|^2 over the stored entries, correctly rounded."""
+        denominator, _, square_sum = self.exact_sums
+        return square_sum / (denominator * denominator)
 
     @cached_property
     def top_is_eigenstate(self) -> bool:
@@ -145,7 +132,9 @@ def outcome_distribution(state: "PureState | np.ndarray", obs: Observable) -> np
     amplitudes = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
     if amplitudes.shape[-1] != obs.dim:
         raise ValueError(f"dimension mismatch: state has shape {amplitudes.shape}, observable has d={obs.dim}")
-    overlaps = amplitudes @ obs.eigenvectors.conj()
+    # the products added over i first to last, as eigenvalue_sum adds rows, so
+    # a batch and one state take the same order, where BLAS takes two
+    overlaps = (amplitudes[..., :, None] * obs.eigenvectors.conj()).sum(axis=-2)
     return overlaps.real**2 + overlaps.imag**2
 
 

@@ -26,7 +26,9 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import analytic_mse, ensemble_moments, estimate_from_sums
+from optev.estimators import _affine_form, _moment_form, analytic_mse, ensemble_moments, estimate_from_sums
+from optev.harness import ConfigError, ExperimentConfig
+from optev.sampling import HAAR_PURE, RadialLaw
 from optev.symmetric import omega_hat
 
 
@@ -421,9 +423,10 @@ def test_haar_mse_is_the_exact_sum_over_compositions(eigenvalues, copies, kind):
 
 @pytest.mark.parametrize("exponent", [-300, -520, -530])
 def test_closed_forms_of_a_tiny_observable_are_the_scaled_ones(exponent):
-    # 2**e Omega is taken at a power of two near 1 and scaled back once, so
-    # every closed form is the one of Omega scaled by 2**e or 4**e, rounded
-    # once even where that lands among the subnormals
+    # every closed form is one exact integer quotient of the stored entries,
+    # rounded once, so a tiny observable takes the path of any other, and its
+    # forms are those of Omega scaled by 2**e or 4**e; among the subnormals
+    # that scaling rounds again, which at these cases changes no bit
     obs = random_observable(3, np.random.default_rng(13))
     tiny = make_observable(np.ldexp(obs.matrix.real, exponent) + 1j * np.ldexp(obs.matrix.imag, exponent))
     for kind in (EstimatorKind.OPTIMAL_PURE, EstimatorKind.SAMPLE_AVERAGE):
@@ -508,3 +511,47 @@ def test_a_count_total_past_2_to_the_63_is_rejected(counts):
     for estimate in estimators:
         with pytest.raises(ValueError, match=rf"copies must be an integer in \[1, 2\*\*63\), got {total}$"):
             estimate(counts, obs)
+
+
+def test_every_accepted_estimator_is_unbiased_over_its_ensemble():
+    # analytic_mse drops the squared mean error (alpha + pi mu)^2, which is
+    # zero exactly when alpha + pi mu = 0; an estimator or ensemble for which
+    # it is not must fail here, not get a wrong closed form
+    obs = random_observable(2, np.random.default_rng(32))
+    ensembles = [HAAR_PURE, RadialLaw.uniform_ball(), RadialLaw.fixed_radius(0.6**0.5), RadialLaw.two_point(0.3, 0.9)]
+    accepted = 0
+    for ensemble in ensembles:
+        for kind in EstimatorKind:
+            for dim in (2, 3, 8):
+                for copies in (1, 7):
+                    try:
+                        ExperimentConfig(dim=dim, copies=copies, estimator=kind, ensemble=ensemble)
+                    except ConfigError:
+                        continue
+                    accepted += 1
+                    n2 = ensemble.second_moment()
+                    alpha, beta, gamma = _affine_form(kind, copies, dim, n2)
+                    m = _moment_form(dim, n2)[0]
+                    # the estimate (alpha tr + beta S)/gamma has mean error
+                    # (alpha tr + pi mu)/gamma with mu = tr/m
+                    assert Fraction(alpha) + Fraction(beta * copies - gamma, m) == 0, (ensemble, kind, dim, copies)
+                    if dim == 2:
+                        sums = np.array([-3.5, 0.25, 1.0])
+                        want = [float((alpha * Fraction(obs.trace) + beta * Fraction(x)) / gamma) for x in sums.tolist()]
+                        assert estimate_from_sums(kind, sums, copies, obs, n2) == pytest.approx(want, rel=1e-15, abs=1e-15)
+    # Haar: two estimators at 3 dimensions and 2 copy counts; each Bloch law:
+    # two at d = 2 and 2 copy counts, and the mixed-qubit one at N = 1
+    assert accepted == 2 * 3 * 2 + 3 * (2 * 2 + 1)
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_estimates_into_out_are_the_same_bits(kind):
+    obs, n2 = random_observable(2, np.random.default_rng(5)), 0.6
+    sums = np.random.default_rng(6).standard_normal(1000)
+    want = estimate_from_sums(kind, sums, 1, obs, n2)
+    out = np.empty(1000)
+    assert estimate_from_sums(kind, sums, 1, obs, n2, out=out) is out
+    assert np.array_equal(out, want)
+    copy = sums.copy()
+    assert estimate_from_sums(kind, copy, 1, obs, n2, out=copy) is copy
+    assert np.array_equal(copy, want)

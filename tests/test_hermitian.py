@@ -191,6 +191,16 @@ def test_outcomes_match_projector_oracle():
         assert abs(float(p @ obs.eigenvalues) - expectation(state, obs)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 9, 16])
+def test_a_batch_of_rows_gives_the_bits_of_each_state_alone(d):
+    rng = np.random.default_rng(d)
+    obs = make_observable(random_hermitian(d, rng))
+    states = [random_state(d, rng) for _ in range(50)]
+    rows = np.array([state.amplitudes for state in states])
+    assert np.array_equal(outcome_distribution(rows, obs), [outcome_distribution(state, obs) for state in states])
+    assert np.array_equal(expectation(rows, obs), [expectation(state, obs) for state in states])
+
+
 # --- state containers ---
 
 def test_pure_state_requires_normalization():

@@ -1,13 +1,14 @@
 """Hypothesis property tests: config and observable round trips, the
 Bloch block's truth and outcome law against the density matrix, the
 optimal estimate as a posterior mean, the estimators' shift-and-scale
-covariance, and a CLI that fails only with a one-line error or a usage
+covariance, correctly rounded closed-form errors, and a CLI that fails only with a one-line error or a usage
 message, whatever flags it is given."""
 
 import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from optev import EstimatorKind, ExperimentConfig, RadialLaw, estimate_optimal, make_observable
 from optev.cli import main
-from optev.estimators import estimate_from_sums
+from optev.estimators import analytic_mse, ensemble_moments, estimate_from_sums
 from optev.hermitian import observable_from_json, observable_to_json
 
 unit = st.floats(0.0, 1.0)
@@ -154,6 +155,68 @@ def test_estimates_follow_a_shift_and_scale_of_the_observable(inputs, a, b, n2):
     # times est carries est's such error |a|-fold
     scale = abs(a) * (np.abs(est) + abs(obs.trace) + np.abs(sums)) + abs(b) * (1 + d + copies)
     assert (np.abs(got - (a * est + b)) <= 1e-12 * scale + (abs(a) + 4) * math.ulp(0.0)).all()
+
+
+def exact_errors(obs, copies, n2):
+    """float() of the exact closed forms: ``ensemble_moments`` and the full
+    (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2)/gamma^2 of each estimator the
+    law accepts, in Fractions of the stored entries and of n2 (None for Haar)."""
+    d, entries = obs.dim, [Fraction(x) for x in obs.matrix.view(np.float64).ravel().tolist()]
+    trace = sum(entries[:: 2 * (d + 1)])
+    c = d * sum(x * x for x in entries) - trace * trace
+    if n2 is None:
+        mu, v_t, v_w = trace / d, c / (d * d * (d + 1)), c / (d * (d + 1))
+        forms = {EstimatorKind.OPTIMAL_PURE: (trace, 1, copies + d)}
+    else:
+        n = Fraction(n2)
+        mu, v_t, v_w = trace / 2, c * n / 12, c * (3 - n) / 12
+        forms = {EstimatorKind.OPTIMAL_PURE: (trace, 1, copies + d), EstimatorKind.OPTIMAL_MIXED_QUBIT: ((3 - n) / 2 * trace, n, 3)}
+    forms[EstimatorKind.SAMPLE_AVERAGE] = (0, 1, copies)
+    errors = {}
+    for kind, (alpha, beta, gamma) in forms.items():
+        n = 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies
+        pi = beta * n - gamma
+        errors[kind] = float((beta * beta * n * v_w + pi * pi * v_t + (alpha + pi * mu) ** 2) / (gamma * gamma))
+    return (float(mu), float(v_t), float(v_w)), errors
+
+
+@st.composite
+def observables_and_laws(draw):
+    """A random complex Hermitian d x d matrix, d <= 8, times 2**e from e = -1080
+    (most entries underflow) to 100, a copy count N <= 99 and n2, None for Haar
+    and in [0, 1] for a Bloch law on a qubit."""
+    d = draw(st.integers(2, 8))
+    parts = iter(draw(st.lists(st.floats(-4.0, 4.0), min_size=d * d, max_size=d * d)))
+    m = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        m[i, i] = next(parts)
+        for j in range(i + 1, d):
+            m[i, j] = complex(next(parts), next(parts))
+            m[j, i] = m[i, j].conjugate()
+    # exact but where a product falls among the subnormals or below them
+    m = np.ldexp(m.view(np.float64), draw(st.integers(-1080, 100))).view(complex)
+    n2 = draw(st.none() | unit) if d == 2 else None
+    return m, draw(st.integers(1, 99)), n2
+
+
+# 31/96, whose float the per-entry float sums missed by an ulp
+@example((np.diag([1.0, 0.5, -2.0]), 1, None))
+# d tr Omega^2 and (tr Omega)^2 agree to about 10 of their 16 digits
+@example((np.diag([1000.0, 1000.001, 999.9995]), 2, None))
+# squares of every entry lie far below the smallest subnormal
+@example((np.array([[0.5, 0.25 - 1j], [0.25 + 1j, -2.0]]) * 2.0**-530, 1, 0.6))
+@given(observables_and_laws())
+def test_closed_forms_are_correctly_rounded(case):
+    matrix, copies, n2 = case
+    obs = make_observable(matrix)
+    moments, errors = exact_errors(obs, copies, n2)
+    assert ensemble_moments(obs, n2) == moments
+    for kind, want in errors.items():
+        assert analytic_mse(kind, obs, 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies, n2) == want
+
+
+def test_correctly_rounded_delta_opt_of_a_three_level_diagonal():
+    assert analytic_mse(EstimatorKind.OPTIMAL_PURE, make_observable(np.diag([1.0, 0.5, -2.0])), 1) == 0.3229166666666667
 
 
 # --- CLI fuzz ---

@@ -6,6 +6,7 @@ given array does not depend on the worker count that filled it.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,3 +151,19 @@ def test_row_is_within_the_bound_of_the_exact_reduce(estimator, ensemble):
     centred = (errors - row.empirical_mse) ** 2
     exact_se = math.sqrt(exact_sum(centred.tolist()) / (1 << 1074) / (m - 1) / m)
     assert abs(row.standard_error - exact_se) <= (relative_bound(m) + 2.0**-50) * exact_se
+
+
+@pytest.mark.parametrize("ensemble", ["haar-pure", RadialLaw.uniform_ball()], ids=["haar", "bloch"])
+def test_a_run_on_a_kept_draw_allocates_no_array_of_its_size(ensemble):
+    # the squared errors are formed and summed in the calling thread's kept
+    # buffer, so once it is warm a run allocates no 8 M bytes of its own
+    config = ExperimentConfig(dim=2, copies=3, trials=20_000, master_seed=63, ensemble=ensemble)
+    first = fresh(config)
+    tracemalloc.start()
+    try:
+        again = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * config.trials
+    assert replace(again, wall_time=0.0) == replace(first, wall_time=0.0)
