@@ -42,7 +42,8 @@ def estimate_from_sums(
     Every estimator here sees the outcomes only through sum_n Omega_{i_n}:
     the sample average is sum / N, the optimal estimate
     (tr Omega + sum) / (N + d), and the mixed-qubit estimate (N = 1)
-    ((3 - n2)/2 tr Omega + n2 sum) / 3.  The sample average ignores ``obs``.
+    ((3 - n2)/2 tr Omega + n2 sum) / 3: :func:`affine_form`'s rows in float
+    steps, which do not check its domain.  The sample average ignores ``obs``.
     The estimates go into ``out`` if given, which may be ``value_sums`` itself.
     """
     kind = EstimatorKind(kind)
@@ -68,14 +69,28 @@ def check_copies(copies: int) -> None:
         raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
 
 
-def _check_n2(n2: float) -> None:
-    if not 0.0 <= n2 <= 1.0:
-        raise ValueError(f"second moment n2 must lie in [0, 1], got {n2!r}")
+def affine_form(kind: EstimatorKind | str, copies: int, dim: int, n2: float | None = None) -> tuple[int, int, int]:
+    """Integers (alpha, beta, gamma): :func:`estimate_from_sums` is (alpha tr Omega + beta S)/gamma.
+
+    The one definition of each estimator and its domain: (0, 1, N), (1, 1, N + d)
+    and, for n2 = a/b, (3b - a, 2a, 6b) only at d = 2, N = 1, n2 in [0, 1], else ``ValueError``.
+    """
+    kind = EstimatorKind(kind)
+    if kind is EstimatorKind.SAMPLE_AVERAGE:
+        return 0, 1, copies
+    if kind is EstimatorKind.OPTIMAL_PURE:
+        return 1, 1, copies + dim
+    if dim != 2 or copies != 1:
+        raise ValueError(f"the mixed-qubit estimator needs d=2 and N=1, got d={dim}, N={copies}")
+    if n2 is None or not 0.0 <= n2 <= 1.0:
+        raise ValueError(f"the mixed-qubit estimator needs a Bloch ensemble with n2 in [0, 1], got n2={n2!r}")
+    a, b = float(n2).as_integer_ratio()
+    return 3 * b - a, 2 * a, 6 * b
 
 
-def _value_sum(counts, obs: Observable) -> tuple[float, int]:
-    """Sum of the observed eigenvalues, by :func:`optev.hermitian.eigenvalue_sum` as
-    in the harness, and the number of outcomes behind ``counts``."""
+def _estimate(kind: EstimatorKind, counts, obs: Observable, n2: float | None = None) -> float:
+    """The estimate of ``kind`` from outcome counts, in the estimator's domain, with
+    the sum of observed eigenvalues by :func:`optev.hermitian.eigenvalue_sum` as in the harness."""
     c = np.asarray(counts)
     if c.shape != (obs.dim,) or not np.issubdtype(c.dtype, np.integer):
         raise ValueError(f"counts must be {obs.dim} integers, got {c.dtype} of shape {c.shape}")
@@ -84,13 +99,13 @@ def _value_sum(counts, obs: Observable) -> tuple[float, int]:
     # summed as Python ints: numpy's integer sum wraps past 2**63 or 2**64
     copies = sum(c.tolist())
     check_copies(copies)
-    return eigenvalue_sum(c, obs.eigenvalues), copies
+    affine_form(kind, copies, obs.dim, n2)
+    return float(estimate_from_sums(kind, eigenvalue_sum(c, obs.eigenvalues), copies, obs, n2))
 
 
 def estimate_sample_average(counts, obs: Observable) -> float:
     """Arithmetic mean of the observed eigenvalues; unbiased for every state."""
-    value_sum, copies = _value_sum(counts, obs)
-    return float(estimate_from_sums(EstimatorKind.SAMPLE_AVERAGE, value_sum, copies, obs))
+    return _estimate(EstimatorKind.SAMPLE_AVERAGE, counts, obs)
 
 
 def estimate_optimal(counts, obs: Observable) -> float:
@@ -101,8 +116,7 @@ def estimate_optimal(counts, obs: Observable) -> float:
     averaged over the hypersphere-uniform pure-state ensemble; biased at
     finite N.
     """
-    value_sum, copies = _value_sum(counts, obs)
-    return float(estimate_from_sums(EstimatorKind.OPTIMAL_PURE, value_sum, copies, obs))
+    return _estimate(EstimatorKind.OPTIMAL_PURE, counts, obs)
 
 
 def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
@@ -111,26 +125,9 @@ def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
     Returns ((3 - n2)/2 * tr Omega + n2 * Omega_{i_1}) / 3 where n2 is the
     ensemble's Bloch-length second moment.  At n2 = 1 this reduces to the
     pure-state optimal estimate; at n2 = 0 the observed datum is discarded
-    and the output is exactly tr Omega / 2.
+    and the output is exactly tr Omega / 2.  Defined at d = 2, one outcome, n2 in [0, 1].
     """
-    if obs.dim != 2:
-        raise ValueError(f"mixed-qubit estimator requires d=2, got d={obs.dim}")
-    value_sum, copies = _value_sum(counts, obs)
-    if copies != 1:
-        raise ValueError(f"mixed-qubit estimator requires exactly one outcome, got {copies}")
-    _check_n2(n2)
-    return float(estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, value_sum, 1, obs, n2))
-
-
-def _affine_form(kind: EstimatorKind | str, copies: int, dim: int, n2: float | None) -> tuple[int, int, int]:
-    """Integers (alpha, beta, gamma): :func:`estimate_from_sums` is (alpha tr Omega + beta S)/gamma."""
-    kind = EstimatorKind(kind)
-    if kind is EstimatorKind.SAMPLE_AVERAGE:
-        return 0, 1, copies
-    if kind is EstimatorKind.OPTIMAL_PURE:
-        return 1, 1, copies + dim
-    a, b = float(n2).as_integer_ratio()
-    return 3 * b - a, 2 * a, 6 * b
+    return _estimate(EstimatorKind.OPTIMAL_MIXED_QUBIT, counts, obs, n2)
 
 
 def _moment_form(dim: int, n2: float | None) -> tuple[int, int, int, int]:
@@ -167,9 +164,9 @@ def analytic_mse(kind: EstimatorKind | str, obs: Observable, copies: int, n2: fl
     which leaves one integer over another from ``Observable.exact_sums``,
     correctly rounded.  The Haar ensemble is n2 = None.
     """
+    _, beta, gamma = affine_form(kind, copies, obs.dim, n2)
     denominator, trace, square_sum = obs.exact_sums
     _, w, t, q = _moment_form(obs.dim, n2)
-    _, beta, gamma = _affine_form(kind, copies, obs.dim, n2)
     pi = beta * copies - gamma
     c = obs.dim * square_sum - trace * trace
     return c * (beta * beta * copies * w + pi * pi * t) / (denominator * denominator * q * gamma * gamma)
@@ -202,7 +199,17 @@ def analytic_delta_mixed_qubit(obs: Observable, n2: float) -> float:
     with second moment n2.  Agrees with the pure-state optimum at n2 = 1 and
     vanishes at n2 = 0, where the expectation value is known exactly.
     """
-    if obs.dim != 2:
-        raise ValueError(f"mixed-qubit error formula requires d=2, got d={obs.dim}")
-    _check_n2(n2)
     return analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, 1, n2)
+
+
+def analytic_bias(kind: EstimatorKind | str, obs: Observable, copies: int, n2: float | None = None) -> float:
+    """Bias (alpha tr Omega + pi w_0)/gamma, pi = beta N - gamma, at the top eigenvector,
+    where every outcome is the top eigenvalue w_0, also the truth, so S = N w_0.
+
+    One integer over another from ``Observable.exact_sums`` and w_0's ratio,
+    so correctly rounded, and exactly 0.0 for the sample average.
+    """
+    alpha, beta, gamma = affine_form(kind, copies, obs.dim, n2)
+    denominator, trace, _ = obs.exact_sums
+    p, q = float(obs.eigenvalues[0]).as_integer_ratio()
+    return (alpha * trace * q + (beta * copies - gamma) * p * denominator) / (denominator * q * gamma)

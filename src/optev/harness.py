@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorKind, analytic_mse, estimate_from_sums
+from .estimators import EstimatorKind, affine_form, analytic_bias, analytic_mse, estimate_from_sums
 from .hermitian import Observable, frozen, make_observable, observable_from_json
 from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream, scratch
 
@@ -151,11 +151,10 @@ class ExperimentConfig:
             raise ConfigError(f"ensemble must be 'haar-pure' or a Bloch law, got {self.ensemble!r}")
         if self.ensemble.qubit_only and self.dim != 2:
             raise ConfigError("the Bloch ensemble is qubit-only (dim must be 2)")
-        if self.estimator is EstimatorKind.OPTIMAL_MIXED_QUBIT:
-            if self.ensemble.second_moment() is None:
-                raise ConfigError("the mixed-qubit estimator needs a Bloch ensemble to define n2")
-            if self.copies != 1:
-                raise ConfigError("the mixed-qubit estimator requires copies=1")
+        try:
+            affine_form(self.estimator, self.copies, self.dim, self.ensemble.second_moment())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {
@@ -295,7 +294,8 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
 
     # every outcome at the top eigenvector is the top eigenvalue, which is
     # also its truth, so all M probe trials share one sum, N w_0: the drawn
-    # path's sum of rows with counts [N, 0, ..., 0], bit for bit
+    # path's sum of rows with counts [N, 0, ..., 0], bit for bit; the
+    # analytic bias is that estimate's closed form, rounded once
     if not obs.top_is_eigenstate:
         raise ConfigError("the observable's top eigenvector is not an eigenstate to 1e-12")
     truth = float(obs.eigenvalues[0])
@@ -307,8 +307,7 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
         empirical_mse=empirical_mse,
         analytic_mse=analytic_mse(config.estimator, obs, n, n2),
         empirical_bias_at_probe=probe_mean - truth,
-        # the sample average is unbiased at every state
-        analytic_bias_at_probe=0.0 if config.estimator is EstimatorKind.SAMPLE_AVERAGE else e - truth,
+        analytic_bias_at_probe=analytic_bias(config.estimator, obs, n, n2),
         standard_error=standard_error,
         wall_time=time.perf_counter() - started,
     )

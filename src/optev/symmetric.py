@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .estimators import estimate_from_sums
+from .estimators import EstimatorKind, affine_form, estimate_from_sums
 from .hermitian import Observable, eigenvalue_sum, frozen, make_observable
 from .sampling import sample_haar_amplitudes
 
@@ -150,30 +150,22 @@ def embed_one_body(obs: Observable, position: int, copies: int) -> np.ndarray:
     return np.kron(np.kron(left, obs.matrix), right)
 
 
-def omega_hat(obs: Observable, copies: int) -> np.ndarray:
-    """Shrinkage operator (tr Omega + sum_n Omega(n)) / (N + d).
+def estimator_operator(kind: EstimatorKind | str, obs: Observable, copies: int, n2: float | None = None) -> np.ndarray:
+    """An estimator as an operator on the N-fold power: (alpha tr Omega 1 + beta sum_n Omega(n)) / gamma.
 
-    Diagonal in the product eigenbasis, where its eigenvalue on
-    |i_1 ... i_N> is exactly the optimal estimate for those outcomes.
+    (alpha, beta, gamma) is :func:`optev.estimators.affine_form`'s row, domain
+    included.  The operator is diagonal in the product eigenbasis, where its
+    eigenvalue on |i_1 ... i_N> is the estimate for those outcomes: the
+    shrinkage operator (tr Omega + sum_n Omega(n)) / (N + d) for the optimal
+    estimate, and for the sample average the one-body average
+    (1/N) sum_n Omega(n), with tr[rho^(x N) .] = tr[rho Omega].
     """
+    alpha, beta, gamma = affine_form(kind, copies, obs.dim, n2)
     _check_dense(obs.dim, copies)
-    total = obs.trace * np.eye(obs.dim**copies, dtype=complex)
+    total = alpha * obs.trace * np.eye(obs.dim**copies, dtype=complex)
     for position in range(1, copies + 1):
-        total += embed_one_body(obs, position, copies)
-    return total / (copies + obs.dim)
-
-
-def omega_hat_av(obs: Observable, copies: int) -> np.ndarray:
-    """Uniform one-body average (1/N) sum_n Omega(n).
-
-    Its eigenvalue on a product eigenvector is the sample average of the
-    corresponding outcomes, and tr[rho^(x N) omega_hat_av] = tr[rho Omega].
-    """
-    _check_dense(obs.dim, copies)
-    total = embed_one_body(obs, 1, copies).astype(complex)
-    for position in range(2, copies + 1):
-        total += embed_one_body(obs, position, copies)
-    return total / copies
+        total += beta * embed_one_body(obs, position, copies)
+    return total / gamma
 
 
 def partial_trace_last(matrix: np.ndarray, d: int, copies: int) -> np.ndarray:
@@ -262,7 +254,7 @@ def check_unbiased_lemma(d: int, copies: int, trials: int, stream: np.random.Gen
     vkron, occupations = product_eigenbasis(obs, copies)
     averaged = estimate_from_sums("sample-average", eigenvalue_sum(occupations, obs.eigenvalues), copies, obs)
     weighted = (vkron * averaged) @ vkron.conj().T
-    deviation_op = s @ (weighted - omega_hat_av(obs, copies)) @ s
+    deviation_op = s @ (weighted - estimator_operator("sample-average", obs, copies)) @ s
     converse = float(np.abs(deviation_op).max())
 
     return LemmaReport(

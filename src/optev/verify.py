@@ -20,8 +20,7 @@ from .symmetric import (
     build_projector_permutation,
     check_unbiased_lemma,
     embed_one_body,
-    omega_hat,
-    omega_hat_av,
+    estimator_operator,
     partial_trace_last,
     product_eigenbasis,
     random_observable,
@@ -138,7 +137,7 @@ def _operator_checks(d: int, n: int, observables: list[Observable]) -> list[Chec
                     want = d_n / (d * (d + 1)) * (tr2 + tr**2)
                     dev_tr2_ne = max(dev_tr2_ne, abs(got - want) / max(1.0, abs(want)))
 
-        hat = omega_hat(obs, n)
+        hat = estimator_operator("optimal-pure", obs, n)
         got = float(np.trace(s_n @ hat @ hat).real)
         want = d_n * (n * tr2 + (n + d + 1) * tr**2) / (d * (d + 1) * (n + d))
         dev_hat2 = max(dev_hat2, abs(got - want) / max(1.0, abs(want)))
@@ -224,23 +223,20 @@ def _consistency_checks(d: int, copies: int, seed: int) -> list[CheckReport]:
     obs = random_observable(d, generator)
     vkron, occupations = product_eigenbasis(obs, copies)
 
-    hat = omega_hat(obs, copies)
-    hat_av = omega_hat_av(obs, copies)
     sums = eigenvalue_sum(occupations, obs.eigenvalues)
-    want_opt = estimate_from_sums("optimal-pure", sums, copies, obs)
-    want_av = estimate_from_sums("sample-average", sums, copies, obs)
-    dev_opt = dev_av = 0.0
-    for a in range(0, d**copies, max(1, d**copies // 16)):
-        column = vkron[:, a]
-        eig_opt = float((column.conj() @ hat @ column).real)
-        eig_av = float((column.conj() @ hat_av @ column).real)
-        dev_opt = max(dev_opt, abs(eig_opt - want_opt[a]))
-        dev_av = max(dev_av, abs(eig_av - want_av[a]))
+    deviations = []
+    for kind in ("optimal-pure", "sample-average"):
+        operator = estimator_operator(kind, obs, copies)
+        want = estimate_from_sums(kind, sums, copies, obs)
+        columns = ((vkron[:, a], want[a]) for a in range(0, d**copies, max(1, d**copies // 16)))
+        deviations.append(max(abs(float((v.conj() @ operator @ v).real) - w) for v, w in columns))
+    dev_opt, dev_av = deviations
 
     stream = derive_stream(seed, 903_000 + 17 * d + copies)
     amps = sample_haar_amplitudes(d, 100, stream)
     rows = tensor_power_rows(amps, copies)
-    lhs = np.einsum("bi,ij,bj->b", rows.conj(), hat_av, rows).real
+    # the last operator is the sample average's, the one-body average
+    lhs = np.einsum("bi,ij,bj->b", rows.conj(), operator, rows).real
     rhs = np.einsum("bi,ij,bj->b", amps.conj(), obs.matrix, amps).real
     dev_unbiased = float(np.abs(lhs - rhs).max())
 

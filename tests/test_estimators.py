@@ -26,10 +26,11 @@ from optev import (
     sample_haar_amplitudes,
     simulate_measurements,
 )
-from optev.estimators import _affine_form, _moment_form, analytic_mse, ensemble_moments, estimate_from_sums
+from optev.cli import main
+from optev.estimators import _moment_form, affine_form, analytic_mse, ensemble_moments, estimate_from_sums
 from optev.harness import ConfigError, ExperimentConfig
 from optev.sampling import HAAR_PURE, RadialLaw
-from optev.symmetric import omega_hat
+from optev.symmetric import estimator_operator
 
 
 def random_observable(d, rng):
@@ -165,7 +166,7 @@ def test_optimal_d3_example_matches_shrinkage_operator():
     est = estimate_optimal(occupation(obs, [0, 0]), obs)
     assert est == pytest.approx(1.2, abs=1e-15)
     # the shrinkage operator's eigenvalue on |00> is the same number
-    hat = omega_hat(obs, 2)
+    hat = estimator_operator("optimal-pure", obs, 2)
     basis = np.kron(obs.eigenvectors[:, 0], obs.eigenvectors[:, 0])
     assert abs(float((basis.conj() @ hat @ basis).real) - est) < 1e-12
 
@@ -224,14 +225,42 @@ def test_mixed_estimator_matches_brute_force_minimization():
                 assert abs(got - want) < 1e-12
 
 
-def test_mixed_estimator_validation():
-    with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0, 1]), SIGMA_Z, 0.5)
-    with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(occupation(SIGMA_Z, [0]), SIGMA_Z, 1.5)
-    obs3 = make_observable(np.diag([1.0, 0.0, -1.0]))
-    with pytest.raises(ValueError):
-        estimate_optimal_mixed_qubit(occupation(obs3, [0]), obs3, 0.5)
+@pytest.mark.parametrize(
+    "obs, counts, n2",
+    [
+        (make_observable(np.diag([1.0, 0.0, -1.0])), [1, 0, 0], 0.5),
+        (SIGMA_Z, [1, 1], 0.5),
+        (SIGMA_Z, [1, 0], -0.1),
+        (SIGMA_Z, [1, 0], 1.5),
+        (SIGMA_Z, [1, 0], math.nan),
+    ],
+    ids=["d3", "two-outcomes", "n2-negative", "n2-above-one", "n2-nan"],
+)
+def test_the_mixed_estimator_rejects_an_input_outside_its_domain(obs, counts, n2):
+    with pytest.raises(ValueError, match="^the mixed-qubit estimator needs "):
+        estimate_optimal_mixed_qubit(np.array(counts), obs, n2)
+    # the closed form takes no counts, and is at one copy
+    if sum(counts) == 1:
+        with pytest.raises(ValueError, match="^the mixed-qubit estimator needs "):
+            analytic_delta_mixed_qubit(obs, n2)
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({}, []),
+        ({"copies": 2, "ensemble": RadialLaw.fixed_radius(0.6**0.5)}, ["--copies", "2", "--n2", "0.6"]),
+    ],
+    ids=["haar", "two-copies"],
+)
+def test_a_mixed_estimator_config_outside_its_domain_is_one_line_error(config, flags, capsys):
+    with pytest.raises(ConfigError, match="^the mixed-qubit estimator needs "):
+        ExperimentConfig(estimator="optimal-mixed-qubit", **config)
+    assert main(["simulate", "--estimator", "optimal-mixed-qubit", "--trials", "10", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("optev: error: the mixed-qubit estimator needs ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 # --- closed-form errors ---
@@ -530,7 +559,7 @@ def test_every_accepted_estimator_is_unbiased_over_its_ensemble():
                         continue
                     accepted += 1
                     n2 = ensemble.second_moment()
-                    alpha, beta, gamma = _affine_form(kind, copies, dim, n2)
+                    alpha, beta, gamma = affine_form(kind, copies, dim, n2)
                     m = _moment_form(dim, n2)[0]
                     # the estimate (alpha tr + beta S)/gamma has mean error
                     # (alpha tr + pi mu)/gamma with mu = tr/m

@@ -113,8 +113,8 @@ def test_public_surface_is_the_documented_api():
     assert all(hasattr(optev, name) for name in optev.__all__)
     # internals that stay importable from their modules, not from the top level
     internal = {
-        "estimators": ["analytic_mse", "ensemble_moments"],
-        "symmetric": ["embed_one_body", "omega_hat", "omega_hat_av", "partial_trace_last"],
+        "estimators": ["affine_form", "analytic_bias", "analytic_mse", "ensemble_moments"],
+        "symmetric": ["embed_one_body", "estimator_operator", "partial_trace_last"],
         "hermitian": ["observable_from_json"],
         "harness": ["load_config", "run_sweep"],
     }

@@ -1,8 +1,9 @@
 """Hypothesis property tests: config and observable round trips, the
 Bloch block's truth and outcome law against the density matrix, the
 optimal estimate as a posterior mean, the estimators' shift-and-scale
-covariance, correctly rounded closed-form errors, and a CLI that fails only with a one-line error or a usage
-message, whatever flags it is given."""
+covariance, correctly rounded closed-form errors and probe bias, and a
+CLI that fails only with a one-line error or a usage message, whatever
+flags it is given."""
 
 import contextlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from optev import EstimatorKind, ExperimentConfig, RadialLaw, estimate_optimal, make_observable
 from optev.cli import main
-from optev.estimators import analytic_mse, ensemble_moments, estimate_from_sums
+from optev.estimators import analytic_bias, analytic_mse, ensemble_moments, estimate_from_sums
 from optev.hermitian import observable_from_json, observable_to_json
 
 unit = st.floats(0.0, 1.0)
@@ -157,10 +158,12 @@ def test_estimates_follow_a_shift_and_scale_of_the_observable(inputs, a, b, n2):
     assert (np.abs(got - (a * est + b)) <= 1e-12 * scale + (abs(a) + 4) * math.ulp(0.0)).all()
 
 
-def exact_errors(obs, copies, n2):
-    """float() of the exact closed forms: ``ensemble_moments`` and the full
-    (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2)/gamma^2 of each estimator the
-    law accepts, in Fractions of the stored entries and of n2 (None for Haar)."""
+def exact_closed_forms(obs, copies, n2):
+    """float() of the exact closed forms: ``ensemble_moments``, and for each
+    estimator the law accepts the full
+    (beta^2 N V_w + pi^2 V_t + (alpha + pi mu)^2)/gamma^2 and the bias
+    (alpha + pi w_0)/gamma at the top eigenvector, in Fractions of the stored
+    entries, of w_0 and of n2 (None for Haar)."""
     d, entries = obs.dim, [Fraction(x) for x in obs.matrix.view(np.float64).ravel().tolist()]
     trace = sum(entries[:: 2 * (d + 1)])
     c = d * sum(x * x for x in entries) - trace * trace
@@ -172,12 +175,14 @@ def exact_errors(obs, copies, n2):
         mu, v_t, v_w = trace / 2, c * n / 12, c * (3 - n) / 12
         forms = {EstimatorKind.OPTIMAL_PURE: (trace, 1, copies + d), EstimatorKind.OPTIMAL_MIXED_QUBIT: ((3 - n) / 2 * trace, n, 3)}
     forms[EstimatorKind.SAMPLE_AVERAGE] = (0, 1, copies)
-    errors = {}
+    top = Fraction(float(obs.eigenvalues[0]))
+    errors, biases = {}, {}
     for kind, (alpha, beta, gamma) in forms.items():
         n = 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies
         pi = beta * n - gamma
         errors[kind] = float((beta * beta * n * v_w + pi * pi * v_t + (alpha + pi * mu) ** 2) / (gamma * gamma))
-    return (float(mu), float(v_t), float(v_w)), errors
+        biases[kind] = float((alpha + pi * top) / gamma)
+    return (float(mu), float(v_t), float(v_w)), errors, biases
 
 
 @st.composite
@@ -209,7 +214,7 @@ def observables_and_laws(draw):
 def test_closed_forms_are_correctly_rounded(case):
     matrix, copies, n2 = case
     obs = make_observable(matrix)
-    moments, errors = exact_errors(obs, copies, n2)
+    moments, errors, _ = exact_closed_forms(obs, copies, n2)
     assert ensemble_moments(obs, n2) == moments
     for kind, want in errors.items():
         assert analytic_mse(kind, obs, 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies, n2) == want
@@ -217,6 +222,29 @@ def test_closed_forms_are_correctly_rounded(case):
 
 def test_correctly_rounded_delta_opt_of_a_three_level_diagonal():
     assert analytic_mse(EstimatorKind.OPTIMAL_PURE, make_observable(np.diag([1.0, 0.5, -2.0])), 1) == 0.3229166666666667
+
+
+# -1/10, which the float estimate minus w_0 missed by two ulps
+@example((np.diag([1.0, 0.5]), 3, None))
+# -1/6 for the optimal estimate, and every row of a Bloch law
+@example((np.diag([1.0, 0.5]), 1, 0.6))
+# subnormal entries: the bias rounds to a multiple of 2**-1074
+@example((np.diag([1.0, 0.5]) * 2.0**-1070, 3, 0.6))
+@given(observables_and_laws())
+def test_probe_bias_is_correctly_rounded(case):
+    matrix, copies, n2 = case
+    obs = make_observable(matrix)
+    _, _, biases = exact_closed_forms(obs, copies, n2)
+    for kind, want in biases.items():
+        assert analytic_bias(kind, obs, 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies, n2) == want
+    # the sample average is unbiased at every state: exactly +0.0
+    assert repr(analytic_bias(EstimatorKind.SAMPLE_AVERAGE, obs, copies, n2)) == "0.0"
+
+
+def test_correctly_rounded_probe_bias_of_a_qubit_diagonal():
+    obs = make_observable(np.diag([1.0, 0.5]))
+    assert analytic_bias(EstimatorKind.OPTIMAL_PURE, obs, 3) == -0.1
+    assert analytic_bias(EstimatorKind.OPTIMAL_PURE, obs, 1) == -1 / 6
 
 
 # --- CLI fuzz ---

@@ -20,7 +20,9 @@ from optev import (
     symmetric_dimension,
 )
 from optev import symmetric
-from optev.symmetric import embed_one_body, omega_hat, omega_hat_av, partial_trace_last, tensor_power_rows
+from optev.estimators import estimate_from_sums
+from optev.hermitian import eigenvalue_sum
+from optev.symmetric import embed_one_body, estimator_operator, partial_trace_last, product_eigenbasis, tensor_power_rows
 
 
 def random_observable(d, rng):
@@ -130,28 +132,28 @@ def test_symmetrized_one_body_trace():
 
 # --- shrinkage and average operators ---
 
-def test_omega_hat_eigenvalues_are_optimal_estimates():
+def test_optimal_operator_eigenvalues_are_optimal_estimates():
     rng = np.random.default_rng(3)
     obs = random_observable(3, rng)
-    hat = omega_hat(obs, 2)
+    hat = estimator_operator("optimal-pure", obs, 2)
     for a, (i, j) in enumerate((u, v) for u in range(3) for v in range(3)):
         column = np.kron(obs.eigenvectors[:, i], obs.eigenvectors[:, j])
         eig = float((column.conj() @ hat @ column).real)
         assert abs(eig - estimate_optimal(np.bincount([i, j], minlength=3), obs)) < 1e-12
 
 
-def test_omega_hat_identity_observable():
+def test_optimal_operator_of_the_identity_observable():
     obs = make_observable(np.eye(2))
-    assert np.abs(omega_hat(obs, 3) - np.eye(8)).max() < 1e-12
+    assert np.abs(estimator_operator("optimal-pure", obs, 3) - np.eye(8)).max() < 1e-12
 
 
-def test_omega_hat_trace_square_formula():
+def test_optimal_operator_trace_square_formula():
     rng = np.random.default_rng(4)
     for _ in range(5):
         obs = random_observable(2, rng)
         n, d = 3, 2
         s = build_projector_permutation(d, n).matrix
-        hat = omega_hat(obs, n)
+        hat = estimator_operator("optimal-pure", obs, n)
         got = float(np.trace(s @ hat @ hat).real)
         want = (
             symmetric_dimension(d, n)
@@ -161,15 +163,15 @@ def test_omega_hat_trace_square_formula():
         assert abs(got - want) < 1e-10
 
 
-def test_omega_hat_av_eigenvalues_for_sigma_z():
-    values = np.sort(np.linalg.eigvalsh(omega_hat_av(SIGMA_Z, 2)))
+def test_average_operator_eigenvalues_for_sigma_z():
+    values = np.sort(np.linalg.eigvalsh(estimator_operator("sample-average", SIGMA_Z, 2)))
     assert np.abs(values - [-1.0, 0.0, 0.0, 1.0]).max() < 1e-12
 
 
-def test_omega_hat_av_eigenvalue_is_sample_average():
+def test_average_operator_eigenvalue_is_sample_average():
     rng = np.random.default_rng(5)
     obs = random_observable(2, rng)
-    av = omega_hat_av(obs, 3)
+    av = estimator_operator("sample-average", obs, 3)
     indices = np.array([1, 0, 1])
     column = np.kron(
         np.kron(obs.eigenvectors[:, 1], obs.eigenvectors[:, 0]), obs.eigenvectors[:, 1]
@@ -178,15 +180,40 @@ def test_omega_hat_av_eigenvalue_is_sample_average():
     assert abs(float((column.conj() @ av @ column).real) - estimate_sample_average(counts, obs)) < 1e-12
 
 
-def test_omega_hat_av_reproduces_expectation():
+def test_average_operator_reproduces_expectation():
     rng = np.random.default_rng(6)
     obs = random_observable(2, rng)
-    av = omega_hat_av(obs, 3)
+    av = estimator_operator("sample-average", obs, 3)
     amps = sample_haar_amplitudes(2, 100, derive_stream(60, 0))
     rows = tensor_power_rows(amps, 3)
     lhs = np.einsum("bi,ij,bj->b", rows.conj(), av, rows).real
     rhs = np.einsum("bi,ij,bj->b", amps.conj(), obs.matrix, amps).real
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, d, copies, n2",
+    [
+        ("optimal-pure", 2, 3, None),
+        ("optimal-pure", 3, 2, None),
+        ("sample-average", 2, 3, None),
+        ("sample-average", 3, 2, None),
+    ]
+    + [("optimal-mixed-qubit", 2, 1, n2) for n2 in (0.0, 0.36, 0.6, 1.0)],
+)
+def test_estimator_operator_is_diagonal_with_the_estimates_in_the_product_eigenbasis(kind, d, copies, n2):
+    # unsorted diagonal observables have unit eigenvectors, so the change of
+    # basis is a permutation and rounds nothing; entries in [1, 2] keep the
+    # operator's float steps and estimate_from_sums' from cancelling
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        obs = make_observable(np.diag(rng.uniform(1.0, 2.0, d)))
+        vectors, occupations = product_eigenbasis(obs, copies)
+        operator = vectors.conj().T @ estimator_operator(kind, obs, copies, n2) @ vectors
+        eigenvalues = np.diag(operator)
+        assert np.array_equal(operator, np.diag(eigenvalues))
+        want = estimate_from_sums(kind, eigenvalue_sum(occupations, obs.eigenvalues), copies, obs, n2)
+        np.testing.assert_allclose(eigenvalues, want, rtol=1e-15, atol=0)
 
 
 # --- partial trace ---
