@@ -2,20 +2,24 @@
 
 An experiment draws M ensemble trials in blocks of ``BLOCK`` trials; the
 block starting at trial k draws all of its randomness from the stream keyed
-by (master_seed, k) and records each trial's truth and sum of observed
-eigenvalues.  The config's ensemble object draws the block
-(:mod:`optev.sampling`), so every ensemble takes one path: a Haar block
-draws outcome counts and then eigenbasis probabilities, with no amplitude
-and no multinomial draw, a Bloch block only each state's Bloch component
-along the top eigenvector's.
+by (master_seed, k), which the drawing thread's kept generator restores from
+a cached start state (:func:`optev.sampling.keyed_stream`).  The config's
+ensemble object draws each block and then, once per run, turns the blocks
+into each trial's truth and sum of observed eigenvalues (its ``draw`` and
+``finish``, :mod:`optev.sampling`), so every ensemble takes one path: a Haar
+block draws outcome counts and then eigenbasis probabilities, with no
+amplitude and no multinomial draw, and leaves ``finish`` nothing to do; a
+Bloch block only reads the stream for each state's Bloch component along the
+top eigenvector's and its outcomes, and ``finish`` does the arithmetic.
 Blocks never depend on the worker count and write fixed slots of one array,
 which the calling thread then reduces with numpy's sum, one pass over the
 whole array in a fixed order, in a buffer it keeps, so output is
-byte-identical for any worker count.  A block draws into buffers the
+byte-identical for any worker count.  A Haar block draws into buffers the
 working thread keeps (:func:`optev.sampling.scratch`), so it allocates no
-array of its own size once the thread is warm.  No BLAS call lies between
-the eigendecomposition and the CSV, so given the eigenvalues, the output is
-also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
+array of its own size once the thread is warm, and a Bloch run's
+``finish`` works in the reduce's kept buffer.  No BLAS call lies between
+the eigendecomposition and the CSV, so given the eigenvalues, the output
+is also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
 
 A run with ``workers > 1`` on a ``threaded`` ensemble (Haar, whose numpy
@@ -51,7 +55,7 @@ import numpy as np
 
 from .estimators import EstimatorKind, affine_form, analytic_bias, analytic_mse, estimate_from_sums
 from .hermitian import Observable, frozen, make_observable, observable_from_json
-from .sampling import HAAR_PURE, HaarPure, RadialLaw, derive_stream, scratch
+from .sampling import HAAR_PURE, HaarPure, RadialLaw, keyed_stream, scratch
 
 # trials per keyed block; a fixed constant, so output never depends on the workers
 BLOCK = 4096
@@ -211,9 +215,10 @@ class ResultRow:
 
 
 def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, sums: np.ndarray, k: int) -> None:
-    """Write the truths and sums of observed eigenvalues of the block starting at trial k into their slices."""
+    """Draw the block starting at trial k into its slices of the truths and sums,
+    from the stream keyed by (master_seed, k)."""
     block = slice(k, min(k + BLOCK, config.trials))
-    config.ensemble.draw(obs, config.copies, derive_stream(config.master_seed, k), truths[block], sums[block])
+    config.ensemble.draw(obs, config.copies, keyed_stream(config.master_seed, k), truths[block], sums[block])
 
 
 # the last draw as (key, (truths, sums)), read-only, or None; see _draw
@@ -266,6 +271,8 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
         # result, so a block's exception is raised here
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(block, starts))
+    # the reduce's buffer, which run_experiment fills only after the draw
+    config.ensemble.finish(obs, config.copies, truths, sums, scratch("errors", m))
     drawn = (frozen(truths), frozen(sums))
     # one assignment of an immutable tuple, so a thread sees the old entry or
     # the new one, never half of one, and needs no lock

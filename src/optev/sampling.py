@@ -5,11 +5,15 @@ trial_index-th spawned child of ``SeedSequence(master_seed)``, both reduced
 modulo 2**64 (:func:`derive_stream`).  Its draws are a pure function of
 that pair, so results never depend on worker count or scheduling order.
 The harness keys one stream per block of trials, by the index of the
-block's first trial.
+block's first trial, and draws it with :func:`keyed_stream`: the drawing
+thread's one kept generator, set to the stream's start state, which a cache
+keeps for the ``STREAM_STATES`` = 256 most recently used keys (about 160 KiB
+when full), so a block whose key recurs derives no seed sequence.
 
 Each ensemble is one frozen object, :data:`HAAR_PURE` or a :class:`RadialLaw`
 (a qubit Bloch-ball law), owning its CSV label, config-JSON form, Bloch
-second moment (None for Haar) and block draw of truths and value sums.
+second moment (None for Haar), its per-block ``draw`` and its per-run
+``finish``, which turns a run's drawn blocks into truths and value sums.
 
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :meth:`HaarPure.draw` only the outcome probabilities
@@ -24,7 +28,8 @@ buffers that the drawing thread keeps, so a block allocates no array of its
 own size.  Isotropic Bloch-ball states are drawn the same two ways:
 :func:`sample_bloch_vectors` draws whole Bloch vectors, :meth:`RadialLaw.draw`
 only their components along one axis, which is all a qubit observable sees
-of them.
+of them.  A Bloch block only reads its stream; :meth:`RadialLaw.finish` does
+the arithmetic once per run.
 """
 
 from __future__ import annotations
@@ -63,6 +68,11 @@ def scratch(name: str, *shape: int, dtype=np.float64) -> np.ndarray:
         return np.ndarray(shape, dtype, buffer)
 
 
+def _key(master_seed: int, trial_index: int) -> tuple[int, int]:
+    """A stream's key, both integers reduced modulo 2**64."""
+    return operator.index(master_seed) & _MASK64, operator.index(trial_index) & _MASK64
+
+
 def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent, reproducible stream keyed by (master_seed, trial_index).
 
@@ -76,8 +86,40 @@ def derive_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     would then have been equal from the start: no two overlap within their
     first 2**64 outputs.  No OS entropy is read.
     """
-    s, k = operator.index(master_seed) & _MASK64, operator.index(trial_index) & _MASK64
+    s, k = _key(master_seed, trial_index)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(s, spawn_key=(k,))))
+
+
+# how many start states _start_state keeps: enough for the 245 blocks of 4096
+# trials in a 10**6-trial run
+STREAM_STATES = 256
+
+
+@functools.lru_cache(maxsize=STREAM_STATES)
+def _start_state(s: int, k: int) -> dict:
+    """The SFC64 state that :func:`derive_stream` (s, k) starts from, its array read-only."""
+    state = derive_stream(s, k).bit_generator.state
+    frozen(state["state"]["state"])
+    return state
+
+
+def keyed_stream(master_seed: int, trial_index: int) -> np.random.Generator:
+    """This thread's kept generator, set to where ``derive_stream(master_seed, trial_index)``
+    starts, so it draws what a fresh one would, bit for bit.
+
+    Restoring a state costs under a microsecond, deriving one through the seed
+    sequence 11-18 us; :func:`_start_state` keeps the ``STREAM_STATES`` most
+    recently used, about 0.6 KB each, for every thread (its lookups take a lock,
+    and two threads that miss on one key store equal states).  The generator
+    is valid until its thread asks again.
+    """
+    try:
+        generator = _kept.generator
+    except AttributeError:
+        # a fixed seed, so no OS entropy is read; the state is set below
+        generator = _kept.generator = np.random.Generator(np.random.SFC64(0))
+    generator.bit_generator.state = _start_state(*_key(master_seed, trial_index))
+    return generator
 
 
 @dataclass(frozen=True)
@@ -104,6 +146,9 @@ class HaarPure:
         _draw_haar_counts(copies, generator, p, counts)
         eigenvalue_sum(p, obs.eigenvalues, out=truths, products=p)
         eigenvalue_sum(counts, obs.eigenvalues, out=sums, products=p)
+
+    def finish(self, obs: Observable, copies: int, truths, sums, work) -> None:
+        """Nothing: each Haar block writes its truths and sums whole."""
 
 
 HAAR_PURE = HaarPure()
@@ -166,38 +211,69 @@ class RadialLaw:
             return self.radius**2
         return self.weight * self.radius**2
 
+    def _constant_radius(self) -> float | None:
+        """The radius of every state, or None for a law that draws it."""
+        return {"pure-surface": 1.0, "fixed-radius": self.radius}.get(self.kind)
+
     def sample_radius(self, generator: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` radii; deterministic laws consume no randomness."""
-        if self.kind == "pure-surface":
-            return np.ones(size)
-        if self.kind == "fixed-radius":
-            return np.full(size, self.radius)
+        radius = self._constant_radius()
+        if radius is not None:
+            return np.full(size, radius)
         if self.kind == "uniform-ball":
             return generator.random(size) ** (1.0 / 3.0)
         return np.where(generator.random(size) < self.weight, self.radius, 0.0)
 
     def draw(self, obs: Observable, copies: int, generator: np.random.Generator, truths, sums) -> None:
-        """Like :meth:`HaarPure.draw`, from each state's Bloch component s along the top
-        eigenvector's Bloch vector m, on which truth and outcome law depend alone.
+        """A block's stream reads, of each state's Bloch component s along the top
+        eigenvector's Bloch vector m, on which truth and outcome law depend alone;
+        :meth:`finish` then turns a run's blocks into truths and sums, once.
 
         A uniform direction's component along a fixed axis is uniform on [-1, 1]
         (Archimedes' hat-box theorem), so s = radius * (2u - 1), all uniforms u first,
         then all radii.  The top eigenvalue is seen with probability (1 + s)/2: one
-        uniform per trial for one copy, one binomial draw for more.
+        uniform per trial for one copy, one binomial draw for more.  A block leaves
+        u in ``truths``, or s where it draws the radii or the binomial reads s, and
+        the outcome uniforms in ``sums``, or the top counts as int64 in its bytes.
         """
-        size, w = truths.size, obs.eigenvalues
-        s = 2.0 * generator.random(size) - 1.0
-        s *= self.sample_radius(generator, size)
-        # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
-        truths[...] = 0.5 * (obs.trace + s * (w[0] - w[1]))
-        # in [0, 1] exactly, since |s| <= 1
-        p_top = 0.5 * (1.0 + s)
+        generator.random(out=truths)
+        if self._block_forms_component(copies):
+            _to_component(truths, self.sample_radius(generator, truths.size))
         if copies == 1:
-            top = (generator.random(size) < p_top).view(np.int8)
+            generator.random(out=sums)
         else:
-            top = generator.binomial(copies, p_top)
+            # an int64 count is exact for every N below 2**63
+            sums.view(np.int64)[...] = generator.binomial(copies, 0.5 * (1.0 + truths))
+
+    def finish(self, obs: Observable, copies: int, truths, sums, work) -> None:
+        """Turn the stream reads that :meth:`draw` left in ``truths`` and ``sums``, over
+        any run of its blocks, into the truths and value sums, in place, with one
+        numpy call per step over the whole run: s, then the outcomes, then the truths.
+        ``work`` is a float64 array of their size whose contents it overwrites."""
+        w = obs.eigenvalues
+        if not self._block_forms_component(copies):
+            _to_component(truths, self._constant_radius())
         # the count vector [top, N - top] dotted with the two eigenvalues
-        sums[...] = top * w[0] + (copies - top) * w[1]
+        if copies == 1:
+            # in [0, 1] exactly, since |s| <= 1
+            p_top = np.add(truths, 1.0, out=work)
+            p_top *= 0.5
+            top = np.less(sums, p_top, out=sums)  # exact 0.0 and 1.0
+            rest = np.subtract(1.0, top, out=work)
+        else:
+            top = sums.view(np.int64)
+            rest = np.subtract(copies, top, out=work.view(np.int64))  # exact
+        rest = np.multiply(rest, w[1], out=work)
+        np.multiply(top, w[0], out=sums)
+        sums += rest
+        # tr[rho Omega] = (tr Omega + r.tau)/2, tau is parallel to m and |tau| = w0 - w1
+        truths *= w[0] - w[1]
+        truths += obs.trace
+        truths *= 0.5
+
+    def _block_forms_component(self, copies: int) -> bool:
+        """Whether :meth:`draw` forms s: the binomial reads it, and drawn radii have no slot to wait in."""
+        return copies > 1 or self._constant_radius() is None
 
     def label(self) -> str:
         """``bloch(kind)``, or ``bloch(kind(r=...,w=...))`` naming the kind's parameters."""
@@ -232,6 +308,13 @@ class RadialLaw:
             # int too large for a float is rejected instead of overflowing
             numbers[name] = float(value) if 0.0 <= value <= 1.0 else value
         return cls(kind=kind, **numbers)
+
+
+def _to_component(values: np.ndarray, radius) -> None:
+    """Uniforms u to Bloch components radius * (2u - 1), in place."""
+    values *= 2.0
+    values -= 1.0
+    values *= radius
 
 
 def sample_haar_pure(d: int, stream: np.random.Generator) -> PureState:

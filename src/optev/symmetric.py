@@ -162,6 +162,10 @@ def estimator_operator(kind: EstimatorKind | str, obs: Observable, copies: int, 
     """
     alpha, beta, gamma = affine_form(kind, copies, obs.dim, n2)
     _check_dense(obs.dim, copies)
+    if EstimatorKind(kind) is EstimatorKind.OPTIMAL_MIXED_QUBIT:
+        # n2's denominator, in alpha and gamma, passes the float range at a
+        # subnormal n2: each ratio of ints is the correctly rounded quotient
+        alpha, beta, gamma = alpha / gamma, beta / gamma, 1
     total = alpha * obs.trace * np.eye(obs.dim**copies, dtype=complex)
     for position in range(1, copies + 1):
         total += beta * embed_one_body(obs, position, copies)

@@ -39,7 +39,7 @@ from optev import (
     rows_to_csv,
     run_experiment,
 )
-from optev import harness, hermitian
+from optev import harness, hermitian, sampling
 from optev.cli import main
 from optev.estimators import analytic_mse, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _draw_block, load_config, run_sweep
@@ -60,11 +60,13 @@ def haar_counts(d, copies, count, stream):
 
 
 def run_trials(config, obs):
-    """All of ``config``'s trials through ``_draw_block``, block by block,
-    written into NaN-filled out arrays, so a slot it never writes shows."""
+    """All of ``config``'s trials through ``_draw_block``, block by block, then the
+    ensemble's ``finish`` over the whole run, written into NaN-filled out arrays,
+    so a slot no block writes shows: its truth stays NaN through ``finish``."""
     truths, sums = np.full(config.trials, np.nan), np.full(config.trials, np.nan)
     for k in range(0, config.trials, BLOCK):
         _draw_block(config, obs, truths, sums, k)
+    config.ensemble.finish(obs, config.copies, truths, sums, np.empty(config.trials))
     return truths, sums
 
 
@@ -339,8 +341,9 @@ def test_hot_loop_matches_public_operations_bloch(matrix):
     row = run_experiment(config, observable=obs)
     # block 0's stream: the components s first, then one outcome uniform per
     # trial.  On pauli-z each truth is s itself, bit for bit
-    s = np.empty(config.trials)
-    law.draw(load_observable("pauli-z"), 1, derive_stream(config.master_seed, 0), s, np.empty(config.trials))
+    s, outcomes, pauli_z = np.empty(config.trials), np.empty(config.trials), load_observable("pauli-z")
+    law.draw(pauli_z, 1, derive_stream(config.master_seed, 0), s, outcomes)
+    law.finish(pauli_z, 1, s, outcomes, np.empty(config.trials))
     stream = derive_stream(config.master_seed, 0)
     stream.random(config.trials)
     law.sample_radius(stream, config.trials)
@@ -362,6 +365,48 @@ def test_hot_loop_matches_public_operations_bloch(matrix):
     mean, se = _mean_and_se(slow)
     assert row.empirical_mse == mean == float(slow.sum()) / config.trials
     assert row.standard_error == se
+
+
+def bloch_block_formula(law, obs, copies, stream, size):
+    """A Bloch block's truths and sums in one pass over the block, from its own
+    stream: all uniforms u, then all radii, then the outcome uniforms or counts."""
+    w = obs.eigenvalues
+    s = 2.0 * stream.random(size) - 1.0
+    s *= law.sample_radius(stream, size)
+    truths = 0.5 * (obs.trace + s * (w[0] - w[1]))
+    p_top = 0.5 * (1.0 + s)
+    if copies == 1:
+        top = (stream.random(size) < p_top).view(np.int8)
+    else:
+        top = stream.binomial(copies, p_top)
+    return truths, top * w[0] + (copies - top) * w[1]
+
+
+BLOCH_LAWS = [
+    RadialLaw.pure_surface(),
+    RadialLaw.uniform_ball(),
+    RadialLaw.fixed_radius(0.6),
+    # s is a signed zero: every truth is 0.5 tr Omega
+    RadialLaw.fixed_radius(0.0),
+    RadialLaw.two_point(1.0, 0.6),
+]
+
+
+@pytest.mark.parametrize("copies", [1, 3, 2**53 + 1])
+@pytest.mark.parametrize("law", BLOCH_LAWS, ids=lambda law: law.label())
+def test_bloch_blocks_and_run_step_give_the_per_block_formula(law, copies):
+    # blocks read the streams, the run step does the arithmetic once over all
+    # 2 BLOCK + 3 trials; either way every truth and sum is the formula's, bit
+    # for bit, and at N = 2**53 + 1 the counts and N - top stay exact int64
+    config = ExperimentConfig(dim=2, copies=copies, trials=2 * BLOCK + 3, master_seed=40, ensemble=law)
+    obs = make_observable([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    blocks = [
+        bloch_block_formula(law, obs, copies, derive_stream(40, k), min(BLOCK, config.trials - k))
+        for k in range(0, config.trials, BLOCK)
+    ]
+    want = [np.concatenate(column).tobytes() for column in zip(*blocks)]
+    assert [array.tobytes() for array in run_trials(config, obs)] == want
+    assert [array.tobytes() for array in harness._draw(config, obs)] == want
 
 
 @pytest.mark.parametrize("copies", [1, 5])
@@ -444,8 +489,8 @@ def test_probe_bias_is_the_exact_mean_of_m_equal_estimates(estimator, source, co
 
 def test_serial_run_keys_only_the_ensemble_blocks(monkeypatch):
     keys = []
-    real = harness.derive_stream
-    monkeypatch.setattr(harness, "derive_stream", lambda seed, k: keys.append(k) or real(seed, k))
+    real = sampling._start_state
+    monkeypatch.setattr(sampling, "_start_state", lambda seed, k: keys.append(k) or real(seed, k))
     trials = 3 * BLOCK + 5
     run_experiment(ExperimentConfig(dim=2, copies=3, trials=trials, master_seed=30))
     assert keys == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
@@ -598,6 +643,65 @@ def test_observable_dimension_mismatch_rejected():
     config = ExperimentConfig(dim=3, copies=1, trials=10, master_seed=0)  # pauli-z is d=2
     with pytest.raises(ConfigError, match="dim"):
         run_experiment(config)
+
+
+# --- stream cache ---
+
+def fresh_stream_draw(config, obs):
+    """``config``'s truths and sums with a stream freshly derived for every block."""
+    truths, sums = np.empty(config.trials), np.empty(config.trials)
+    for k in range(0, config.trials, BLOCK):
+        block = slice(k, k + BLOCK)
+        config.ensemble.draw(obs, config.copies, derive_stream(config.master_seed, k), truths[block], sums[block])
+    config.ensemble.finish(obs, config.copies, truths, sums, np.empty(config.trials))
+    return truths, sums
+
+
+@pytest.mark.parametrize("blocks", [3, sampling.STREAM_STATES + 3], ids=["within-bound", "past-bound"])
+@pytest.mark.parametrize(
+    "ensemble, workers",
+    [(HAAR_PURE, 1), (HAAR_PURE, 2), (RadialLaw.fixed_radius(0.6), 1)],
+    ids=["haar-1-worker", "haar-2-workers", "bloch"],
+)
+def test_cached_start_states_draw_what_fresh_streams_draw(ensemble, workers, blocks):
+    # a cold cache derives every block's start state, a warm one restores them
+    # all; past the bound each least recently used state is evicted before its
+    # key comes round again, so the second run derives every one anew
+    config = ExperimentConfig(
+        dim=2, copies=1, trials=(blocks - 1) * BLOCK + 5, master_seed=41, ensemble=ensemble, workers=workers
+    )
+    obs = load_observable("diag(1,0.5)")
+    want = [array.tobytes() for array in fresh_stream_draw(config, obs)]
+    cache = sampling._start_state
+    cache.cache_clear()
+    for derived in (blocks, 0 if blocks <= sampling.STREAM_STATES else blocks):
+        harness._last_draw = None
+        before = cache.cache_info()
+        assert [array.tobytes() for array in harness._draw(config, obs)] == want
+        after = cache.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (derived, blocks - derived)
+    assert cache.cache_info().currsize == min(blocks, sampling.STREAM_STATES)
+
+
+def test_a_draw_leaves_the_cached_start_states_as_they_were():
+    keys = [(42, k) for k in range(0, 3 * BLOCK, BLOCK)]
+    states = [sampling._start_state(*key) for key in keys]
+    before = [repr(state) for state in states]
+    assert not any(state["state"]["state"].flags.writeable for state in states)
+    for ensemble in (HAAR_PURE, RadialLaw.uniform_ball(), RadialLaw.two_point(1.0, 0.6)):
+        fresh(ExperimentConfig(dim=2, copies=3, trials=3 * BLOCK, master_seed=42, ensemble=ensemble))
+    assert [repr(sampling._start_state(*key)) for key in keys] == before
+    assert all(sampling._start_state(*key) is state for key, state in zip(keys, states))
+
+
+def test_a_kept_stream_restarts_where_its_key_starts():
+    # the thread's one generator, part-way through another key's stream
+    stream = sampling.keyed_stream(43, 0)
+    stream.random(5)
+    # an odd number of 32-bit draws leaves half an output buffered
+    stream.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert sampling.keyed_stream(43 + 2**64, -1) is stream
+    assert np.array_equal(stream.random(9), derive_stream(43, 2**64 - 1).random(9))
 
 
 # --- sweep ---

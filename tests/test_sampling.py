@@ -326,8 +326,9 @@ def test_bloch_direction_isotropy():
 def test_bloch_components_follow_the_projected_bloch_law(law):
     samples = 100_000
     # on pauli-z each truth is the component s itself, bit for bit
-    s = np.empty(samples)
-    law.draw(make_observable([[1.0, 0.0], [0.0, -1.0]]), 1, derive_stream(35, 0), s, np.empty(samples))
+    s, sums, pauli_z = np.empty(samples), np.empty(samples), make_observable([[1.0, 0.0], [0.0, -1.0]])
+    law.draw(pauli_z, 1, derive_stream(35, 0), s, sums)
+    law.finish(pauli_z, 1, s, sums, np.empty(samples))
     assert s.shape == (samples,) and (np.abs(s) <= law.radius).all()
     # the same law as whole isotropic Bloch vectors projected on a fixed axis
     axis = np.array([1.0, -2.0, 0.5]) / math.sqrt(5.25)

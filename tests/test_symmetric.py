@@ -1,6 +1,7 @@
 """Tests for symmetric.py: projectors, embeddings, partial traces, lemma."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from optev import (
     symmetric_dimension,
 )
 from optev import symmetric
-from optev.estimators import estimate_from_sums
+from optev.estimators import affine_form, estimate_from_sums
 from optev.hermitian import eigenvalue_sum
 from optev.symmetric import embed_one_body, estimator_operator, partial_trace_last, product_eigenbasis, tensor_power_rows
 
@@ -214,6 +215,33 @@ def test_estimator_operator_is_diagonal_with_the_estimates_in_the_product_eigenb
         assert np.array_equal(operator, np.diag(eigenvalues))
         want = estimate_from_sums(kind, eigenvalue_sum(occupations, obs.eigenvalues), copies, obs, n2)
         np.testing.assert_allclose(eigenvalues, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n2", [5e-324, 1e-300])
+@pytest.mark.parametrize("entries", [(1.0, -1.0), (1.0, 0.5)], ids=["pauli-z", "diag(1,0.5)"])
+def test_mixed_estimator_operator_at_a_subnormal_n2(n2, entries):
+    # n2 = a/b with b near 2**1074: alpha = 3b - a and gamma = 6b are past the
+    # float range, while alpha/gamma and beta/gamma = n2/3 are not
+    obs = make_observable(np.diag(entries))
+    alpha, beta, gamma = affine_form("optimal-mixed-qubit", 1, 2, n2)
+    assert gamma > 2**1024
+    operator = estimator_operator("optimal-mixed-qubit", obs, 1, n2)
+    a, b = float(Fraction(alpha, gamma)), float(Fraction(beta, gamma))
+    assert np.array_equal(operator, np.diag([a * obs.trace + b * w for w in entries]))
+    for w, value in zip(entries, np.diag(operator).real):
+        exact = (alpha * Fraction(obs.trace) + beta * Fraction(w)) / gamma
+        assert abs(value - exact) <= 2**-52 * abs(exact) + 5e-324
+
+
+@pytest.mark.parametrize("kind, d, copies", [(kind, d, n) for kind in ("optimal-pure", "sample-average") for d, n in ((2, 3), (3, 2))])
+def test_pure_estimator_operators_divide_by_gamma_last(kind, d, copies):
+    # (alpha tr Omega 1 + beta sum_n Omega(n)) / gamma in that order, bit for bit
+    obs = random_observable(d, np.random.default_rng(34))
+    alpha, beta, gamma = affine_form(kind, copies, d)
+    total = alpha * obs.trace * np.eye(d**copies, dtype=complex)
+    for position in range(1, copies + 1):
+        total += beta * embed_one_body(obs, position, copies)
+    assert np.array_equal(estimator_operator(kind, obs, copies), total / gamma)
 
 
 # --- partial trace ---
