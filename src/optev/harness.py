@@ -7,7 +7,7 @@ a cached start state (:func:`optev.sampling.keyed_stream`).  The config's
 ensemble object draws each block and then, once per run, turns the blocks
 into each trial's truth and sum of observed eigenvalues (its ``draw`` and
 ``finish``, :mod:`optev.sampling`), so every ensemble takes one path: a Haar
-block draws outcome counts and then eigenbasis probabilities, with no
+block draws eigenbasis probabilities and outcome counts, with no
 amplitude and no multinomial draw, and leaves ``finish`` nothing to do; a
 Bloch block only reads the stream for each state's Bloch component along the
 top eigenvector's and its outcomes, and ``finish`` does the arithmetic.

@@ -18,18 +18,21 @@ second moment (None for Haar), its per-block ``draw`` and its per-run
 Pure states are drawn two ways.  :func:`sample_haar_amplitudes` draws the
 amplitudes themselves; :meth:`HaarPure.draw` only the outcome probabilities
 in an observable's eigenbasis together with the outcome counts of N
-measurements, counts first (:func:`_draw_haar_counts`).  It works in
-(d, count) layout, one contiguous row per outcome: a composition's chosen
-slots are sorted by a compare-exchange network of ``np.minimum`` and
-``np.maximum`` over whole rows, and sums over outcomes add rows first to
-last (:func:`optev.hermitian.eigenvalue_sum`).  A Haar block's
-probabilities, counts, slot rows and sorted slots live in :func:`scratch`
-buffers that the drawing thread keeps, so a block allocates no array of its
-own size.  Isotropic Bloch-ball states are drawn the same two ways:
-:func:`sample_bloch_vectors` draws whole Bloch vectors, :meth:`RadialLaw.draw`
-only their components along one axis, which is all a qubit observable sees
-of them.  A Bloch block only reads its stream; :meth:`RadialLaw.finish` does
-the arithmetic once per run.
+measurements (:func:`_draw_haar_counts`), in one of three ways by N: one
+outcome and then the state at N = 1; the state and then its N outcomes by
+inverse CDF up to N = :func:`_state_first_bound` (d), about 10 sqrt(d) and
+never below d; above it the counts, as the bars of a uniform composition
+sorted by a compare-exchange network of ``np.minimum`` and ``np.maximum``
+over whole rows, and then the state.  Each works in (d, count) layout, one
+contiguous row per outcome, and sums over outcomes add rows first to last
+(:func:`optev.hermitian.eigenvalue_sum`).  A Haar block's probabilities,
+counts and temporaries live in :func:`scratch` buffers that the drawing
+thread keeps, so a block allocates no (d, count) array.  Isotropic
+Bloch-ball states are drawn the same two ways: :func:`sample_bloch_vectors`
+draws whole Bloch vectors, :meth:`RadialLaw.draw` only their components
+along one axis, which is all a qubit observable sees of them.  A Bloch block
+only reads its stream; :meth:`RadialLaw.finish` does the arithmetic once per
+run.
 """
 
 from __future__ import annotations
@@ -339,50 +342,63 @@ def sample_haar_amplitudes(d: int, count: int, stream: np.random.Generator) -> n
     return amp
 
 
+def _state_first_bound(d: int) -> int:
+    """The largest N drawn state first at dimension d: floor(10 sqrt(d)), or d from
+    d = 101 on, at or below the N where state first and counts first cost the same
+    at every d measured, 2 to 128.  Counts first pays Floyd's O(d^2) choice of
+    the d - 1 bars, state first O(d N) comparisons, so the bars only draw N > d."""
+    return max(d, math.isqrt(100 * d))
+
+
 def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, counts: np.ndarray) -> None:
     """Haar pure states' eigenbasis probabilities and the outcome counts of ``copies``
-    measurements of each, drawn counts first into ``p`` and ``counts``, (d, count)
-    float64 and int64, with every other array this thread's :func:`scratch`:
-    row i holds outcome i of every state, so a sum over outcomes adds whole rows.
+    measurements of each, drawn into ``p`` and ``counts``, (d, count) float64 and
+    int64, with every other array this thread's :func:`scratch`: row i holds
+    outcome i of every state, so a sum over outcomes adds whole rows.
 
     A Haar state's amplitudes are d i.i.d. standard complex Gaussians,
     normalized, so its probabilities p in any fixed basis are normalized
     exponentials: Dirichlet(1, ..., 1), uniform on the simplex (the induced
-    measure of Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).  With
-    counts c | p multinomial(N, p), Dirichlet-multinomial conjugacy gives the
-    same joint law the other way round: c uniform over the C(N+d-1, d-1)
-    compositions of N into d parts, then p | c Dirichlet(1 + c).  A
-    composition is a uniform choice of the N "stars" among N + d - 1 stars
-    and bars slots (:func:`_uniform_subsets`).  For N <= d the stars are
-    drawn; the star in slot s with r stars before it lies in part s - r, and
-    each part's probability is one ``standard_exponential`` default datum
-    plus one more exponential per copy observed in it.  For N > d the d - 1
-    bars are drawn, and p is ``standard_gamma(c + 1.0)``.  Either way p is
-    divided by the sum of its d rows, added first to last.
+    measure of Zyczkowski and Sommers, J. Phys. A 34, 7111 (2001)).  The
+    counts c | p are multinomial(N, p); Dirichlet-multinomial conjugacy gives
+    the same joint law the other way round, c uniform over the C(N+d-1, d-1)
+    compositions of N into d parts and then p | c Dirichlet(1 + c).  Three
+    ranges of N draw three ways:
+
+    - N = 1: one outcome uniform in range(d), then p is one
+      ``standard_exponential`` per part plus one more in the observed part.
+    - 2 <= N <= :func:`_state_first_bound` (d): state first.  p is d
+      exponentials with total T, and each copy's outcome is the i with
+      p_0 + ... + p_{i-1} <= u T < p_0 + ... + p_i for a uniform u, found
+      by :func:`_inverse_cdf_counts` with no per-copy index.
+    - larger N: counts first, the d - 1 bars of a uniform choice among the
+      N + d - 1 stars and bars slots (:func:`_uniform_subsets`), and p is
+      ``standard_gamma(c + 1.0)``, whose cost hardly grows with N, while the
+      state-first draw pays N comparisons per outcome.
+
+    Each way p is divided by the sum of its d rows, added first to last.
     """
     d, count = p.shape
-    slots = copies + d - 1
-    if copies <= d:
-        # stars up to N = d, one more than the d - 1 bars: an exponential
-        # costs about a quarter of a gamma
-        part = scratch("part", copies, count, dtype=np.uint64)
-        _uniform_subsets(slots, stream, part)
-        part = part.view(np.int64)
-        part -= np.arange(copies)[:, None]
-        # flat indices into the (d, count) rows
-        part *= count
-        part += np.arange(count)
+    if copies == 1:
+        # the flat index into the (d, count) rows of each state's one outcome
+        outcome = stream.integers(0, d, size=count, dtype=np.uint64).view(np.int64)
+        outcome *= count
+        outcome += np.arange(count)
         stream.standard_exponential(out=p)
-        flat, extra = p.reshape(-1), scratch("extra", count)
-        # one star of every state at a time, so no index repeats within a step
-        for star in part:
-            flat[star] += stream.standard_exponential(out=extra)
+        p.reshape(-1)[outcome] += stream.standard_exponential(out=scratch("extra", count))
         counts.fill(0)
-        np.add.at(counts.reshape(-1), part.reshape(-1), 1)
+        counts.reshape(-1)[outcome] = 1
+    elif copies <= _state_first_bound(d):
+        stream.standard_exponential(out=p)
+        total = eigenvalue_sum(p, out=scratch("total", count))
+        _inverse_cdf_counts(copies, stream, p, total, counts)
+        p /= total
+        return
     else:
         # part i holds the stars between bar i - 1 and bar i, where bar -1
         # is at slot -1 and bar d - 1 at slot N + d - 1: the bars go to the
         # first d - 1 rows, then each row from the last loses the one above
+        slots = copies + d - 1
         bars = counts.view(np.uint64)
         _uniform_subsets(slots, stream, bars[:-1])
         bars[-1] = slots
@@ -392,6 +408,39 @@ def _draw_haar_counts(copies: int, stream: np.random.Generator, p: np.ndarray, c
         np.add(counts, 1.0, out=p)
         stream.standard_gamma(p, out=p)
     p /= eigenvalue_sum(p, out=scratch("total", count))
+
+
+def _inverse_cdf_counts(
+    copies: int, stream: np.random.Generator, p: np.ndarray, total: np.ndarray, counts: np.ndarray
+) -> None:
+    """``counts``, (d, count) int64, filled with the outcomes of ``copies`` draws
+    from each column of ``p``, whose sums are ``total``: copy n of a state lands
+    on outcome i when p_0 + ... + p_{i-1} <= u_n T < p_0 + ... + p_i, for N
+    uniforms u_n and the running sums added first to last from +0.0.
+
+    Outcome i's count is how many u_n T lie below the running sum to i, less
+    how many lie below the one to i - 1, counted down each column in the
+    narrowest unsigned type that holds N; the rest, u_n T rounded up to T
+    included, is outcome d - 1.  The temporaries are N rows of uniforms and of
+    comparisons and three more rows, so no (d - 1, N, count) array is formed.
+    """
+    d, count = p.shape
+    # the buffer of Floyd's slots on the bars side: a thread keeps the larger, not both
+    scaled = stream.random(out=scratch("draws", copies, count))
+    scaled *= total
+    below = scratch("below", copies, count, dtype=np.bool_)
+    running = scratch("running", count)
+    running.fill(0.0)
+    previous, current = scratch("hits", 2, count, dtype=np.min_scalar_type(copies))
+    previous.fill(0)
+    for i in range(d - 1):
+        running += p[i]
+        np.less(scaled, running, out=below)
+        np.add.reduce(below.view(np.uint8), axis=0, dtype=current.dtype, out=current)
+        # exact: the running sums never decrease, so neither do the hits
+        np.subtract(current, previous, out=counts[i])
+        previous, current = current, previous
+    np.subtract(copies, previous, out=counts[-1])
 
 
 def _uniform_subsets(slots: int, stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -406,7 +455,7 @@ def _uniform_subsets(slots: int, stream: np.random.Generator, out: np.ndarray) -
     """
     k, count = out.shape
     # one spare row for the network
-    chosen = scratch("chosen", k + 1, count, dtype=np.uint64)
+    chosen = scratch("draws", k + 1, count, dtype=np.uint64)
     for i, j in enumerate(range(slots - k, slots)):
         chosen[i] = stream.integers(0, j + 1, size=count, dtype=np.uint64)
         if i:

@@ -255,8 +255,9 @@ def _mean_and_se(values):
     return mean, math.sqrt(spread / values.size)
 
 
-# N <= d draws the stars of a composition, N > d its bars
-@pytest.mark.parametrize("copies", [2, 4])
+# N = 1 draws one outcome, 2 <= N <= floor(10 sqrt(3)) = 17 the state first,
+# N > 17 the bars of a composition
+@pytest.mark.parametrize("copies", [2, 4, 1, 18])
 def test_hot_loop_matches_public_operations_bitwise(copies):
     config = ExperimentConfig(dim=3, copies=copies, trials=64, master_seed=9, observable_source="diag(3,0,-3)")
     assert config.trials <= BLOCK  # one block, keyed by its first trial

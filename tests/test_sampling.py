@@ -1,6 +1,7 @@
 """Tests for sampling.py: streams, Haar states, Bloch ensembles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from optev import (
     sample_haar_amplitudes,
     sample_haar_pure,
 )
+from optev import sampling
 from optev.harness import BLOCK
 from optev.sampling import (
     _LAW_PARAMETERS,
     _draw_haar_counts,
     _sort_network,
+    _state_first_bound,
     _uniform_subsets,
     sample_bloch_vectors,
 )
@@ -148,11 +151,21 @@ def test_haar_rejects_small_dimension():
         sample_haar_pure(1, derive_stream(0, 0))
 
 
-# N <= d draws the N stars of the N + d - 1 slots, N > d the d - 1 bars
-SIDES = [(2, 1), (3, 2), (8, 1), (8, 8), (3, 7), (2, 64), (8, 64)]
+# N = 1 draws one outcome, then the state; 2 <= N <= _state_first_bound(d) the
+# state, then its outcomes; larger N the d - 1 bars of the N + d - 1 slots.
+# Both switch points are straddled at d = 2 and d = 8.
+SIDES = [(2, 1), (3, 2), (8, 1), (8, 8), (3, 7), (2, 64), (8, 64)] + [
+    (d, copies) for d in (2, 8) for copies in (2, _state_first_bound(d), _state_first_bound(d) + 1)
+]
 
 
-@pytest.mark.parametrize("d, copies", [(3, 2), (4, 3), (2, 5), (8, 1), (4, 4), (3, 4)])
+@pytest.mark.parametrize("d", [2, 3, 8, 99, 100, 101, 128, 10_000])
+def test_bars_side_draws_more_copies_than_outcomes(d):
+    # past the bound Floyd chooses d - 1 bars, fewer than the N stars
+    assert d <= _state_first_bound(d) <= max(d, 10 * math.sqrt(d))
+
+
+@pytest.mark.parametrize("d, copies", [(3, 2), (4, 3), (2, 5), (8, 1), (4, 4), (3, 4), (8, 3), (2, 8)])
 def test_haar_counts_are_uniform_over_compositions(d, copies):
     # Dirichlet(1)-multinomial: each of the C(N+d-1, d-1) compositions of N
     # into d parts has the same probability
@@ -219,6 +232,22 @@ def test_haar_counts_match_the_forward_draw(d, copies):
     assert (np.abs(joint.mean(axis=0) - forward_joint.mean(axis=0)) < 5 * se).all()
 
 
+@pytest.mark.parametrize("d, copies", [(2, 2), (3, 5), (8, 28)])
+def test_state_first_counts_are_each_copys_inverse_cdf_outcome(d, copies):
+    # the same stream read as d exponentials per state and then N uniforms,
+    # scaled by the total: each copy's outcome by a per-state search
+    count = 300
+    p, counts = haar_counts(d, copies, count, derive_stream(40, d * 100 + copies))
+    stream = derive_stream(40, d * 100 + copies)
+    weights = stream.standard_exponential((d, count))
+    running = np.cumsum(weights, axis=0)
+    scaled = stream.random((copies, count)) * running[-1]
+    for t in range(count):
+        outcomes = np.searchsorted(running[:-1, t], scaled[:, t], side="right")
+        assert np.array_equal(counts[:, t], np.bincount(outcomes, minlength=d))
+    assert np.array_equal(p, weights / running[-1])
+
+
 def test_haar_counts_are_the_callers_own():
     # a later draw at another (d, N), on either side, reuses this thread's kept
     # scratch but never the arrays an earlier draw was handed
@@ -227,6 +256,32 @@ def test_haar_counts_are_the_callers_own():
     for d, copies in ((8, 64), (8, 8), (4, 1), (2, 3)):
         haar_counts(d, copies, 3000, derive_stream(38, d * 100 + copies))
     assert np.array_equal(p, kept[0]) and np.array_equal(counts, kept[1])
+
+
+def kept_scratch_bytes(d, copies, count):
+    """Bytes of each scratch buffer that a fresh thread keeps after one Haar count draw."""
+    kept = {}
+
+    def draw():
+        haar_counts(d, copies, count, derive_stream(39, d * 100 + copies))
+        kept.update((name, buffer.nbytes) for name, buffer in vars(sampling._kept).items())
+
+    thread = threading.Thread(target=draw)
+    thread.start()
+    thread.join()
+    return kept
+
+
+def test_state_first_draw_keeps_no_buffer_of_outcomes_times_copies():
+    # the comparisons of N uniform rows against each running sum reuse N rows;
+    # a (d - 1, N, count) broadcast would keep d - 1 times as much
+    d, count = 32, 500
+    copies = _state_first_bound(d)
+    state_first = kept_scratch_bytes(d, copies, count)
+    bars = kept_scratch_bytes(d, copies + 1, count)
+    assert "below" in state_first and "below" not in bars
+    assert max(state_first.values()) < (d - 1) * copies * count
+    assert sum(state_first.values()) <= sum(bars.values()) + max(copies, d) * count * 16
 
 
 # --- sorting a composition's slots ---
