@@ -143,8 +143,7 @@ def _cmd_analytic(args) -> int:
         "delta_av": analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, n, n2),
         "ratio_av_over_opt": (n + d) / n,
         "second_moment": mu * mu + v_t,
-        # optimal estimate when all N outcomes hit eigenvalue i; for N = 1
-        # this is the per-outcome estimate
+        # the estimate when all N outcomes hit eigenvalue i, at N = 1 per outcome
         "omega_opt_by_outcome": estimate_from_sums(
             EstimatorKind.OPTIMAL_PURE, n * obs.eigenvalues, n, obs
         ).tolist(),
@@ -152,11 +151,9 @@ def _cmd_analytic(args) -> int:
     if n2 is not None:
         del report["ratio_av_over_opt"]  # (N + d)/N is Haar's closed form
         report["n2"] = n2
-    # the mixed-qubit estimator is defined at one copy only
-    if n2 is not None and n == 1:
-        report["delta_mixed"] = analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, 1, n2)
+        report["delta_mixed"] = analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, n, n2)
         report["omega_mixed_by_outcome"] = estimate_from_sums(
-            EstimatorKind.OPTIMAL_MIXED_QUBIT, obs.eigenvalues, 1, obs, n2
+            EstimatorKind.OPTIMAL_MIXED_QUBIT, n * obs.eigenvalues, n, obs, n2
         ).tolist()
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK

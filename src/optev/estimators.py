@@ -1,17 +1,18 @@
-"""Measurement simulation, the two estimators, and their closed-form errors.
+"""Measurement simulation, the three estimators, and their closed-form errors.
 
 The estimation target is t = tr[rho Omega].  Measuring Omega independently
 on each of N copies yields eigenvalue indices (i_1, ..., i_N); every
 estimator here sees them only through their counts c_i, the number of copies
 that gave outcome i.  The sample average is the mean of the observed
-eigenvalues, while the optimal estimator averages the N observed values
-together with all d eigenvalues of the observable, i.e.
-(tr Omega + sum_i c_i Omega_i) / (N + d).
+eigenvalues.  An optimal estimate averages them with kappa = d(d - E[P])/(d E[P] - 1)
+pseudo-values tr Omega/d, E[P] = E[tr rho^2] the ensemble's mean purity: Haar's
+kappa = d is all d eigenvalues of the observable, (tr Omega + sum_i c_i Omega_i) / (N + d).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -40,11 +41,10 @@ def estimate_from_sums(
     """Estimates from sums of observed eigenvalues, one per entry of ``value_sums``.
 
     Every estimator here sees the outcomes only through sum_n Omega_{i_n}:
-    the sample average is sum / N, the optimal estimate
-    (tr Omega + sum) / (N + d), and the mixed-qubit estimate (N = 1)
-    ((3 - n2)/2 tr Omega + n2 sum) / 3: :func:`affine_form`'s rows in float
-    steps, which do not check its domain.  The sample average ignores ``obs``.
-    The estimates go into ``out`` if given, which may be ``value_sums`` itself.
+    the sample average is sum / N, the optimal estimate (tr Omega + sum) / (N + d),
+    the mixed-qubit one ((3 - n2)/2 tr Omega + n2 sum) / ((N - 1) n2 + 3):
+    :func:`affine_form`'s rows in float steps, which do not check its domain.
+    The sample average ignores ``obs``.  The estimates go into ``out`` if given, which may be ``value_sums`` itself.
     """
     kind = EstimatorKind(kind)
     sums = np.asarray(value_sums, dtype=float)
@@ -54,9 +54,10 @@ def estimate_from_sums(
         estimates = np.add(sums, obs.trace, out=out)
         estimates /= copies + obs.dim
         return estimates
-    # (3 - n2)/6 keeps the n2 = 0 case exactly equal to trace/2
-    estimates = np.multiply(n2 / 3.0, sums, out=out)
-    estimates += (3.0 - n2) / 6.0 * obs.trace
+    # gamma is 3.0 at N = 1, and (3 - n2)/(2 gamma) keeps n2 = 0 exactly trace/2
+    gamma = (copies - 1) * n2 + 3.0
+    estimates = np.multiply(n2 / gamma, sums, out=out)
+    estimates += (3.0 - n2) / (2.0 * gamma) * obs.trace
     return estimates
 
 
@@ -72,20 +73,22 @@ def check_copies(copies: int) -> None:
 def affine_form(kind: EstimatorKind | str, copies: int, dim: int, n2: float | None = None) -> tuple[int, int, int]:
     """Integers (alpha, beta, gamma): :func:`estimate_from_sums` is (alpha tr Omega + beta S)/gamma.
 
-    The one definition of each estimator and its domain: (0, 1, N), (1, 1, N + d)
-    and, for n2 = a/b, (3b - a, 2a, 6b) only at d = 2, N = 1, n2 in [0, 1], else ``ValueError``.
+    The one definition of each estimator and its domain: the sample average is
+    (0, 1, N), an optimal one the linear-Bayes row (w, m t, m (N t + w)) of
+    :func:`_moment_form` over its gcd, Haar's for ``optimal-pure``, (1, 1, N + d),
+    and the Bloch law's for ``optimal-mixed-qubit``, only at d = 2 and n2 in
+    [0, 1], else ``ValueError``.
     """
     kind = EstimatorKind(kind)
     if kind is EstimatorKind.SAMPLE_AVERAGE:
         return 0, 1, copies
     if kind is EstimatorKind.OPTIMAL_PURE:
-        return 1, 1, copies + dim
-    if dim != 2 or copies != 1:
-        raise ValueError(f"the mixed-qubit estimator needs d=2 and N=1, got d={dim}, N={copies}")
-    if n2 is None or not 0.0 <= n2 <= 1.0:
-        raise ValueError(f"the mixed-qubit estimator needs a Bloch ensemble with n2 in [0, 1], got n2={n2!r}")
-    a, b = float(n2).as_integer_ratio()
-    return 3 * b - a, 2 * a, 6 * b
+        n2 = None
+    elif dim != 2 or n2 is None or not 0.0 <= n2 <= 1.0:
+        raise ValueError(f"the mixed-qubit estimator needs d=2 and a Bloch ensemble with n2 in [0, 1], got d={dim}, n2={n2!r}")
+    m, w, t, _ = _moment_form(dim, n2)
+    g = math.gcd(w, m * t)  # which divides m (N t + w) too
+    return w // g, m * t // g, m * (copies * t + w) // g
 
 
 def _estimate(kind: EstimatorKind, counts, obs: Observable, n2: float | None = None) -> float:
@@ -120,33 +123,33 @@ def estimate_optimal(counts, obs: Observable) -> float:
 
 
 def estimate_optimal_mixed_qubit(counts, obs: Observable, n2: float) -> float:
-    """Optimal single-copy qubit estimate for an isotropic Bloch ensemble.
+    """Optimal affine qubit estimate for an isotropic Bloch ensemble, at any N.
 
-    Returns ((3 - n2)/2 * tr Omega + n2 * Omega_{i_1}) / 3 where n2 is the
-    ensemble's Bloch-length second moment.  At n2 = 1 this reduces to the
-    pure-state optimal estimate; at n2 = 0 the observed datum is discarded
-    and the output is exactly tr Omega / 2.  Defined at d = 2, one outcome, n2 in [0, 1].
+    The mean of the N observed values and (3 - n2)/n2 pseudo-values tr Omega/2,
+    n2 the ensemble's Bloch-length second moment.  At n2 = 1 this is the pure-state
+    optimal estimate; at n2 = 0 it is exactly tr Omega / 2.  Defined at d = 2, n2 in [0, 1].
     """
     return _estimate(EstimatorKind.OPTIMAL_MIXED_QUBIT, counts, obs, n2)
 
 
 def _moment_form(dim: int, n2: float | None) -> tuple[int, int, int, int]:
-    """Integers (m, w, t, q): :func:`ensemble_moments` is (tr Omega/m, c t/q, c w/q)."""
-    if n2 is None:
-        return dim, dim, 1, dim * dim * (dim + 1)
-    a, b = float(n2).as_integer_ratio()
-    return 2, 3 * b - a, a, 12 * b
+    """Integers (m, w, t, q): :func:`ensemble_moments` is (tr Omega/m, c t/q, c w/q).
+
+    A unitarily invariant ensemble of mean purity E[P] = E[tr rho^2] = a/b has mu = tr Omega/d,
+    V_t = c (d E[P] - 1)/(d^2 (d^2 - 1)) and V_w = c/d^2 - V_t, c = d tr Omega^2 - (tr Omega)^2.
+    A Bloch law has E[P] = (1 + n2)/2, and Haar (n2 None) E[P] = 1, as at n2 = 1.
+    """
+    a, b = (1.0 if n2 is None else float(n2)).as_integer_ratio()
+    a, b = a + b, 2 * b
+    return dim, dim * (b * dim - a), dim * a - b, b * dim * dim * (dim * dim - 1)
 
 
 def ensemble_moments(obs: Observable, n2: float | None = None) -> tuple[float, float, float]:
     """(mu, V_t, V_w) of the Haar ensemble, or of a Bloch law with second moment n2.
 
-    mu = E[t] and V_t = Var(t) for t = tr[rho Omega]; V_w = E[Var_p(Omega)],
-    the mean variance of one outcome's eigenvalue.  With c = d tr Omega^2 -
-    (tr Omega)^2, Haar gives (tr Omega/d, c/(d^2 (d+1)), c/(d (d+1))) and the
-    Bloch law, on a qubit observable, (tr Omega/2, c n2/12, c (3 - n2)/12).
-    Each is one integer over another, from ``Observable.exact_sums``, so it is
-    correctly rounded, subnormals included.
+    mu = E[t] and V_t = Var(t) for t = tr[rho Omega] and V_w = E[Var_p(Omega)], the mean variance
+    of one outcome's eigenvalue, by :func:`_moment_form`: each one integer over another, from
+    ``Observable.exact_sums``, so correctly rounded, subnormals included.
     """
     denominator, trace, square_sum = obs.exact_sums
     m, w, t, q = _moment_form(obs.dim, n2)

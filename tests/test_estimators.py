@@ -177,13 +177,17 @@ def test_mixed_estimator_reduces_to_pure_at_full_moment():
     )
 
 
-def test_mixed_estimator_ignores_data_at_zero_moment():
+@pytest.mark.parametrize("copies", [1, 3, 2**62])
+def test_mixed_estimator_ignores_data_at_zero_moment(copies):
     rng = np.random.default_rng(6)
+    spread = np.random.default_rng(36).standard_normal(50) * copies
+    sums = np.concatenate([spread, [-float(copies), -0.0, 0.0, float(copies), -1e300]])
     for _ in range(10):
         obs = random_observable(2, rng)
-        for index in (0, 1):
-            est = estimate_optimal_mixed_qubit(occupation(obs, [index]), obs, 0.0)
+        for counts in ([copies, 0], [0, copies], [copies - 1, 1]):
+            est = estimate_optimal_mixed_qubit(np.array(counts), obs, 0.0)
             assert est == obs.trace / 2  # exactly: data weight is zero
+        assert (estimate_from_sums(EstimatorKind.OPTIMAL_MIXED_QUBIT, sums, copies, obs, 0.0) == obs.trace / 2).all()
 
 
 def test_mixed_estimator_example_value():
@@ -229,29 +233,24 @@ def test_mixed_estimator_matches_brute_force_minimization():
     "obs, counts, n2",
     [
         (make_observable(np.diag([1.0, 0.0, -1.0])), [1, 0, 0], 0.5),
-        (SIGMA_Z, [1, 1], 0.5),
         (SIGMA_Z, [1, 0], -0.1),
         (SIGMA_Z, [1, 0], 1.5),
         (SIGMA_Z, [1, 0], math.nan),
     ],
-    ids=["d3", "two-outcomes", "n2-negative", "n2-above-one", "n2-nan"],
+    ids=["d3", "n2-negative", "n2-above-one", "n2-nan"],
 )
 def test_the_mixed_estimator_rejects_an_input_outside_its_domain(obs, counts, n2):
     with pytest.raises(ValueError, match="^the mixed-qubit estimator needs "):
         estimate_optimal_mixed_qubit(np.array(counts), obs, n2)
-    # the closed form takes no counts, and is at one copy
-    if sum(counts) == 1:
-        with pytest.raises(ValueError, match="^the mixed-qubit estimator needs "):
-            analytic_delta_mixed_qubit(obs, n2)
+    # the closed form takes no counts
+    with pytest.raises(ValueError, match="^the mixed-qubit estimator needs "):
+        analytic_delta_mixed_qubit(obs, n2)
 
 
 @pytest.mark.parametrize(
     "config, flags",
-    [
-        ({}, []),
-        ({"copies": 2, "ensemble": RadialLaw.fixed_radius(0.6**0.5)}, ["--copies", "2", "--n2", "0.6"]),
-    ],
-    ids=["haar", "two-copies"],
+    [({}, []), ({"dim": 3}, ["--dim", "3"])],
+    ids=["haar", "haar-d3"],
 )
 def test_a_mixed_estimator_config_outside_its_domain_is_one_line_error(config, flags, capsys):
     with pytest.raises(ConfigError, match="^the mixed-qubit estimator needs "):
@@ -569,8 +568,41 @@ def test_every_accepted_estimator_is_unbiased_over_its_ensemble():
                         want = [float((alpha * Fraction(obs.trace) + beta * Fraction(x)) / gamma) for x in sums.tolist()]
                         assert estimate_from_sums(kind, sums, copies, obs, n2) == pytest.approx(want, rel=1e-15, abs=1e-15)
     # Haar: two estimators at 3 dimensions and 2 copy counts; each Bloch law:
-    # two at d = 2 and 2 copy counts, and the mixed-qubit one at N = 1
-    assert accepted == 2 * 3 * 2 + 3 * (2 * 2 + 1)
+    # two at d = 2 and 2 copy counts, and the mixed-qubit one at both
+    assert accepted == 2 * 3 * 2 + 3 * (2 * 2 + 2)
+
+
+def exact_c(obs):
+    """c = d tr Omega^2 - (tr Omega)^2 in Fractions of the stored entries."""
+    d, entries = obs.dim, [Fraction(x) for x in obs.matrix.view(np.float64).ravel().tolist()]
+    trace = sum(entries[:: 2 * (d + 1)])
+    return d * sum(x * x for x in entries) - trace * trace
+
+
+@pytest.mark.parametrize("d, n2", [(d, None) for d in (2, 3, 4, 8)] + [(2, n2) for n2 in (0.0, 5e-324, 1e-300, 0.36, 0.6, 1 / 3, 1.0)])
+def test_every_optimal_row_is_the_linear_bayes_row_of_the_mean_purity(d, n2):
+    # an ensemble of mean purity P = E[tr rho^2] (1 for Haar, (1 + n2)/2 for a
+    # Bloch law) has mu = tr/d, V_t = c (d P - 1)/(d^2 (d^2 - 1)) and
+    # V_w = c/d^2 - V_t; its optimal estimate is the mean of the N values and
+    # kappa = V_w/V_t = d (d - P)/(d P - 1) pseudo-values tr/d, whose error is
+    # V_t V_w/(N V_t + V_w)
+    purity = Fraction(1) if n2 is None else (1 + Fraction(n2)) / 2
+    m, w, t, q = _moment_form(d, n2)
+    assert m == d
+    assert Fraction(t, q) == (d * purity - 1) / (d * d * (d * d - 1))
+    assert Fraction(w, q) == Fraction(1, d * d) - Fraction(t, q)
+    kind = EstimatorKind.OPTIMAL_PURE if n2 is None else EstimatorKind.OPTIMAL_MIXED_QUBIT
+    obs = random_observable(d, np.random.default_rng(35))
+    v_t, v_w = exact_c(obs) * Fraction(t, q), exact_c(obs) * Fraction(w, q)
+    for copies in (1, 2, 7, 2**62):
+        alpha, beta, gamma = affine_form(kind, copies, d, n2)
+        assert math.gcd(alpha, beta, gamma) == 1
+        total = copies * (d * purity - 1) + d * (d - purity)
+        assert Fraction(alpha, gamma) == (d - purity) / total
+        assert Fraction(beta, gamma) == (d * purity - 1) / total
+        assert analytic_mse(kind, obs, copies, n2) == float(v_t * v_w / (copies * v_t + v_w))
+        # optimal-pure reads Haar's row, kappa = d, on every ensemble
+        assert affine_form(EstimatorKind.OPTIMAL_PURE, copies, d, n2) == (1, 1, copies + d)
 
 
 @pytest.mark.parametrize("kind", list(EstimatorKind))

@@ -84,6 +84,16 @@ CASES = (
             QUBIT,
         )
     ]
+    # the mixed-qubit estimator past one copy
+    + [
+        (
+            ExperimentConfig(
+                dim=2, copies=3, trials=9, master_seed=113 + i, estimator="optimal-mixed-qubit", ensemble=law
+            ),
+            QUBIT,
+        )
+        for i, law in enumerate((RadialLaw.uniform_ball(), RadialLaw.two_point(0.8, 0.5), RadialLaw.fixed_radius(0.0)))
+    ]
 )
 
 

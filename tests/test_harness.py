@@ -159,10 +159,8 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(estimator="optimal-mixed-qubit")  # needs a Bloch ensemble
-    with pytest.raises(ConfigError):
-        ExperimentConfig(
-            estimator="optimal-mixed-qubit", ensemble=RadialLaw.pure_surface(), copies=2
-        )
+    # a Bloch law takes the mixed-qubit estimator at every copy count
+    ExperimentConfig(estimator="optimal-mixed-qubit", ensemble=RadialLaw.pure_surface(), copies=2)
     with pytest.raises(ConfigError):
         ExperimentConfig(ensemble=RadialLaw.pure_surface(), dim=3)
     with pytest.raises(ConfigError):
@@ -1009,15 +1007,17 @@ def test_cli_analytic_reports_the_configs_ensemble(capsys):
     assert haar["delta_opt"] == analytic_delta_opt(obs, 3) and haar["second_moment"] == 1 / 3
 
 
-@pytest.mark.parametrize("copies", [1, 3])
-def test_cli_analytic_reports_the_mixed_estimator_only_at_one_copy(capsys, copies):
-    # the mixed-qubit estimator is defined at N = 1 only
+@pytest.mark.parametrize("copies, delta, top", [(1, 5 / 36, 1 / 6), (3, 5 / 48, 3 / 8)])
+def test_cli_analytic_reports_the_mixed_estimator_at_every_copy_count(capsys, copies, delta, top):
+    # V_t V_w/(N V_t + V_w) with V_t = 1/6, V_w = 5/6, and the estimate at S = N w_i
     code = main(["analytic", "--observable", "pauli-z", "--n2", "0.5", "--copies", str(copies)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["n2"] == pytest.approx(0.5, abs=1e-15)
-    mixed = {"delta_mixed", "omega_mixed_by_outcome"}
-    assert mixed <= report.keys() if copies == 1 else not mixed & report.keys()
+    n2, obs = report["n2"], load_observable("pauli-z")
+    assert n2 == pytest.approx(0.5, abs=1e-15)
+    assert report["delta_mixed"] == analytic_mse(EstimatorKind.OPTIMAL_MIXED_QUBIT, obs, copies, n2)
+    assert report["delta_mixed"] == pytest.approx(delta, rel=1e-14)
+    assert report["omega_mixed_by_outcome"] == pytest.approx([top, -top], rel=1e-14)
 
 
 def test_cli_simulate_writes_csv(tmp_path, capsys):

@@ -44,7 +44,7 @@ def configs(draw):
             dim=draw(st.integers(2, 2**64 - 1)), copies=draw(st.integers(1, 2**63 - 1)), estimator=kind, **common
         )
     kind = draw(st.sampled_from(list(EstimatorKind)))
-    copies = 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else draw(st.integers(1, 2**63 - 1))
+    copies = draw(st.integers(1, 2**63 - 1))
     return ExperimentConfig(dim=2, copies=copies, estimator=kind, ensemble=draw(laws), **common)
 
 
@@ -128,10 +128,8 @@ coefficients = st.floats(-1e3, 1e3)
 def estimator_inputs(draw):
     """An estimator with a copy count, a diagonal it accepts and value sums of that many copies."""
     kind = draw(st.sampled_from(list(EstimatorKind)))
-    if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT:
-        d, copies = 2, 1
-    else:
-        d, copies = draw(st.integers(2, 5)), draw(st.integers(1, 1000))
+    d = 2 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else draw(st.integers(2, 5))
+    copies = draw(st.integers(1, 1000))
     diagonal = draw(st.lists(entries, min_size=d, max_size=d))
     sums = draw(st.lists(st.floats(-1e6 * copies, 1e6 * copies), min_size=1, max_size=8))
     return kind, copies, diagonal, sums
@@ -173,14 +171,14 @@ def exact_closed_forms(obs, copies, n2):
     else:
         n = Fraction(n2)
         mu, v_t, v_w = trace / 2, c * n / 12, c * (3 - n) / 12
-        forms = {EstimatorKind.OPTIMAL_PURE: (trace, 1, copies + d), EstimatorKind.OPTIMAL_MIXED_QUBIT: ((3 - n) / 2 * trace, n, 3)}
+        mixed = ((3 - n) / 2 * trace, n, (copies - 1) * n + 3)
+        forms = {EstimatorKind.OPTIMAL_PURE: (trace, 1, copies + d), EstimatorKind.OPTIMAL_MIXED_QUBIT: mixed}
     forms[EstimatorKind.SAMPLE_AVERAGE] = (0, 1, copies)
     top = Fraction(float(obs.eigenvalues[0]))
     errors, biases = {}, {}
     for kind, (alpha, beta, gamma) in forms.items():
-        n = 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies
-        pi = beta * n - gamma
-        errors[kind] = float((beta * beta * n * v_w + pi * pi * v_t + (alpha + pi * mu) ** 2) / (gamma * gamma))
+        pi = beta * copies - gamma
+        errors[kind] = float((beta * beta * copies * v_w + pi * pi * v_t + (alpha + pi * mu) ** 2) / (gamma * gamma))
         biases[kind] = float((alpha + pi * top) / gamma)
     return (float(mu), float(v_t), float(v_w)), errors, biases
 
@@ -217,7 +215,7 @@ def test_closed_forms_are_correctly_rounded(case):
     moments, errors, _ = exact_closed_forms(obs, copies, n2)
     assert ensemble_moments(obs, n2) == moments
     for kind, want in errors.items():
-        assert analytic_mse(kind, obs, 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies, n2) == want
+        assert analytic_mse(kind, obs, copies, n2) == want
 
 
 def test_correctly_rounded_delta_opt_of_a_three_level_diagonal():
@@ -236,7 +234,7 @@ def test_probe_bias_is_correctly_rounded(case):
     obs = make_observable(matrix)
     _, _, biases = exact_closed_forms(obs, copies, n2)
     for kind, want in biases.items():
-        assert analytic_bias(kind, obs, 1 if kind is EstimatorKind.OPTIMAL_MIXED_QUBIT else copies, n2) == want
+        assert analytic_bias(kind, obs, copies, n2) == want
     # the sample average is unbiased at every state: exactly +0.0
     assert repr(analytic_bias(EstimatorKind.SAMPLE_AVERAGE, obs, copies, n2)) == "0.0"
 

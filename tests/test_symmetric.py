@@ -200,7 +200,7 @@ def test_average_operator_reproduces_expectation():
         ("sample-average", 2, 3, None),
         ("sample-average", 3, 2, None),
     ]
-    + [("optimal-mixed-qubit", 2, 1, n2) for n2 in (0.0, 0.36, 0.6, 1.0)],
+    + [("optimal-mixed-qubit", 2, copies, n2) for copies in (1, 3) for n2 in (0.0, 0.36, 0.6, 1.0)],
 )
 def test_estimator_operator_is_diagonal_with_the_estimates_in_the_product_eigenbasis(kind, d, copies, n2):
     # unsorted diagonal observables have unit eigenvectors, so the change of
