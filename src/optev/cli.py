@@ -1,6 +1,7 @@
 """Command line interface: analytic, simulate, sweep, verify.
 
-Exit codes: 0 success, 1 configuration, I/O or out-of-memory error, 2 verification failure.
+Exit codes: 0 success, 1 usage, configuration, I/O or out-of-memory error (one
+``optev: error:`` line on stderr), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .estimators import EstimatorKind, analytic_mse, ensemble_moments, estimate_
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    check_seed,
     load_config,
     load_observable,
     rows_to_csv,
@@ -32,11 +32,16 @@ EXIT_VERIFY = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are configuration errors, not verification failures
+    # usage problems are configuration errors, reported by main as one line
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(message)
+
+
+def _parse_int_list(text: str) -> list[int]:
+    try:
+        return [int(token) for token in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects integers (comma separated), got {text!r}") from exc
 
 
 def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
@@ -48,11 +53,21 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     if command == "verify":
         sub.add_argument("--level", choices=["fast", "full"], default="fast")
         return
-    sub.add_argument("--dim", help="Hilbert space dimension d")
-    sub.add_argument("--copies", help="number of copies N (sweep: comma list)")
+    sub.add_argument("--dim", type=int, help="Hilbert space dimension d")
+    if command == "sweep":
+        sub.add_argument(
+            "--copies", type=_parse_int_list, dest="copies_list", metavar="COPIES", help="comma list of copy counts N"
+        )
+    else:
+        sub.add_argument("--copies", type=int, help="number of copies N")
     sub.add_argument("--observable", help="builtin name, diag(...), or JSON file path")
     if command != "sweep":
-        sub.add_argument("--n2", type=float, help="Bloch second moment: the fixed-radius sqrt(n2) ensemble")
+        sub.add_argument(
+            "--n2",
+            type=float,
+            help="Bloch second moment: runs the fixed radius sqrt(n2) and reports that radius squared as n2,"
+            " which can differ from the given value in the last bit",
+        )
     if command == "analytic":
         return
     if command == "simulate":
@@ -83,29 +98,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(token) for token in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects integers (comma separated), got {text!r}") from exc
-
-
-def _single_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a single integer, got {text!r}") from exc
-
-
-def _config_from_args(args, copies_list: bool = False) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     flags = {name: value for name, value in vars(args).items() if value is not None}
     overrides = {}
-    for name in ("dim",) if copies_list else ("dim", "copies"):
-        if name in flags:
-            overrides[name] = _single_int(flags[name], f"--{name}")
     renamed = {"seed": "master_seed", "observable": "observable_source"}
-    for flag in ("trials", "seed", "estimator", "observable", "workers"):
+    for flag in ("dim", "copies", "trials", "seed", "estimator", "observable", "workers"):
         if flag in flags:
             overrides[renamed.get(flag, flag)] = flags[flag]
     if "n2" in flags:
@@ -167,8 +165,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args, copies_list=True)
-    copies = _parse_int_list(args.copies, "--copies") if args.copies is not None else [config.copies]
+    config = _config_from_args(args)
+    copies = args.copies_list if args.copies_list is not None else [config.copies]
     rows = run_sweep(config, copies_values=copies)
     _emit(rows_to_csv(rows, include_timing=args.timing), args.out)
     return EXIT_OK
@@ -176,11 +174,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     # only the seed matters here; --config is honored for its master_seed
-    seed = args.seed
-    if seed is None:
-        seed = load_config(args.config).master_seed if args.config else 0
-    check_seed(seed)
-    reports = run_verify(level=args.level, seed=seed)
+    reports = run_verify(level=args.level, seed=_config_from_args(args).master_seed)
     lines = "".join(json.dumps(report.to_dict()) + "\n" for report in reports)
     _emit(lines, args.out)
     failed = [report for report in reports if not report.passed]
@@ -191,7 +185,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "analytic": _cmd_analytic,
         "simulate": _cmd_simulate,
@@ -199,6 +192,8 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        # a usage error raises ConfigError too (see _Parser), so it ends in the same one line
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, OSError) as exc:
         sys.stderr.write(f"optev: error: {exc}\n")

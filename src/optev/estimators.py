@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def simulate_measurements(
     state: PureState, obs: Observable, copies: int, stream: np.random.Generator
 ) -> np.ndarray:
     """Outcome counts of N independent measurements of the observable's eigenbasis."""
-    check_copies(copies)
+    copies = check_int("copies", copies, 1, bits=63)
     p = outcome_distribution(state, obs)
     # renormalized: multinomial rejects rows that sum to more than 1 + 1e-12
     return stream.multinomial(copies, p / p.sum())
@@ -61,13 +62,22 @@ def estimate_from_sums(
     return estimates
 
 
-def check_copies(copies: int) -> None:
-    """Reject a copy count that is not an ``int`` (``bool`` excluded) in [1, 2**63).
+def check_int(name: str, value, low: int, bits: int = 64) -> int:
+    """``value`` as an ``int``, if ``operator.index`` takes it (bools excluded) and it lies in
+    [low, 2**bits); else ``ValueError``.  The one rule for every count, size and seed.
 
-    The outcome draw, ``Generator.multinomial``, takes a signed 64-bit count.
+    A copy count has ``bits=63``: the outcome draws, ``Generator.multinomial`` and
+    ``binomial``, take a signed 64-bit count.
     """
-    if isinstance(copies, bool) or not isinstance(copies, int) or not 1 <= copies < 2**63:
-        raise ValueError(f"copies must be an integer in [1, 2**63), got {copies!r}")
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= number < 2**bits:
+                return number
+    raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
 
 
 def affine_form(kind: EstimatorKind | str, copies: int, dim: int, n2: float | None = None) -> tuple[int, int, int]:
@@ -100,8 +110,7 @@ def _estimate(kind: EstimatorKind, counts, obs: Observable, n2: float | None = N
     if (c < 0).any():
         raise ValueError(f"counts must be non-negative, got {c.tolist()}")
     # summed as Python ints: numpy's integer sum wraps past 2**63 or 2**64
-    copies = sum(c.tolist())
-    check_copies(copies)
+    copies = check_int("copies", sum(c.tolist()), 1, bits=63)
     affine_form(kind, copies, obs.dim, n2)
     return float(estimate_from_sums(kind, eigenvalue_sum(c, obs.eigenvalues), copies, obs, n2))
 
@@ -181,8 +190,7 @@ def analytic_delta_opt(obs: Observable, copies: int) -> float:
     (d tr Omega^2 - (tr Omega)^2) / (d (d+1) (N+d)); zero iff the observable
     is a multiple of the identity.
     """
-    check_copies(copies)
-    return analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, copies)
+    return analytic_mse(EstimatorKind.OPTIMAL_PURE, obs, check_int("copies", copies, 1, bits=63))
 
 
 def analytic_delta_av(obs: Observable, copies: int) -> float:
@@ -191,8 +199,7 @@ def analytic_delta_av(obs: Observable, copies: int) -> float:
     (d tr Omega^2 - (tr Omega)^2) / (d (d+1) N): the optimal error scaled by
     (N+d)/N.
     """
-    check_copies(copies)
-    return analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, copies)
+    return analytic_mse(EstimatorKind.SAMPLE_AVERAGE, obs, check_int("copies", copies, 1, bits=63))
 
 
 def analytic_delta_mixed_qubit(obs: Observable, n2: float) -> float:

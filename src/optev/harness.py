@@ -44,7 +44,6 @@ import csv
 import io
 import json
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -53,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimatorKind, affine_form, analytic_bias, analytic_mse, estimate_from_sums
+from .estimators import EstimatorKind, affine_form, analytic_bias, analytic_mse, check_int, estimate_from_sums
 from .hermitian import Observable, frozen, make_observable, observable_from_json
 from .sampling import HAAR_PURE, HaarPure, RadialLaw, keyed_stream, scratch
 
@@ -118,20 +117,12 @@ def load_observable(source, dim: int | None = None) -> Observable:
         raise ConfigError(f"{text}: {exc}") from exc
 
 
-def _check_int(name: str, value, low: int, bits: int = 64) -> None:
-    """Reject a value that is not an ``int`` (``bool`` excluded) in [low, 2**bits)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < 2**bits:
-        raise ConfigError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
-
-
-def check_seed(seed) -> None:
-    """Reject a master seed that is not an integer in [0, 2**64)."""
-    _check_int("master_seed", seed, 0)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one Monte Carlo experiment."""
+    """Declarative description of one Monte Carlo experiment.
+
+    Its integer fields pass :func:`optev.estimators.check_int` and are kept as ``int``s.
+    """
 
     dim: int = 2
     copies: int = 1
@@ -146,16 +137,14 @@ class ExperimentConfig:
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         if isinstance(self.ensemble, str) and self.ensemble == HAAR_PURE.label():
             object.__setattr__(self, "ensemble", HAAR_PURE)
-        for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
-            _check_int(name, getattr(self, name), low)
-        # the Bloch outcome draw, Generator.binomial, takes a signed 64-bit
-        # count; the Haar draw's N + d - 1 slots are uint64
-        _check_int("copies", self.copies, 1, bits=63)
-        if not isinstance(self.ensemble, (HaarPure, RadialLaw)):
-            raise ConfigError(f"ensemble must be 'haar-pure' or a Bloch law, got {self.ensemble!r}")
-        if self.ensemble.qubit_only and self.dim != 2:
-            raise ConfigError("the Bloch ensemble is qubit-only (dim must be 2)")
         try:
+            for name, low in (("dim", 2), ("trials", 1), ("workers", 1), ("master_seed", 0)):
+                object.__setattr__(self, name, check_int(name, getattr(self, name), low))
+            object.__setattr__(self, "copies", check_int("copies", self.copies, 1, bits=63))
+            if not isinstance(self.ensemble, (HaarPure, RadialLaw)):
+                raise ValueError(f"ensemble must be 'haar-pure' or a Bloch law, got {self.ensemble!r}")
+            if self.ensemble.qubit_only and self.dim != 2:
+                raise ValueError("the Bloch ensemble is qubit-only (dim must be 2)")
             affine_form(self.estimator, self.copies, self.dim, self.ensemble.second_moment())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -320,14 +309,6 @@ def run_experiment(config: ExperimentConfig, observable: Observable | None = Non
     )
 
 
-def _integral(value):
-    """A numpy integer as an int; any other value as it is, bools too, for ExperimentConfig to check."""
-    try:
-        return value if isinstance(value, int) else operator.index(value)
-    except TypeError:
-        return value
-
-
 def run_sweep(base: ExperimentConfig, copies_values) -> list[ResultRow]:
     """Both pure-ensemble estimators at ``base.dim``, for every N in ``copies_values``.
 
@@ -340,7 +321,7 @@ def run_sweep(base: ExperimentConfig, copies_values) -> list[ResultRow]:
     """
     if base.ensemble != HAAR_PURE:
         raise ConfigError("sweep runs the Haar pure-state estimators; the config names a Bloch ensemble")
-    copies = sorted({replace(base, copies=_integral(v)).copies for v in copies_values})
+    copies = sorted({replace(base, copies=v).copies for v in copies_values})
     obs = load_observable(base.observable_source, dim=base.dim)
     rows = []
     for n in copies:

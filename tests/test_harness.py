@@ -38,8 +38,9 @@ from optev import (
     observable_to_json,
     rows_to_csv,
     run_experiment,
+    simulate_measurements,
 )
-from optev import harness, hermitian, sampling
+from optev import estimators, harness, hermitian, sampling
 from optev.cli import main
 from optev.estimators import analytic_mse, estimate_from_sums
 from optev.harness import BLOCK, CSV_COLUMNS, _draw_block, load_config, run_sweep
@@ -785,6 +786,79 @@ def test_sweep_takes_numpy_integers():
     assert rows_to_csv(rows) == rows_to_csv(run_sweep(base, copies_values=[4, 1]))
 
 
+class _CountRecorder:
+    """A stream whose outcome draw records the count it is asked for."""
+
+    def multinomial(self, n, pvals):
+        self.n = n
+        return np.zeros(len(pvals), dtype=np.int64)
+
+
+def _config_field(name):
+    return lambda value, monkeypatch: getattr(ExperimentConfig(**{name: value}), name)
+
+
+def _simulated(value, monkeypatch):
+    stream = _CountRecorder()
+    simulate_measurements(PureState(np.array([1.0, 0.0])), load_observable("pauli-z"), value, stream)
+    return stream.n
+
+
+def _analytic(function):
+    """The copy count ``function`` hands to ``analytic_mse``."""
+
+    def used(value, monkeypatch):
+        seen = []
+
+        def spy(kind, obs, copies, n2=None):
+            seen.append(copies)
+            return analytic_mse(kind, obs, copies, n2)
+
+        monkeypatch.setattr(estimators, "analytic_mse", spy)
+        function(load_observable("pauli-z"), value)
+        return seen[0]
+
+    return used
+
+
+def _swept(value, monkeypatch):
+    opt_row, av_row = run_sweep(ExperimentConfig(trials=10, master_seed=19), copies_values=[value])
+    assert type(av_row.config.copies) is int
+    return opt_row.config.copies
+
+
+# every integer entry point: (name in its message, low, bits, the int it stores or uses for a value)
+INTEGER_ENTRY_POINTS = {
+    "config-dim": ("dim", 2, 64, _config_field("dim")),
+    "config-copies": ("copies", 1, 63, _config_field("copies")),
+    "config-trials": ("trials", 1, 64, _config_field("trials")),
+    "config-workers": ("workers", 1, 64, _config_field("workers")),
+    "config-master_seed": ("master_seed", 0, 64, _config_field("master_seed")),
+    "simulate_measurements": ("copies", 1, 63, _simulated),
+    "analytic_delta_opt": ("copies", 1, 63, _analytic(analytic_delta_opt)),
+    "analytic_delta_av": ("copies", 1, 63, _analytic(analytic_delta_av)),
+    "run_sweep": ("copies", 1, 63, _swept),
+}
+TAKEN = [3, np.int64(3), np.uint64(3), np.int32(3)]
+REFUSED = [True, np.True_, 3.0, np.float64(3.0), "3", "low - 1", "2**bits"]
+
+
+@pytest.mark.parametrize("value", TAKEN + REFUSED, ids=repr)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_every_integer_entry_point_keeps_one_rule(entry, value, monkeypatch):
+    # whatever operator.index takes, bools excluded, in [low, 2**bits), as a Python int
+    name, low, bits, used = INTEGER_ENTRY_POINTS[entry]
+    if any(value is taken for taken in TAKEN):
+        number = used(value, monkeypatch)
+        assert type(number) is int and number == 3
+        return
+    if isinstance(value, str) and value != "3":
+        value = low - 1 if value == "low - 1" else 2**bits
+    with pytest.raises(ValueError) as info:
+        used(value, monkeypatch)
+    assert str(info.value) == f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}"
+
+
 @pytest.mark.parametrize("source, d, dim", [("pauli-z", 2, 3), ("diag(1,0.5,-2)", 3, 2)])
 def test_sweep_rejects_an_observable_of_another_d_before_any_block(monkeypatch, capsys, source, d, dim):
     def no_block(config, obs, truths, sums, k):
@@ -1124,6 +1198,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         (["sweep", "--dim", "2.7"], None),
         (["simulate", "--copies", "2.5"], None),
         (["sweep", "--copies", ""], None),
+        # usage errors leave through the same one line
+        (["simulate", "--trials", "x"], None),
+        (["simulate", "--n2", "abc"], None),
+        (["simulate", "--estimator", "bogus"], None),
+        (["verify", "--level", "bogus"], None),
+        (["simulate", "--bogus"], None),
+        ([], None),
         # d = 10^8 asks for a 71 PiB matrix, far past the 128 TiB of address space
         # 64-bit Linux maps for a process by default, so the allocation fails at
         # once even under overcommit; a smaller d could really allocate
@@ -1135,7 +1216,7 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
         path = tmp_path / "config.json"
         path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         argv = argv + ["--config", str(path)]
-    if argv[0] in ("simulate", "sweep"):
+    if argv[:1] in (["simulate"], ["sweep"]):
         argv = argv + ["--trials", "10"]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -1143,7 +1224,7 @@ def test_cli_bad_input_is_one_line_error(tmp_path, capsys, argv, config):
     assert captured.err.startswith("optev: error: ")
     assert captured.err.count("\n") == 1
     if argv[1:3] in (["--dim", "2.7"], ["--copies", "2.5"]):
-        assert captured.err == f"optev: error: {argv[1]} expects a single integer, got '{argv[2]}'\n"
+        assert captured.err == f"optev: error: argument {argv[1]}: invalid int value: '{argv[2]}'\n"
 
 
 def _run_script(args, script, **options):
@@ -1210,10 +1291,11 @@ def test_cli_usage_error_exit_code(capsys):
     ignored += [["analytic", "--estimator", "sample-average"], ["analytic", "--seed", "4"]]
     ignored += [["sweep", "--estimator", "sample-average"], ["sweep", "--n2", "0.3"]]
     for argv in [["simulate", "--estimator", "bogus"], ["verify", "--trials", "5"], *ignored]:
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 1
-        assert ": error: " in capsys.readouterr().err.splitlines()[-1]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("optev: error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_config_file_with_overrides(tmp_path, capsys):
