@@ -13,11 +13,11 @@ Bloch block only reads the stream for each state's Bloch component along the
 top eigenvector's and its outcomes, and ``finish`` does the arithmetic.
 Blocks never depend on the worker count and write fixed slots of one array,
 which the calling thread then reduces with numpy's sum, one pass over the
-whole array in a fixed order, in a buffer it keeps, so output is
-byte-identical for any worker count.  A Haar block draws into buffers the
-working thread keeps (:func:`optev.sampling.scratch`), so it allocates no
-array of its own size once the thread is warm, and a Bloch run's
-``finish`` works in the reduce's kept buffer.  No BLAS call lies between
+whole array in a fixed order, so output is byte-identical for any worker
+count.  A run's truths, sums and squared errors are the rows of one buffer
+the calling thread keeps (:func:`optev.sampling.scratch`), ``finish``
+working in the third; a Haar block draws into buffers its thread keeps, so
+a warm run asks for no array of M values.  No BLAS call lies between
 the eigendecomposition and the CSV, so given the eigenvalues, the output
 is also the same on every CPU and BLAS kernel.  The bias at the fixed probe (the
 top eigenvector, where every outcome is the top eigenvalue, its truth) is exact, not drawn.
@@ -27,15 +27,14 @@ calls release the GIL) maps its blocks, one task each, over
 min(workers, blocks, CPUs) threads of a ``ThreadPoolExecutor`` of its own.
 Bloch runs always draw in the calling thread.  No run starts a process.
 
-The estimator is in no stream key, so ``_draw`` keeps its last draw,
-read-only, keyed by every value the draw reads: master seed, N, M, the
+The estimator is in no stream key, so ``_draw`` keeps each thread's last
+draw, read-only, keyed by every value the draw reads: master seed, N, M, the
 ensemble, the eigenvalues' bytes (which fix d) and tr Omega; and by the
-worker count, so a run on other workers draws afresh.  A run on an equal
-key, such as the other estimator on a cell, reuses the draw.  A run on
-another key drops it before drawing, so memory never holds two.  Its 16
-bytes per trial (16 MB at M = 10^6) are allocated before the first block,
-so an M that cannot be held fails at once with ``MemoryError``.  One
-assignment swaps it, so threads need no lock.
+worker count, so a run on other workers draws afresh.  An equal key in that
+thread, such as the other estimator on a cell, reuses the draw; another
+thread draws its own, so no run reads rows that another rewrites.  A miss
+takes the buffer, 24 bytes per trial, before the first block, so an M that
+cannot be held fails at once with ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import io
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -210,14 +210,13 @@ def _draw_block(config: ExperimentConfig, obs: Observable, truths: np.ndarray, s
     config.ensemble.draw(obs, config.copies, keyed_stream(config.master_seed, k), truths[block], sums[block])
 
 
-# the last draw as (key, (truths, sums)), read-only, or None; see _draw
-_last_draw = None
+# each thread's last draw as .entry = (key, (truths, sums)), or None; see _draw
+_memo = threading.local()
 
 
 def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Truths and sums of the ensemble pass's M trials, the only random part;
-    the last ones are kept under their key (see the module docstring)."""
-    global _last_draw
+    """Truths and sums of the ensemble pass's M trials, the only random part, as
+    read-only rows of this thread's ``"run"`` buffer (see the module docstring)."""
     if obs.dim != config.dim:
         raise ConfigError(f"observable has d={obs.dim} but config says dim={config.dim}")
     # the eigenvalues' bytes hold d; repr and hex tell -0.0 from 0.0, so a hit
@@ -233,15 +232,13 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
         obs.trace.hex(),
         config.workers,
     )
-    last = _last_draw
+    last = getattr(_memo, "entry", None)
     if last is not None and last[0] == key:
         return last[1]
-    # drop the old draw first, so memory never holds two
-    _last_draw = None
+    # cleared first, so a grown buffer frees the old draw and a failed draw leaves no entry over half-written rows
+    _memo.entry = None
     m = config.trials
-    if m >= 2**60:  # numpy refuses arrays of 2**63 bytes or more
-        raise MemoryError(f"{m} trials need {16 * m} bytes")
-    truths, sums = np.empty(m), np.empty(m)
+    truths, sums, work = scratch("run", 3, m)
     starts = range(0, m, BLOCK)
     block = partial(_draw_block, config, obs, truths, sums)
     threads = min(config.workers, len(starts)) if config.ensemble.threaded else 1
@@ -260,27 +257,23 @@ def _draw(config: ExperimentConfig, obs: Observable) -> tuple[np.ndarray, np.nda
         # result, so a block's exception is raised here
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(block, starts))
-    # the reduce's buffer, which run_experiment fills only after the draw
-    config.ensemble.finish(obs, config.copies, truths, sums, scratch("errors", m))
+    config.ensemble.finish(obs, config.copies, truths, sums, work)
     drawn = (frozen(truths), frozen(sums))
-    # one assignment of an immutable tuple, so a thread sees the old entry or
-    # the new one, never half of one, and needs no lock
-    _last_draw = (key, drawn)
+    _memo.entry = (key, drawn)
     return drawn
 
 
 def run_experiment(config: ExperimentConfig, observable: Observable | None = None) -> ResultRow:
     """Run one seeded experiment: ensemble MSE pass plus the exact bias at the probe.
 
-    The draw's truths and sums, 16 bytes per trial, stay in memory after this
-    returns, until a run with other draw inputs replaces them; so does the
-    calling thread's reduce buffer, 8 bytes per trial, until the thread ends.
+    Its arrays are the calling thread's ``"run"`` buffer, 24 bytes per trial, kept until the thread ends.
     """
     started = time.perf_counter()
     obs = observable if observable is not None else load_observable(config.observable_source, dim=config.dim)
     truths, sums = _draw(config, obs)
     m, n, n2 = config.trials, config.copies, config.ensemble.second_moment()
-    errors = estimate_from_sums(config.estimator, sums, n, obs, n2, out=scratch("errors", m))
+    # the draw's buffer at its size, so the truths and sums stay where they are
+    errors = estimate_from_sums(config.estimator, sums, n, obs, n2, out=scratch("run", 3, m)[2])
     errors -= truths
     errors *= errors
     empirical_mse = float(errors.sum()) / m

@@ -60,13 +60,19 @@ def scratch(name: str, *shape: int, dtype=np.float64) -> np.ndarray:
     A buffer only grows, to the largest request its thread has made, and lives
     as long as the thread, so the hot path's temporaries cost no malloc and no
     page fault once warm.  The array stays valid until the same thread asks
-    for ``name`` again: a caller never hands one on.
+    for ``name`` at a larger size, and its contents until a caller of ``name``
+    writes them, so a caller never hands one on; the harness keeps a thread's
+    last draw in that thread's ``"run"`` rows on this rule.  A request of
+    2**63 bytes or more, which numpy refuses, raises ``MemoryError``.
     """
     try:
         return np.ndarray(shape, dtype, getattr(_kept, name))
-    except (AttributeError, TypeError):
+    except (AttributeError, TypeError, ValueError):
         # no buffer of that name yet in this thread, or one too small for shape
-        buffer = np.empty(math.prod(shape) * np.dtype(dtype).itemsize, dtype=np.uint8)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size >= 2**63:
+            raise MemoryError(f"buffer {name!r} of shape {shape} needs {size} bytes") from None
+        buffer = np.empty(size, dtype=np.uint8)
         setattr(_kept, name, buffer)
         return np.ndarray(shape, dtype, buffer)
 

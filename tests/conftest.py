@@ -1,5 +1,5 @@
-"""Every test starts with an empty Monte Carlo draw memo, so no test sees a
-draw that an earlier test left behind.
+"""Every test starts with an empty Monte Carlo draw memo in its thread (a new
+thread's starts empty), so no test sees a draw that an earlier test left behind.
 
 ``--hypothesis-profile=thorough`` runs each property test 2000 times with
 no deadline; the estimators' shift-and-scale and posterior-mean bounds fail,
@@ -17,4 +17,4 @@ settings.register_profile("thorough", max_examples=2000, deadline=None)
 
 @pytest.fixture(autouse=True)
 def empty_draw_memo():
-    harness._last_draw = None
+    harness._memo.entry = None

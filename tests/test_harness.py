@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -49,7 +50,7 @@ from optev.sampling import HAAR_PURE, _draw_haar_counts
 
 def fresh(config, observable=None):
     """``run_experiment`` on a fresh draw: the draw memo is emptied first."""
-    harness._last_draw = None
+    harness._memo.entry = None
     return run_experiment(config, observable=observable)
 
 
@@ -592,8 +593,10 @@ def test_one_block_or_one_cpu_draws_in_the_calling_thread(monkeypatch, cpus, blo
 def test_threads_sharing_runs_get_serial_output(monkeypatch):
     # a pretend third CPU lets the runs' 2- and 3-worker draws run on
     # executors of two sizes at once; every run's thread pool is its own.
-    # Each run has its own seed, so each draws afresh rather than finding
-    # another's draw in the memo
+    # The first six runs have their own seeds; the last three repeat keys
+    # of the first six, and the barrier puts every run on a thread of its
+    # own, so each of those draws into its own thread's buffer while the
+    # run it repeats may still be drawing or reducing
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     laws = ("haar-pure", RadialLaw.uniform_ball())
     configs = [
@@ -602,11 +605,18 @@ def test_threads_sharing_runs_get_serial_output(monkeypatch):
         )
         for k in range(6)
     ]
+    configs += configs[::2]
+    barrier = threading.Barrier(len(configs))
+
+    def run(config):
+        barrier.wait(timeout=60)
+        return run_experiment(config)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(len(configs)) as threads:
-            futures = [threads.submit(run_experiment, config) for config in configs]
+            futures = [threads.submit(run, config) for config in configs]
             rows = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -635,7 +645,7 @@ def test_interleaved_runs_give_the_rows_of_each_run_alone(workers):
     ]
     want = {config: _alone(config) for config in configs}
     for config in configs + configs[::-1] + configs:
-        harness._last_draw = None
+        harness._memo.entry = None
         assert rows_to_csv([run_experiment(config)]) == want[config]
 
 
@@ -675,7 +685,7 @@ def test_cached_start_states_draw_what_fresh_streams_draw(ensemble, workers, blo
     cache = sampling._start_state
     cache.cache_clear()
     for derived in (blocks, 0 if blocks <= sampling.STREAM_STATES else blocks):
-        harness._last_draw = None
+        harness._memo.entry = None
         before = cache.cache_info()
         assert [array.tobytes() for array in harness._draw(config, obs)] == want
         after = cache.cache_info()
@@ -880,15 +890,24 @@ def test_sweep_rejects_an_observable_of_another_d_before_any_block(monkeypatch, 
 @pytest.fixture
 def draws(monkeypatch):
     """One entry per run that drew, which only a memo miss makes: whether the
-    memo was empty during every ``_draw_block`` call of that draw.  A draw's
-    blocks, on whatever threads, share its truths array."""
-    calls, arrays = [], []
+    drawing thread's memo was empty when it took the run's buffer and during
+    every ``_draw_block`` call of that draw.  A draw's blocks, on whatever
+    threads, share its truths array; a pool thread's own memo stays empty."""
+    calls, arrays, taken_empty = [], [], {}
     lock = threading.Lock()
-    real = harness._draw_block
+    real, real_scratch = harness._draw_block, harness.scratch
+
+    def take(name, *shape):
+        buffer = real_scratch(name, *shape)
+        # the draw's own thread, between clearing its entry and the first block
+        with lock:
+            taken_empty[id(buffer.base)] = getattr(harness._memo, "entry", None) is None
+        return buffer
 
     def spy(config, obs, truths, sums, k):
-        empty = harness._last_draw is None
+        empty = getattr(harness._memo, "entry", None) is None
         with lock:
+            empty = empty and taken_empty[id(truths.base)]
             i = next((i for i, array in enumerate(arrays) if array is truths), len(arrays))
             if i == len(arrays):
                 arrays.append(truths)
@@ -897,6 +916,7 @@ def draws(monkeypatch):
         real(config, obs, truths, sums, k)
 
     monkeypatch.setattr(harness, "_draw_block", spy)
+    monkeypatch.setattr(harness, "scratch", take)
     return calls
 
 
@@ -911,6 +931,54 @@ def test_second_estimator_on_the_same_draw_inputs_draws_once(draws):
     # the miss drops the old entry before it draws, so memory never holds two draws
     assert draws == [True]
     assert [_text(row) for row in rows] == [_text(fresh(config)), _text(fresh(average))]
+
+
+def test_a_run_on_another_thread_draws_its_own(draws):
+    # each thread keeps its own last draw, in its own buffer, so an equal key
+    # on another thread draws again rather than read rows that their owner
+    # may be rewriting; the first thread's entry is left as it was
+    config = ExperimentConfig(dim=3, copies=4, trials=BLOCK + 5, master_seed=49, observable_source="diag(1,0.5,-2)")
+    here = _text(run_experiment(config))
+    with ThreadPoolExecutor(1) as thread:
+        there = thread.submit(lambda: _text(run_experiment(config))).result(timeout=120)
+    assert draws == [True, True]
+    assert there == here
+    assert _text(run_experiment(config)) == here
+    assert draws == [True, True]
+
+
+@pytest.mark.parametrize(
+    "ensemble, copies",
+    [
+        ("haar-pure", 2),
+        (RadialLaw.uniform_ball(), 1),
+        pytest.param(
+            RadialLaw.uniform_ball(),
+            2,
+            # RadialLaw.finish casts the N > 1 counts to float in place, which numpy does on a copy
+            marks=pytest.mark.xfail(strict=True, reason="finish's in-place count casts copy M values"),
+        ),
+    ],
+    ids=["haar", "bloch", "bloch-counts"],
+)
+def test_a_warm_miss_allocates_no_array_of_m_values(draws, ensemble, copies):
+    # the truths, sums and squared errors are rows of the thread's one kept
+    # buffer, so the third run, a miss on a warm thread, draws into memory
+    # it already holds
+    m = 16 * BLOCK + 5
+    a = ExperimentConfig(dim=2, copies=copies, trials=m, master_seed=47, ensemble=ensemble)
+    b = replace(a, master_seed=48)
+    run_experiment(a)
+    run_experiment(b)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_experiment(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws == [True, True, True]
+    assert peak - start < 8 * m
 
 
 def test_sweep_draws_each_cell_once(draws):
@@ -956,10 +1024,11 @@ def test_bloch_key_tells_apart_rotations_with_equal_eigenvalues(draws):
     assert a.trace != b.trace and math.nextafter(a.trace, b.trace) == b.trace
     config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
     run_experiment(config, observable=a)
-    a_truths = harness._last_draw[1][0]
+    # the kept rows are rewritten by the next draw, so keep a copy
+    a_truths = harness._memo.entry[1][0].copy()
     row = run_experiment(config, observable=b)
     assert draws == [True, True]
-    truths, sums = harness._last_draw[1]
+    truths, sums = harness._memo.entry[1]
     fresh_truths, fresh_sums = run_trials(config, b)
     assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
     # each truth 0.5 (tr Omega + s (w0 - w1)) reads the trace, so a's draw is not b's
@@ -976,10 +1045,10 @@ def test_rotations_with_equal_eigenvalues_and_trace_share_a_draw(draws):
     assert a.trace.hex() == b.trace.hex()
     config = replace(BLOCH, copies=1, trials=BLOCK + 3, estimator="optimal-mixed-qubit")
     run_experiment(config, observable=a)
-    truths, sums = harness._last_draw[1]
+    truths, sums = harness._memo.entry[1]
     row = run_experiment(config, observable=b)
     assert draws == [True]
-    assert all(now is then for now, then in zip(harness._last_draw[1], (truths, sums)))
+    assert all(now is then for now, then in zip(harness._memo.entry[1], (truths, sums)))
     fresh_truths, fresh_sums = run_trials(config, b)
     assert truths.tobytes() == fresh_truths.tobytes() and sums.tobytes() == fresh_sums.tobytes()
     assert _text(row) == _text(fresh(config, b))
@@ -1007,11 +1076,11 @@ def test_reductions_leave_the_kept_draw_unchanged(draws, ensemble):
     )
     average = replace(config, estimator="sample-average")
     first = run_experiment(config)
-    truths, sums = harness._last_draw[1]
+    truths, sums = harness._memo.entry[1]
     kept = truths.tobytes(), sums.tobytes()
     rows = [first, run_experiment(average), run_experiment(config)]
     assert draws == [True]
-    assert all(now is then for now, then in zip(harness._last_draw[1], (truths, sums)))
+    assert all(now is then for now, then in zip(harness._memo.entry[1], (truths, sums)))
     assert (truths.tobytes(), sums.tobytes()) == kept
     fresh_truths, fresh_sums = run_trials(config, load_observable("diag(1,-2)"))
     assert (fresh_truths.tobytes(), fresh_sums.tobytes()) == kept
@@ -1021,7 +1090,7 @@ def test_reductions_leave_the_kept_draw_unchanged(draws, ensemble):
 def test_memo_arrays_are_read_only():
     config = ExperimentConfig(trials=20, master_seed=45)
     truths, sums = harness._draw(config, load_observable("pauli-z"))
-    assert all(kept is drawn for kept, drawn in zip(harness._last_draw[1], (truths, sums)))
+    assert all(kept is drawn for kept, drawn in zip(harness._memo.entry[1], (truths, sums)))
     for array in (truths, sums):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -1247,13 +1316,15 @@ def _limit_address_space():
         (10**11, ["--n2", "0.6", "--estimator", "optimal-mixed-qubit"]),
         # past numpy's largest array (2**63 bytes), which numpy itself would refuse with ValueError
         (2**60, []),
+        # the first M whose run buffer, 24 bytes per trial, reaches 2**63 bytes
+        (2**63 // 24 + 1, []),
         (2**64 - 1, []),
     ],
-    ids=["haar", "bloch", "past-numpy-size", "past-numpy-index"],
+    ids=["haar", "bloch", "past-numpy-size", "past-numpy-size-of-the-run-buffer", "past-numpy-index"],
 )
 def test_cli_trial_count_past_memory_fails_at_once(trials, flags):
-    # 10^11 trials need 1.6 TB of truths and sums, allocated before the first
-    # block, so under a 2 GiB address space the run fails before it draws
+    # 10^11 trials need 2.4 TB of truths, sums and squared errors, taken before
+    # the first block, so under a 2 GiB address space the run fails before it draws
     started = time.monotonic()
     done = _run_script(
         ["-m", "optev.cli", "simulate", "--trials", str(trials), *flags], None, preexec_fn=_limit_address_space

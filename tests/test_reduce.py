@@ -112,7 +112,7 @@ def test_sum_reads_its_input_without_changing_it():
 
 def fresh(config, observable=None):
     """``run_experiment`` on a fresh draw: the draw memo is emptied first."""
-    harness._last_draw = None
+    harness._memo.entry = None
     return run_experiment(config, observable=observable)
 
 
